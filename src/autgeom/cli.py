@@ -3,7 +3,10 @@
 One subcommand per verification suite or geometry pipeline, each
 emitting a JSON report on stdout (``--pretty`` renders a table
 instead).  Exit codes: 0 every check passed, 1 at least one
-verification failed, 2 usage, parse, or precondition error.
+verification failed, 2 usage, parse, or precondition error (the
+library's ``ValueError``) or an unwritable ``--out`` path, 3 an internal
+gate or self-check failed (a ``RuntimeError``, named in the report).
+Error reports go to stderr, have no checks and carry ``"passed": false``.
 """
 
 from __future__ import annotations
@@ -16,26 +19,20 @@ from fractions import Fraction
 from . import automorphisms as aut
 from . import flats, glrep, latgeom
 from .reports import Check, Report, fraction_str, parse_fraction
-from .words import WordParseError, format_word, parse_word
+from .words import format_word, parse_word
 
 USAGE_ERROR = 2
-
-
-class PreconditionError(ValueError):
-    """Bad input that violates an operation's contract (exit code 2)."""
+INTERNAL_ERROR = 3
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(parse_fraction(part) for part in text.split(","))
-    except ValueError as exc:
-        raise PreconditionError(f"bad vector {text!r}: {exc}") from None
+    return tuple(parse_fraction(part) for part in text.split(","))
 
 
 def _parse_vec3(text: str) -> latgeom.Vec3:
     coords = _parse_vector(text)
     if len(coords) != 3:
-        raise PreconditionError(f"expected 3 coordinates, got {len(coords)}")
+        raise ValueError(f"expected 3 coordinates, got {len(coords)}")
     return latgeom.Vec3(*coords)
 
 
@@ -117,15 +114,7 @@ def cmd_verify_relations(args: argparse.Namespace) -> Report:
 
 
 def cmd_gpq(args: argparse.Namespace) -> Report:
-    if args.n < 3:
-        raise PreconditionError(f"need n >= 3, got {args.n}")
-    try:
-        w = parse_word(args.w, args.n - 2)
-    except WordParseError as exc:
-        raise PreconditionError(f"bad word {args.w!r}: {exc}") from None
-    if args.p == 0 or args.q == 0:
-        raise PreconditionError("p and q must be nonzero")
-    checks = aut.gpq_check(args.n, args.p, args.q, w)
+    checks = aut.gpq_check(args.n, args.p, args.q, parse_word(args.w, args.n - 2))
     return Report(
         "gpq",
         {"n": args.n, "p": args.p, "q": args.q, "w": args.w},
@@ -134,24 +123,14 @@ def cmd_gpq(args: argparse.Namespace) -> Report:
 
 
 def cmd_inner_gpq(args: argparse.Namespace) -> Report:
-    if args.p == 0 or args.q == 0:
-        raise PreconditionError("p and q must be nonzero")
     checks = aut.inner_gpq_check(args.p, args.q)
     return Report("inner-gpq", {"p": args.p, "q": args.q}, tuple(checks))
 
 
 def cmd_gl_rep(args: argparse.Namespace) -> Report:
-    try:
-        expr = aut.parse_autexpr(args.expr, rank=3) ** args.power
-    except aut.AutExprParseError as exc:
-        raise PreconditionError(f"bad expression {args.expr!r}: {exc}") from None
-    endo = aut.endo_of(expr)
-    if not glrep.stabilizes(endo):
-        raise PreconditionError(
-            f"{expr.token_text()} does not stabilize the even-a3 subgroup"
-        )
+    endo = aut.endo_of(aut.parse_autexpr(args.expr, rank=3) ** args.power)
     m5 = glrep.ab5(endo)
-    m2 = glrep.mu(endo)
+    m2 = glrep.restrict_to_eigenplane(m5)
     payload = {
         "expr": args.expr,
         "power": args.power,
@@ -179,8 +158,6 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
 
 
 def cmd_lk_basis(args: argparse.Namespace) -> Report:
-    if args.k < 2:
-        raise PreconditionError(f"need k >= 2, got {args.k}")
     words = glrep.lk_basis(args.k)
     total_a = sum(sum(l.sign for l in w.letters if l.index == 1) for w in words)
     checks = [
@@ -202,7 +179,7 @@ def cmd_lk_basis(args: argparse.Namespace) -> Report:
 
 def cmd_sanov(args: argparse.Namespace) -> Report:
     if args.power == 0:
-        raise PreconditionError("power must be nonzero")
+        raise ValueError("power must be nonzero")
     m1 = glrep.mu(aut.endo_of(aut.nielsen_left(1, 2) ** args.power))
     m2 = glrep.mu(aut.endo_of(aut.nielsen_left(2, 1) ** args.power))
     free = glrep.no_short_relation(m1, m2, args.max_len)
@@ -266,15 +243,9 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
 
 def cmd_voronoi(args: argparse.Namespace) -> Report:
     gens = [_parse_vec3(part) for part in args.gens.split(";")]
-    if not 1 <= len(gens) <= 4:
-        raise PreconditionError(f"need 1..4 generators, got {len(gens)}")
-    lattice = latgeom.lattice_from(gens)
-    if lattice.rank != 3:
-        raise PreconditionError(
-            f"generators span rank {lattice.rank}; the Voronoi cell needs rank 3"
-        )
     return _cell_report(
-        "voronoi", {"gens": args.gens}, lattice, args.out, args.precision
+        "voronoi", {"gens": args.gens}, latgeom.lattice_from(gens), args.out,
+        args.precision,
     )
 
 
@@ -290,8 +261,6 @@ def cmd_check_octo(args: argparse.Namespace) -> Report:
 
 
 def cmd_nielsen_flat(args: argparse.Namespace) -> Report:
-    if args.scale < 1:
-        raise PreconditionError(f"scale must be >= 1, got {args.scale}")
     model = flats.nielsen_flat(args.scale)
     extra_checks = [
         Check(
@@ -336,10 +305,7 @@ def cmd_nielsen_flat(args: argparse.Namespace) -> Report:
 
 def cmd_lemma_pq(args: argparse.Namespace) -> Report:
     tau = _parse_vector(args.tau)
-    try:
-        cert = flats.equidistant_forces_zero(tau, args.p, args.q)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from None
+    cert = flats.equidistant_forces_zero(tau, args.p, args.q)
     sample = tuple(Fraction(1) for _ in tau)
     combo_ok = cert.combination(sample) == cert.eliminant_coefficient * len(tau)
     zero_ok = flats.equidistant_check(tau, args.p, args.q, [0] * len(tau))
@@ -372,12 +338,7 @@ def cmd_lemma_pq(args: argparse.Namespace) -> Report:
 
 
 def cmd_induce(args: argparse.Namespace) -> Report:
-    if args.d < 1:
-        raise PreconditionError(f"need d >= 1, got {args.d}")
-    try:
-        ell = parse_fraction(args.ell)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from None
+    ell = parse_fraction(args.ell)
     iso = flats.cyclic_induced(args.d, ell)
     result = flats.trans_length_sq(iso)
     expected = ell * ell / args.d
@@ -525,32 +486,39 @@ def _render_pretty(report: Report) -> str:
     return "\n".join(lines)
 
 
-def run(argv: list[str] | None = None) -> tuple[int, Report]:
-    """Parse arguments and execute; returns (exit code, report).
+def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
+    """The one error boundary: parse argv, run the subcommand, map outcomes.
 
-    On a precondition or parse error the report carries the message in
-    ``payload["error"]`` and the code is 2.
+    A ``ValueError`` (bad input the library refused) or an ``OSError``
+    (an unwritable ``--out``) gives exit code 2; a ``RuntimeError`` (an
+    internal gate or self-check failed) gives exit code 3.  Either way
+    the report has no checks, so it does not pass, and its
+    ``payload["error"]`` carries the message.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.func(args)
-    except PreconditionError as exc:
-        return USAGE_ERROR, Report(args.subcommand, {}, (), {"error": str(exc)})
-    return (0 if report.passed else 1), report
+    except (ValueError, OSError) as exc:
+        code, error = USAGE_ERROR, str(exc)
+    except RuntimeError as exc:
+        code, error = INTERNAL_ERROR, f"internal failure: {type(exc).__name__}: {exc}"
+    else:
+        return args, (0 if report.passed else 1), report
+    return args, code, Report(args.subcommand, {}, (), {"error": error})
+
+
+def run(argv: list[str] | None = None) -> tuple[int, Report]:
+    """Parse arguments and execute; returns (exit code, report)."""
+    _, code, report = _dispatch(argv)
+    return code, report
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        report = args.func(args)
-    except PreconditionError as exc:
-        error = Report(args.subcommand, {}, (), {"error": str(exc)})
-        print(json.dumps(error.to_dict()), file=sys.stderr)
-        return USAGE_ERROR
-    if args.pretty:
+    args, code, report = _dispatch(argv)
+    if code >= USAGE_ERROR:
+        print(json.dumps(report.to_dict()), file=sys.stderr)
+    elif args.pretty:
         print(_render_pretty(report))
     else:
         print(json.dumps(report.to_dict(), indent=1))
-    return 0 if report.passed else 1
+    return code

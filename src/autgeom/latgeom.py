@@ -627,6 +627,8 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
     coordinate as an exact [numerator, denominator] pair along with the
     face cycles and the defining halfspaces.
     """
+    if precision < 0:
+        raise ValueError(f"precision must be >= 0, got {precision}")
     lines = ["OFF"]
     lines.append(
         f"{len(poly.vertices)} {len(poly.faces)} {poly.edge_count()}"

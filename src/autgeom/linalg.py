@@ -31,10 +31,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     ]
 
 
-def mat_vec(a: Mat, v: Sequence) -> Vec:
-    return [sum(row[k] * Fraction(v[k]) for k in range(len(v))) for row in a]
-
-
 def transpose(a: Mat) -> Mat:
     return [list(col) for col in zip(*a)]
 

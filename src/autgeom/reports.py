@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 __all__ = [
     "Check",
@@ -52,7 +52,8 @@ class Report:
 
     @property
     def passed(self) -> bool:
-        return all_pass(self.checks)
+        """A report with no checks verified nothing, so it does not pass."""
+        return bool(self.checks) and all_pass(self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -86,7 +87,3 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
-
-
-def vector_strs(vec: Sequence[Fraction]) -> list[str]:
-    return [fraction_str(x) for x in vec]

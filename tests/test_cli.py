@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from autgeom import latgeom
+from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
 from autgeom.reports import Report
 
 from conftest import run_cli
@@ -15,6 +17,8 @@ GOLDEN = json.loads(
 )
 GOLDEN_SCHEMA = GOLDEN["payload_keys"]
 
+FCC_GENS = "1,1,0;1,-1,0;1,0,1;1,0,-1"
+
 SMOKE_ARGS = {
     "verify-relations": ["verify-relations"],
     "gpq": ["gpq", "--n", "4", "--p", "1", "--q", "2", "--w", "a1"],
@@ -22,7 +26,7 @@ SMOKE_ARGS = {
     "gl-rep": ["gl-rep", "L12"],
     "lk-basis": ["lk-basis", "--k", "3"],
     "sanov": ["sanov"],
-    "voronoi": ["voronoi", "--gens", "1,1,0;1,-1,0;1,0,1;1,0,-1"],
+    "voronoi": ["voronoi", "--gens", FCC_GENS],
     "check-octo": [
         "check-octo", "--u1", "1,1,0", "--u2", "1,-1,0",
         "--v1", "1,0,1", "--v2", "1,0,-1",
@@ -78,12 +82,28 @@ class TestExitCodes:
             ["voronoi", "--gens", "1,0,0;0,1,0"],
             ["nielsen-flat", "--scale", "0"],
             ["induce", "--d", "0", "--ell", "1"],
+            ["voronoi", "--gens", "0,0,0"],
+            ["voronoi", "--gens", FCC_GENS, "--precision", "-3",
+             "--out", "{tmp}/neg.off"],
+            ["voronoi", "--gens", FCC_GENS + ";1,1,1"],
+            ["sanov", "--power", "0"],
+            ["gpq", "--n", "2", "--p", "1", "--q", "2", "--w", "a1"],
+            ["voronoi", "--gens", FCC_GENS, "--out", "{tmp}/missing/c.off"],
         ],
     )
-    def test_precondition_violations_are_two(self, argv):
-        code, report = run_cli(argv)
-        assert code == 2
+    def test_precondition_violations_are_two(self, argv, tmp_path):
+        code, report = run_cli([a.format(tmp=tmp_path) for a in argv])
+        assert code == USAGE_ERROR
         assert "error" in report.payload
+        assert report.to_dict()["passed"] is False
+        assert not (tmp_path / "neg.off").exists()
+
+    def test_internal_gate_failure_is_three(self, monkeypatch):
+        monkeypatch.setattr(latgeom, "covolume", lambda lat: 0)
+        code, report = run_cli(["voronoi", "--gens", FCC_GENS])
+        assert code == INTERNAL_ERROR
+        assert "volume gate" in report.payload["error"]
+        assert report.to_dict()["passed"] is False
 
     def test_unknown_subcommand_is_two(self):
         with pytest.raises(SystemExit) as err:
@@ -166,3 +186,22 @@ class TestEndToEnd:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["voronoi", "--gens", "0,0,0"],
+            ["voronoi", "--gens", FCC_GENS, "--precision", "-3",
+             "--out", "{tmp}/c.off"],
+        ],
+    )
+    def test_former_crashers_exit_two_without_traceback(self, argv, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "autgeom", *(a.format(tmp=tmp_path) for a in argv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["passed"] is False
