@@ -16,6 +16,7 @@ determinant +-1.  Everything here is a pure function of its input.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import linalg
@@ -139,12 +140,14 @@ def sigma_star() -> IntMat:
     return ab5(inner(gen(3, 3)))
 
 
+@functools.cache
 def minus_eigenbasis() -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of the (-1)-eigenspace of the deck involution.
 
     Computed as the integer kernel of sigma_star + I and asserted to be
     exactly {x1 - x4, x2 - x5}; any drift in conventions fails loudly
-    here rather than corrupting the 2x2 representation downstream.
+    here rather than corrupting the 2x2 representation downstream.  The
+    result is constant, so the check runs once per process.
     """
     sigma = sigma_star()
     m = [

@@ -3,15 +3,17 @@
 Lattices are Z-modules spanned by up to four rational vectors, carried
 by a canonical Hermite-style echelon basis.  Voronoi (equivalently
 Dirichlet) cells of rank-3 lattices are computed as exact convex
-polytopes: candidate bisector halfspaces come from small coefficient
-boxes over the basis, vertices from plane triples, and the result is
-post-verified by the two authoritative gates -- every vertex minimizes
-its distance over the candidate lattice points, and the cell volume
-equals the covolume of the lattice (the tiling condition).
+polytopes in one integer pass: the basis is scaled to integer rows and
+LLL-reduced, the Voronoi-relevant vectors are picked from a small box
+over the reduced basis, and vertices are integer solutions of plane
+triples.  Two authoritative gates verify the result: every vertex
+minimizes its distance over the candidate lattice points, and the cell
+volume equals the covolume of the lattice (the tiling condition).
 
-Every quantity is a Fraction; lengths are handled as squared values so
-no square root is ever taken.  A claimed diagonal ratio of 1:sqrt(2)
-therefore appears as a squared ratio of exactly 2.
+Inputs and outputs are Fractions, the inner loops work on integers,
+and lengths are handled as squared values so no square root is ever
+taken.  A claimed diagonal ratio of 1:sqrt(2) therefore appears as a
+squared ratio of exactly 2.
 """
 
 from __future__ import annotations
@@ -305,37 +307,37 @@ class Polytope:
         return (len(self.vertices), self.edge_count(), len(self.faces))
 
 
-def _solve_planes(p1, p2, p3) -> Vec3 | None:
-    """Intersection point of three planes given as (normal, offset)."""
-    (a1, d1), (a2, d2), (a3, d3) = p1, p2, p3
-    det = a1.dot(a2.cross(a3))
-    if det == 0:
-        return None
-    # Cramer's rule: replace each column of [a1; a2; a3] by the offsets.
-    x = Vec3(d1, a1.y, a1.z).dot(Vec3(d2, a2.y, a2.z).cross(Vec3(d3, a3.y, a3.z)))
-    y = Vec3(a1.x, d1, a1.z).dot(Vec3(a2.x, d2, a2.z).cross(Vec3(a3.x, d3, a3.z)))
-    z = Vec3(a1.x, a1.y, d1).dot(Vec3(a2.x, a2.y, d2).cross(Vec3(a3.x, a3.y, d3)))
-    return Vec3(x / det, y / det, z / det)
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _cyclic_order(indices: list[int], points: Sequence[Vec3], normal: Vec3) -> tuple[int, ...]:
-    """Order coplanar vertices into a convex cycle, deterministically.
+def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
 
-    Coordinates in the plane are taken against the exact frame
-    (u, normal x u); cyclic order of rays around the interior centroid
-    is invariant under the linear change of frame, and the angular
-    comparison itself uses only sign tests on rational cross products.
+
+def _cyclic_order(
+    indices: list[int], points: Sequence[Sequence[int]], normal: Sequence[int]
+) -> tuple[int, ...]:
+    """Order coplanar integer points into a convex cycle, deterministically.
+
+    Coordinates in the plane are taken against the frame (u, normal x u)
+    around the interior centroid, all scaled by the number of points so
+    they stay integers; cyclic order of rays is invariant under the
+    linear change of frame and under positive scaling, and the angular
+    comparison itself uses only sign tests on integer cross products.
     """
-    centroid = ZERO
-    for i in indices:
-        centroid = centroid + points[i]
-    centroid = centroid.scale(Fraction(1, len(indices)))
-    u = points[indices[0]] - centroid
-    w = normal.cross(u)
+    k = len(indices)
+    total = [sum(points[i][c] for i in indices) for c in range(3)]
+    offsets = {i: [k * points[i][c] - total[c] for c in range(3)] for i in indices}
+    u = offsets[indices[0]]
+    w = _cross(normal, u)
 
     def angle_key(i: int):
-        d = points[i] - centroid
-        s, t = d.dot(u), d.dot(w)
+        s, t = _dot(offsets[i], u), _dot(offsets[i], w)
         half = 0 if (t > 0 or (t == 0 and s > 0)) else 1
         return half, s, t
 
@@ -372,122 +374,93 @@ def polytope_volume(poly: Polytope) -> Fraction:
     return total / 6
 
 
-def _candidate_vectors(lat: Lattice) -> tuple[list[tuple[Vec3, tuple[int, int, int]]], list[Vec3]]:
-    """Nonzero lattice vectors from coefficient boxes over two bases.
-
-    Returns (classified, all_candidates): ``classified`` pairs each
-    candidate with its coefficient parity class over the echelon basis
-    (vectors in twice the lattice are excluded, as they never support a
-    facet); ``all_candidates`` is the raw deduplicated box, used by the
-    a-posteriori vertex gate.
-
-    The [-2, 2]^3 box over the echelon basis is the primary candidate
-    source; the same box over an LLL-reduced basis is added because the
-    echelon basis of a rotated lattice can be arbitrarily far from
-    reduced, while every facet normal has small coefficients over a
-    reduced basis.  The union can only add redundant halfspaces, and the
-    post-verification gates remain authoritative.
-    """
-    rows, den = _int_rows(lat.basis)
-    reduced = _lll(rows)
-    # Express the reduced basis over the echelon basis (integer change of
-    # basis) so parity classes can be computed for both boxes.
-    change = []
-    for r in reduced:
-        coeffs = _member_coeffs(rows, r)
-        if coeffs is None:
-            raise RuntimeError("LLL basis left the lattice")
-        change.append(coeffs)
-
-    by_vector: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    box = [c for c in itertools.product(range(-2, 3), repeat=3) if c != (0, 0, 0)]
-    for c in box:
-        ints = tuple(
-            sum(c[j] * rows[j][k] for j in range(3)) for k in range(3)
-        )
-        by_vector.setdefault(ints, c)
-        ints2 = tuple(
-            sum(c[j] * reduced[j][k] for j in range(3)) for k in range(3)
-        )
-        coeffs2 = tuple(
-            sum(c[j] * change[j][k] for j in range(3)) for k in range(3)
-        )
-        by_vector.setdefault(ints2, coeffs2)
-
-    classified = []
-    everything = []
-    for ints, coeffs in by_vector.items():
-        v = Vec3(Fraction(ints[0], den), Fraction(ints[1], den), Fraction(ints[2], den))
-        everything.append(v)
-        parity = (coeffs[0] % 2, coeffs[1] % 2, coeffs[2] % 2)
-        if parity != (0, 0, 0):
-            classified.append((v, parity))
-    return classified, everything
-
-
 def voronoi_cell(lat: Lattice) -> Polytope:
     """The exact Voronoi cell {x : |x| <= |x - a| for all a in the lattice}.
 
-    Candidate bisector halfspaces x.a <= |a|^2/2 are drawn from the
-    coefficient boxes described in ``_candidate_vectors`` and pruned to
-    the minimal-norm vectors of each nonzero coefficient-parity class
-    (a superset of the facet normals).  Vertices are intersections of
-    plane triples satisfying every candidate constraint.  Before
-    returning, two gates are enforced exactly: each vertex is at minimal
-    squared distance from the origin among all candidate lattice points,
-    and the cell volume equals |det basis|, i.e. the cell tiles.
+    The cell is the intersection of the bisector halfspaces
+    x.a <= |a|^2/2 of the Voronoi-relevant vectors a, and by Voronoi's
+    criterion a is relevant iff +-a are the only minimal vectors of its
+    class in L/2L.  The candidates are the 124 nonzero vectors of the
+    [-2, 2]^3 coefficient box over an LLL-reduced basis; their classes
+    are read off the coefficient parities, and a plane is kept when its
+    class has exactly the two minima +-a over the box.  Vertices are the
+    plane-triple intersections satisfying every kept constraint.
+
+    Before returning, two gates are enforced exactly: each vertex is at
+    minimal squared distance from the origin among all candidate lattice
+    points, and the cell volume equals |det basis|.  The volume gate is
+    a complete certificate by itself: every kept plane bisects a true
+    lattice vector, so the computed polytope contains the cell, and
+    equal volume forces the two to be equal.
+
+    Internally a lattice vector a is the integer row A = den * a and a
+    point x is y = den * x, so the halfspace of A reads 2 y.A <= |A|^2;
+    points are exact homogeneous integer vectors until the Polytope is
+    built.
     """
     if lat.rank != 3:
         raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
-    classified, everything = _candidate_vectors(lat)
+    rows, den = _int_rows(lat.basis)
+    reduced = _lll(rows)
+    box = []
+    classes: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for c in itertools.product(range(-2, 3), repeat=3):
+        if any(c):
+            v = tuple(sum(c[j] * reduced[j][k] for j in range(3)) for k in range(3))
+            box.append(v)
+            if any(x % 2 for x in c):
+                classes.setdefault((c[0] % 2, c[1] % 2, c[2] % 2), []).append(v)
+    planes = []
+    for members in classes.values():
+        least = min(_dot(v, v) for v in members)
+        minima = [v for v in members if _dot(v, v) == least]
+        if len(minima) == 2:
+            planes.extend((v, least) for v in minima)
 
-    minima: dict[tuple[int, int, int], list[Vec3]] = {}
-    best: dict[tuple[int, int, int], Fraction] = {}
-    for v, parity in classified:
-        n = v.norm_sq()
-        if parity not in best or n < best[parity]:
-            best[parity] = n
-            minima[parity] = [v]
-        elif n == best[parity]:
-            minima[parity].append(v)
-    kept = [v for group in minima.values() for v in group]
-    planes = [(a, a.norm_sq() / 2) for a in kept]
-
-    points: dict[tuple[Fraction, Fraction, Fraction], Vec3] = {}
-    for p1, p2, p3 in itertools.combinations(planes, 3):
-        pt = _solve_planes(p1, p2, p3)
-        if pt is None:
+    # Homogeneous vertices (X, Y, Z, D) with y = (X, Y, Z) / D, D > 0 and
+    # gcd 1: three planes A_i.y = n_i / 2 meet at
+    # y = sum n_i (A_j x A_k) / (2 det) by Cramer's rule.
+    points = set()
+    for (a1, n1), (a2, n2), (a3, n3) in itertools.combinations(planes, 3):
+        c1, c2, c3 = _cross(a2, a3), _cross(a3, a1), _cross(a1, a2)
+        det = _dot(a1, c1)
+        if det == 0:
             continue
-        if all(pt.dot(a) <= c for a, c in planes):
-            points.setdefault(pt.coords(), pt)
-
-    vertices = tuple(sorted(points.values(), key=Vec3.coords))
-    if not vertices:
+        p = [n1 * c1[k] + n2 * c2[k] + n3 * c3[k] for k in range(3)] + [2 * det]
+        if det < 0:
+            p = [-x for x in p]
+        if all(2 * _dot(p, a) <= p[3] * n for a, n in planes):
+            g = gcd(*p)
+            points.add(tuple(x // g for x in p))
+    if not points:
         raise RuntimeError("no Voronoi vertices found")
+    # One common denominator: the vertices become integer points, and
+    # their lexicographic order is that of their rational coordinates.
+    common = functools.reduce(lambda m, p: m * p[3] // gcd(m, p[3]), points, 1)
+    vertices = sorted(tuple(x * (common // p[3]) for x in p[:3]) for p in points)
 
     # Gate 1: every vertex minimizes its distance over the candidates,
     # equivalently satisfies every candidate halfspace.
-    for v in vertices:
-        for a in everything:
-            if v.dot(a) > a.norm_sq() / 2:
+    for y in vertices:
+        for a in box:
+            if 2 * _dot(y, a) > common * _dot(a, a):
                 raise RuntimeError(
                     "vertex fails the minimal-distance gate; candidate box too small"
                 )
 
     faces = []
-    halfspaces = []
-    for a, c in planes:
-        tight = [i for i, v in enumerate(vertices) if v.dot(a) == c]
-        if len(tight) < 3:
-            continue
-        cycle = _cyclic_order(tight, vertices, a)
-        faces.append(cycle)
-        halfspaces.append((a, c))
-    order = sorted(range(len(faces)), key=lambda k: tuple(sorted(faces[k])))
+    for a, n in planes:
+        tight = [i for i, y in enumerate(vertices) if 2 * _dot(y, a) == common * n]
+        if len(tight) >= 3:
+            faces.append((_cyclic_order(tight, vertices, a), a, n))
+    faces.sort(key=lambda face: sorted(face[0]))
     poly = Polytope(
-        vertices,
-        tuple(faces[k] for k in order),
-        tuple(halfspaces[k] for k in order),
+        tuple(Vec3(*(Fraction(x, common * den) for x in y)) for y in vertices),
+        tuple(cycle for cycle, _, _ in faces),
+        tuple(
+            (Vec3(*(Fraction(x, den) for x in a)), Fraction(n, 2 * den * den))
+            for _, a, n in faces
+        ),
     )
 
     # Gate 2: the cell tiles, so its volume is exactly the covolume.

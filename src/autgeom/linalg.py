@@ -15,49 +15,8 @@ Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
-def frac_matrix(rows: Sequence[Sequence]) -> Mat:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity_matrix(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    assert len(a[0]) == len(b)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
-
-
-def det(a: Mat) -> Fraction:
-    n = len(a)
-    m = [row[:] for row in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            result = -result
-        result *= m[col][col]
-        inv_p = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv_p
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return result
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:

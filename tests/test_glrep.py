@@ -28,6 +28,10 @@ def random_stabilizing_endo(rng, max_len=8):
 IDENTITY5 = [[int(i == j) for j in range(5)] for i in range(5)]
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 class TestNu:
     @pytest.mark.parametrize(
         "text,expected",
@@ -105,14 +109,11 @@ class TestAb5:
             glrep.ab5(aut.endo_of(L(1, 3)))
 
     def test_multiplicative(self, rng):
-        from autgeom.linalg import mat_mul
-
         for _ in range(25):
             e1 = random_stabilizing_endo(rng)
             e2 = random_stabilizing_endo(rng)
             lhs = glrep.ab5(aut.compose(e1, e2))
-            rhs = mat_mul(glrep.ab5(e1), glrep.ab5(e2))
-            assert [[int(x) for x in row] for row in rhs] == lhs
+            assert mat_mul(glrep.ab5(e1), glrep.ab5(e2)) == lhs
 
 
 class TestEigenplane:
@@ -120,11 +121,25 @@ class TestEigenplane:
         assert glrep.minus_eigenbasis() == ((1, 0, 0, -1, 0), (0, 1, 0, 0, -1))
 
     def test_involution(self):
-        from autgeom.linalg import mat_mul
-
         sigma = glrep.sigma_star()
-        square = mat_mul(sigma, sigma)
-        assert [[int(x) for x in row] for row in square] == IDENTITY5
+        assert mat_mul(sigma, sigma) == IDENTITY5
+
+    def test_eigenbasis_computed_once(self, monkeypatch):
+        calls = []
+        real = glrep.sigma_star
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        glrep.minus_eigenbasis.cache_clear()
+        monkeypatch.setattr(glrep, "sigma_star", counting)
+        try:
+            glrep.restrict_to_eigenplane(IDENTITY5)
+            glrep.restrict_to_eigenplane(IDENTITY5)
+        finally:
+            glrep.minus_eigenbasis.cache_clear()
+        assert len(calls) == 1
 
     def test_restrict_rejects_non_invariant(self):
         bad = [row[:] for row in IDENTITY5]

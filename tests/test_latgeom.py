@@ -8,6 +8,14 @@ from autgeom.latgeom import Vec3, vec3
 
 FCC_GENS = (vec3(1, 1, 0), vec3(1, -1, 0), vec3(1, 0, 1), vec3(1, 0, -1))
 CUBE_GENS = (vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
+# Generators and expected f-vector of each lattice type the benchmark uses.
+LATTICE_TYPES = {
+    "fcc": (FCC_GENS, (14, 24, 12)),
+    "cube": (CUBE_GENS, (8, 12, 6)),
+    "bcc": ((vec3(1, 1, 1), vec3(1, -1, -1), vec3(-1, 1, -1)), (24, 36, 14)),
+    "hexagonal": ((vec3(1, -1, 0), vec3(0, 1, -1), vec3(2, 2, 2)), (12, 18, 8)),
+    "orthorhombic": ((vec3(5, 6, 7), vec3(5, -6, -7), vec3(-5, 6, -7)), (24, 36, 14)),
+}
 
 
 def random_rotation(rng):
@@ -133,13 +141,26 @@ class TestVoronoiCell:
         with pytest.raises(ValueError):
             lg.voronoi_cell(lg.lattice_from((vec3(1, 0, 0), vec3(0, 1, 0))))
 
-    def test_tiling_under_generator_changes(self, rng):
-        for gens in (FCC_GENS, CUBE_GENS):
-            base = lg.lattice_from(gens)
-            for _ in range(20):
-                lat = lg.lattice_from(random_unimodular_gens(rng, gens))
-                cell = lg.voronoi_cell(lat)
-                assert lg.polytope_volume(cell) == lg.covolume(base)
+    @pytest.mark.parametrize("kind", LATTICE_TYPES)
+    def test_tiling_under_generator_changes(self, rng, kind):
+        # The cell of s * R * L is s * R applied to the cell of L, whatever
+        # the generators of the transformed lattice are.
+        gens, f_vector = LATTICE_TYPES[kind]
+        base = lg.voronoi_cell(lg.lattice_from(gens))
+        assert base.f_vector() == f_vector
+        for _ in range(8):
+            rot = random_rotation(rng)
+            scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+            lat = lg.lattice_from(
+                [lg.apply_matrix(rot, g).scale(scale)
+                 for g in random_unimodular_gens(rng, gens)]
+            )
+            cell = lg.voronoi_cell(lat)
+            assert cell.f_vector() == f_vector
+            assert lg.polytope_volume(cell) == lg.covolume(lat)
+            assert set(cell.vertices) == {
+                lg.apply_matrix(rot, v).scale(scale) for v in base.vertices
+            }
 
     def test_symmetry_under_negation_and_basis_change(self, rng):
         base = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
