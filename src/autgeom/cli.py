@@ -344,6 +344,7 @@ def cmd_induce(args: argparse.Namespace) -> Report:
     expected = ell * ell / args.d
     power = iso.power(args.d)
     diag = flats.trans_length_sq(power)
+    identity = flats.AffineIsometry.identity(1, args.d)
     checks = [
         Check(
             "induced-length",
@@ -358,8 +359,8 @@ def cmd_induce(args: argparse.Namespace) -> Report:
             "power-is-diagonal",
             "the d-th power translates diagonally with squared length d * ell^2",
             diag.length_sq == args.d * ell * ell
-            and power.orthogonal_matrix()
-            == flats.AffineIsometry.identity(1, args.d).orthogonal_matrix(),
+            and power.source == identity.source
+            and power.signs == identity.signs,
             {"power_length_sq": fraction_str(diag.length_sq)},
         ),
     ]
@@ -492,8 +493,8 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
     A ``ValueError`` (bad input the library refused) or an ``OSError``
     (an unwritable ``--out``) gives exit code 2; a ``RuntimeError`` (an
     internal gate or self-check failed) gives exit code 3.  Either way
-    the report has no checks, so it does not pass, and its
-    ``payload["error"]`` carries the message.
+    the report echoes the parsed arguments and has no checks, so it does
+    not pass; its ``payload["error"]`` carries the message.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -504,7 +505,11 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
         code, error = INTERNAL_ERROR, f"internal failure: {type(exc).__name__}: {exc}"
     else:
         return args, (0 if report.passed else 1), report
-    return args, code, Report(args.subcommand, {}, (), {"error": error})
+    echoed = {
+        key: value for key, value in vars(args).items()
+        if key not in ("func", "subcommand", "pretty")
+    }
+    return args, code, Report(args.subcommand, echoed, (), {"error": error})
 
 
 def run(argv: list[str] | None = None) -> tuple[int, Report]:

@@ -150,21 +150,18 @@ class AffineIsometry:
         return AffineIsometry(self.block_dim, source, signs, translation)
 
     def power(self, k: int) -> "AffineIsometry":
+        """self composed with itself k times, by repeated squaring."""
         if k < 0:
             raise ValueError("negative powers are not needed here")
         out = AffineIsometry.identity(self.block_dim, self.blocks)
-        for _ in range(k):
-            out = out.compose(self)
+        square = self
+        while k:
+            if k & 1:
+                out = out.compose(square)
+            k >>= 1
+            if k:
+                square = square.compose(square)
         return out
-
-    def orthogonal_matrix(self) -> list[list[Fraction]]:
-        n = self.dim
-        k = self.block_dim
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(self.blocks):
-            for j in range(k):
-                m[i * k + j][self.source[i] * k + j] = Fraction(self.signs[i])
-        return m
 
 
 @dataclass(frozen=True)
@@ -180,11 +177,19 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
     translation part onto the fixed space of the rotational part; the
     witness solves (O - I) x = -(t - proj t), so g moves it by exactly
     proj t.  A zero length means g is elliptic and the witness is a
-    fixed point.
+    fixed point.  O - I is built as integer rows straight from the block
+    permutation, with at most two nonzeros per row, so the sparse
+    elimination in ``linalg`` does row operations in time linear in the
+    dimension instead of cubic.
     """
-    o = g.orthogonal_matrix()
     n = g.dim
-    a = [[o[i][j] - Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    k = g.block_dim
+    a = [[0] * n for _ in range(n)]
+    for i, (src, sign) in enumerate(zip(g.source, g.signs)):
+        for j in range(k):
+            row = a[i * k + j]
+            row[src * k + j] += sign
+            row[i * k + j] -= 1
     fixed = linalg.kernel(a)
     proj = linalg.project_onto_span(fixed, g.translation)
     residual = [-(t - p) for t, p in zip(g.translation, proj)]

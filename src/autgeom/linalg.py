@@ -1,47 +1,78 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Fractions.  Dimensions in this
-package never exceed a dozen, so plain Gaussian elimination is used
-throughout; there is deliberately no floating point anywhere.
+Matrices are lists of row lists of Fractions (ints are accepted on
+input).  One private sparse Gauss--Jordan elimination serves ``kernel``,
+``solve`` and ``project_onto_span``: rows are held as ``{column: value}``
+dicts of their nonzero entries, and a row operation touches only those
+entries.  The systems this package solves are mostly signed block
+permutations minus the identity, with at most two nonzeros per row, so
+elimination costs time in proportion to the nonzeros rather than to the
+cube of the dimension.  The reduced row echelon form is unique, so the
+pivots, kernel bases and particular solutions are those of the dense
+textbook elimination.  There is deliberately no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd
 from typing import Sequence
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+Row = dict[int, Fraction]
 
 
 def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the pivot column list."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
+def _sparse(a: Sequence[Sequence]) -> list[Row]:
+    return [{j: Fraction(row[j]) for j in compress(count(), row)} for row in a]
+
+
+def _gauss_jordan(rows: list[Row]) -> dict[int, Row]:
+    """Reduced row echelon form of sparse rows, as {pivot column: row}.
+
+    The rows are reduced in place.  Each returned row has a 1 at its
+    pivot column, and no other row has an entry there.  Columns are
+    taken in increasing order; among the rows that may pivot a column
+    the sparsest is chosen to limit fill-in, which leaves the result
+    unchanged because the reduced form is unique.
+    """
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    pivots: dict[int, Row] = {}
+    used: set[int] = set()
+    for c in sorted(holders):
+        candidates = [i for i in holders[c] if i not in used]
+        if not candidates:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv_p = 1 / m[r][c]
-        m[r] = [x * inv_p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        inv = 1 / prow[c]
+        for k in prow:
+            prow[k] *= inv
+        for i in list(holders[c]):
+            if i == p:
+                continue
+            row = rows[i]
+            f = row[c]
+            for k, v in prow.items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    if k not in row:
+                        holders[k].add(i)
+                    row[k] = x
+                else:
+                    del row[k]
+                    holders[k].discard(i)
+        used.add(p)
+        pivots[c] = prow
+    return pivots
 
 
 def solve(a: Mat, b: Sequence) -> Vec | None:
@@ -51,52 +82,75 @@ def solve(a: Mat, b: Sequence) -> Vec | None:
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
-    m, pivots = rref(aug)
+    sparse = _sparse(a)
+    rhs = [Fraction(b[i]) for i in range(rows)]
+    aug = [dict(row) for row in sparse]
+    for row, v in zip(aug, rhs):
+        if v:
+            row[cols] = v
+    pivots = _gauss_jordan(aug)
     if cols in pivots:
         return None  # pivot in the constant column: inconsistent
     x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = m[r][cols]
+    for c, row in pivots.items():
+        if cols in row:
+            x[c] = row[cols]
     # Verify (cheap, and guards against misuse with inconsistent input).
-    for i in range(rows):
-        if dot(a[i], x) != Fraction(b[i]):
+    for row, v in zip(sparse, rhs):
+        if sum(y * x[k] for k, y in row.items()) != v:
             return None
     return x
 
 
 def kernel(a: Mat) -> list[Vec]:
-    """A basis for the null space of a."""
+    """A basis for the null space of a, one vector per free column."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    m, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[Vec] = []
-    for f in free:
-        v = [Fraction(0)] * cols
+    pivots = _gauss_jordan(_sparse(a))
+    basis = {f: [Fraction(0)] * cols for f in range(cols) if f not in pivots}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
-        basis.append(v)
-    return basis
+    for c, row in pivots.items():
+        for f, y in row.items():
+            if f != c:
+                basis[f][c] = -y
+    return list(basis.values())
 
 
 def project_onto_span(basis: Sequence[Sequence], t: Sequence) -> Vec:
     """Orthogonal projection of t onto the span of the basis vectors.
 
-    Uses the normal equations; the basis must be linearly independent.
-    An empty basis projects everything to zero.
+    Uses the normal equations, with the Gram matrix summed column by
+    column over the basis vectors' nonzero entries; the basis must be
+    linearly independent.  An empty basis projects everything to zero.
     """
-    if not basis:
-        return [Fraction(0)] * len(t)
-    g = [[dot(u, v) for v in basis] for u in basis]
-    rhs = [dot(u, t) for u in basis]
-    coeffs = solve(g, rhs)
-    assert coeffs is not None, "basis vectors are linearly dependent"
     out = [Fraction(0)] * len(t)
-    for c, u in zip(coeffs, basis):
-        for k in range(len(t)):
-            out[k] += c * Fraction(u[k])
+    if not basis:
+        return out
+    tv = [Fraction(v) for v in t]
+    us = _sparse(basis)
+    n = len(us)
+    by_column: dict[int, list[tuple[int, Fraction]]] = {}
+    for i, u in enumerate(us):
+        for k, x in u.items():
+            by_column.setdefault(k, []).append((i, x))
+    gram: list[Row] = [{} for _ in us]
+    for entries in by_column.values():
+        for i, x in entries:
+            row = gram[i]
+            for j, y in entries:
+                row[j] = row.get(j, 0) + x * y
+    normal = [{j: y for j, y in row.items() if y} for row in gram]
+    for row, u in zip(normal, us):
+        rhs = sum(x * tv[k] for k, x in u.items())
+        if rhs:
+            row[n] = rhs
+    pivots = _gauss_jordan(normal)
+    assert n not in pivots, "basis vectors are linearly dependent"
+    for c, row in pivots.items():
+        if n in row:
+            for k, x in us[c].items():
+                out[k] += row[n] * x
     return out
 
 

@@ -105,6 +105,19 @@ class TestExitCodes:
         assert "volume gate" in report.payload["error"]
         assert report.to_dict()["passed"] is False
 
+    def test_error_report_echoes_arguments(self, tmp_path):
+        out = str(tmp_path / "c.off")
+        code, report = run_cli(
+            ["voronoi", "--gens", "0,0,0", "--out", out, "--pretty"]
+        )
+        assert code == USAGE_ERROR
+        assert report.args == {"gens": "0,0,0", "out": out, "precision": 6}
+        _, report = run_cli(["gpq", "--n", "2", "--p", "1", "--q", "2", "--w", "a1"])
+        assert report.args == {"n": 2, "p": 1, "q": 2, "w": "a1"}
+        d = report.to_dict()
+        assert sorted(d.keys()) == GOLDEN["report"]
+        assert Report.from_dict(json.loads(json.dumps(d))).to_dict() == d
+
     def test_unknown_subcommand_is_two(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["frobnicate"])
@@ -147,6 +160,12 @@ class TestPayloads:
     def test_induce_values(self):
         _, report = run_cli(["induce", "--d", "3", "--ell", "5/2"])
         assert report.payload["length_sq"] == "25/12"
+
+    def test_induce_many_cosets(self):
+        code, report = run_cli(["induce", "--d", "200", "--ell", "7/3"])
+        assert code == 0
+        assert report.payload["length_sq"] == "49/1800"
+        assert len(report.payload["min_point"]) == 200
 
     def test_verify_relations_out_mode(self):
         code, report = run_cli(["verify-relations", "--mode", "out"])

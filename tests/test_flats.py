@@ -11,6 +11,73 @@ def displacement_sq(iso, point):
     return sum((m - p) ** 2 for m, p in zip(moved, [Fraction(x) for x in point]))
 
 
+def orthogonal_matrix(iso):
+    """The dense rotational part: output block i is signs[i] times
+    input block source[i]."""
+    n, k = iso.dim, iso.block_dim
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(iso.blocks):
+        for j in range(k):
+            m[i * k + j][iso.source[i] * k + j] = Fraction(iso.signs[i])
+    return m
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def random_signed_block_permutation(rng):
+    """An induced action of random base isometries through a random
+    coset permutation: a signed block permutation with rational
+    translation."""
+    k, m, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5)
+    base = []
+    for _ in range(d):
+        source = list(range(m))
+        rng.shuffle(source)
+        signs = tuple(rng.choice((1, -1)) for _ in range(m))
+        translation = tuple(random_fraction(rng) for _ in range(m * k))
+        base.append(AffineIsometry(k, tuple(source), signs, translation))
+    perm = list(range(d))
+    rng.shuffle(perm)
+    return flats.induced_action(perm, base)
+
+
+def cycle_oracle(g):
+    """Squared translation length and the displacement g(x) - x at a
+    minimal point, cycle by cycle.
+
+    On a block cycle i_0 -> source(i_0) -> ... of length L the fixed
+    vectors are (sigma_j v)_j with sigma_0 = 1, sigma_(j+1) = sigma_j *
+    signs[i_j], provided the sign product is +1 (else only 0 is fixed).
+    The projection of t there is sigma_j S / L with S = sum sigma_j t_(i_j),
+    contributing |S|^2 / L to the squared length.
+    """
+    k = g.block_dim
+    block = lambda i: g.translation[i * k:(i + 1) * k]
+    shift = [Fraction(0)] * g.dim
+    length_sq = Fraction(0)
+    seen = set()
+    for start in range(g.blocks):
+        if start in seen:
+            continue
+        cycle, sigmas, i, sigma = [], [], start, 1
+        while i not in seen:
+            seen.add(i)
+            cycle.append(i)
+            sigmas.append(sigma)
+            sigma *= g.signs[i]
+            i = g.source[i]
+        if sigma == -1:
+            continue
+        total = [sum(s * block(i)[c] for i, s in zip(cycle, sigmas)) for c in range(k)]
+        length_sq += sum(x * x for x in total) / len(cycle)
+        for i, s in zip(cycle, sigmas):
+            for c in range(k):
+                shift[i * k + c] = s * total[c] / len(cycle)
+    return length_sq, shift
+
+
 class TestTranslationAction:
     def test_translation_combination(self):
         act = TranslationAction(2, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))))
@@ -72,7 +139,7 @@ class TestAffineIsometry:
         ell = Fraction(3)
         g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (Fraction(0), Fraction(0), ell))
         cubed = g.power(3)
-        assert cubed.orthogonal_matrix() == AffineIsometry.identity(1, 3).orthogonal_matrix()
+        assert orthogonal_matrix(cubed) == orthogonal_matrix(AffineIsometry.identity(1, 3))
         assert flats.trans_length_sq(cubed).length_sq == 9 * flats.trans_length_sq(g).length_sq
 
     def test_compose_matches_apply(self):
@@ -99,9 +166,39 @@ class TestAffineIsometry:
                 tuple(rng.choice((1, -1)) for _ in range(d)),
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(d * k)),
             )
-            o = g.orthogonal_matrix()
+            o = orthogonal_matrix(g)
             gram = [[sum(x * y for x, y in zip(r, s)) for s in o] for r in o]
             assert gram == [[int(i == j) for j in range(d * k)] for i in range(d * k)]
+
+
+    def test_power_matches_repeated_composition(self, rng):
+        for _ in range(20):
+            g = random_signed_block_permutation(rng)
+            naive = AffineIsometry.identity(g.block_dim, g.blocks)
+            for k in range(10):
+                assert g.power(k) == naive
+                naive = naive.compose(g)
+
+
+class TestTransLengthOracle:
+    def test_random_signed_block_permutations(self, rng):
+        for _ in range(150):
+            g = random_signed_block_permutation(rng)
+            length_sq, shift = cycle_oracle(g)
+            r = flats.trans_length_sq(g)
+            assert r.length_sq == length_sq
+            moved = g.apply(r.min_point)
+            assert [m - w for m, w in zip(moved, r.min_point)] == shift
+            probe = [random_fraction(rng) for _ in range(g.dim)]
+            assert displacement_sq(g, probe) >= length_sq
+
+    def test_oracle_shift_is_fixed_by_o(self, rng):
+        # The oracle's displacement lies in the fixed space of O.
+        for _ in range(30):
+            g = random_signed_block_permutation(rng)
+            o = orthogonal_matrix(g)
+            _, shift = cycle_oracle(g)
+            assert [sum(x * y for x, y in zip(row, shift)) for row in o] == shift
 
 
 class TestInducedAction:

@@ -13,6 +13,90 @@ def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+# Dense reference: textbook Gauss-Jordan on full Fraction rows, the
+# oracle for the sparse elimination behind kernel, solve and projection.
+
+
+def dense_rref(a):
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv_p = 1 / m[r][c]
+        m[r] = [x * inv_p for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_kernel(a):
+    cols = len(a[0]) if a else 0
+    m, pivots = dense_rref(a)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][f]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(a, b):
+    cols = len(a[0]) if a else 0
+    m, pivots = dense_rref([row + [F(y)] for row, y in zip(a, b)])
+    if cols in pivots:
+        return None
+    x = [F(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][cols]
+    return x
+
+
+def dense_projection(basis, t):
+    if not basis:
+        return [F(0)] * len(t)
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
+    rhs = [sum(x * F(y) for x, y in zip(u, t)) for u in basis]
+    coeffs = dense_solve(gram, rhs)
+    return [sum(c * u[k] for c, u in zip(coeffs, basis)) for k in range(len(t))]
+
+
+def random_rational(rng):
+    if rng.random() < 0.5:
+        return F(0)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def random_matrix(rng):
+    """A random rational matrix, often sparse, rank-deficient, or with
+    zero rows and zero columns."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    m = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.4:
+        # A combination of two other rows keeps the rank down.
+        i, j, k = (rng.randrange(rows) for _ in range(3))
+        a, b = random_rational(rng), random_rational(rng)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    if rng.random() < 0.3:
+        m[rng.randrange(rows)] = [F(0)] * cols
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = F(0)
+    return m
+
+
 class TestSolveKernel:
     def test_unique_solution(self):
         a = frac_matrix([[2, 0], [0, 3]])
@@ -37,6 +121,46 @@ class TestSolveKernel:
         for v in linalg.kernel(a):
             for row in a:
                 assert linalg.dot(row, v) == 0
+
+
+class TestAgainstDenseReference:
+    CASES = 300
+
+    def test_kernel(self, rng):
+        for _ in range(self.CASES):
+            a = random_matrix(rng)
+            assert linalg.kernel(a) == dense_kernel(a)
+
+    def test_solve(self, rng):
+        inconsistent = 0
+        for _ in range(self.CASES):
+            a = random_matrix(rng)
+            if rng.random() < 0.5:
+                # b in the column space: always consistent.
+                x = [random_rational(rng) for _ in a[0]]
+                b = [linalg.dot(row, x) for row in a]
+            else:
+                b = [random_rational(rng) for _ in a]
+            expected = dense_solve(a, b)
+            inconsistent += expected is None
+            assert linalg.solve(a, b) == expected
+        assert inconsistent > 0
+
+    def test_projection(self, rng):
+        for _ in range(self.CASES):
+            a = random_matrix(rng)
+            # The nonzero rows of an echelon form are independent.
+            m, pivots = dense_rref(a)
+            basis = m[: len(pivots)]
+            t = [random_rational(rng) for _ in a[0]]
+            assert linalg.project_onto_span(basis, t) == dense_projection(basis, t)
+            kern = dense_kernel(a)
+            assert linalg.project_onto_span(kern, t) == dense_projection(kern, t)
+
+    def test_integer_input(self, rng):
+        for _ in range(50):
+            a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(5)] for _ in range(4)]
+            assert linalg.kernel(a) == dense_kernel(frac_matrix(a))
 
 
 class TestProjection:
