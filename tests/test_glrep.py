@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from autgeom import automorphisms as aut
@@ -30,6 +32,13 @@ IDENTITY5 = [[int(i == j) for j in range(5)] for i in range(5)]
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def mat2_mul(a, b):
+    return [
+        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
+        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
+    ]
 
 
 class TestNu:
@@ -165,14 +174,14 @@ class TestMu:
         m = glrep.mu(aut.endo_of(L(1, 2)))
         acc = [[1, 0], [0, 1]]
         for p in range(1, 6):
-            acc = glrep.mat2_mul(acc, m)
+            acc = mat2_mul(acc, m)
             assert acc == glrep.mu(aut.endo_of(L(1, 2) ** p))
 
     def test_multiplicative(self, rng):
         for _ in range(25):
             e1 = random_stabilizing_endo(rng)
             e2 = random_stabilizing_endo(rng)
-            assert glrep.mu(aut.compose(e1, e2)) == glrep.mat2_mul(
+            assert glrep.mu(aut.compose(e1, e2)) == mat2_mul(
                 glrep.mu(e1), glrep.mu(e2)
             )
 
@@ -200,6 +209,70 @@ class TestLkBasis:
             glrep.lk_basis(1)
 
 
+IDENTITY2 = [[1, 0], [0, 1]]
+
+
+def reference_no_short_relation(m1, m2, max_len):
+    """The exhaustive depth-first search over reduced words, kept as the
+    reference for the meet-in-the-middle search."""
+    letters = [m1, glrep.mat2_inv(m1), m2, glrep.mat2_inv(m2)]
+
+    def search(prod, last, depth):
+        for idx, m in enumerate(letters):
+            if last >= 0 and idx == (last ^ 1):
+                continue  # would cancel the previous letter
+            nxt = mat2_mul(prod, m)
+            if nxt == IDENTITY2:
+                return False
+            if depth + 1 < max_len and not search(nxt, idx, depth + 1):
+                return False
+        return True
+
+    return search(IDENTITY2, -1, 0)
+
+
+# Elements of order 3, 4, 6 and 2 (two of them) in GL(2, Z).
+FINITE_ORDER = [
+    [[0, -1], [1, -1]],
+    [[0, -1], [1, 0]],
+    [[1, -1], [1, 0]],
+    [[0, 1], [1, 0]],
+    [[-1, 0], [0, -1]],
+]
+
+
+def random_unimodular(rng, bound):
+    while True:
+        m = [[rng.randint(-bound, bound) for _ in range(2)] for _ in range(2)]
+        if glrep.mat2_det(m) in (1, -1):
+            return m
+
+
+def random_search_matrix(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice((IDENTITY2, [[-1, 0], [0, -1]]))
+    if roll < 0.25:
+        k = rng.randint(-2, 2)
+        return rng.choice(([[1, k], [0, 1]], [[1, 0], [k, 1]]))
+    if roll < 0.5:
+        g = random_unimodular(rng, 1)
+        return mat2_mul(mat2_mul(g, rng.choice(FINITE_ORDER)), glrep.mat2_inv(g))
+    return random_unimodular(rng, rng.randint(1, 3))
+
+
+def random_search_pair(rng):
+    m1 = random_search_matrix(rng)
+    roll = rng.random()
+    if roll < 0.08:
+        return m1, m1
+    if roll < 0.16:
+        return m1, glrep.mat2_inv(m1)
+    if roll < 0.24:
+        return m1, mat2_mul(m1, m1)
+    return m1, random_search_matrix(rng)
+
+
 class TestNoShortRelation:
     def test_sanov_pair_is_free_to_length_8(self):
         m1 = glrep.mu(aut.endo_of(L(1, 2) ** 2))
@@ -215,13 +288,39 @@ class TestNoShortRelation:
         assert not glrep.no_short_relation(m, m, 2)
 
     def test_power_one_has_relations(self):
-        # With exponent 1 the pair is not free: (m1 m2^-1 m1)^4 = I, a
-        # relation of length 12, so the search must find something there.
-        m1 = glrep.mu(aut.endo_of(L(1, 2)))
-        m2 = glrep.mu(aut.endo_of(L(2, 1)))
-        assert glrep.no_short_relation(m1, m2, 5)
-        assert not glrep.no_short_relation(m1, m2, 12)
+        # With exponent +-1 the pair is not free: it satisfies the braid
+        # relation m1 m2^-1 m1 = m2^-1 m1 m2^-1, of length 6, and nothing
+        # shorter; (m1 m2^-1 m1)^4 = I is a relation of length 12.
+        for p in (1, -1):
+            m1 = glrep.mu(aut.endo_of(L(1, 2) ** p))
+            m2 = glrep.mu(aut.endo_of(L(2, 1) ** p))
+            assert glrep.no_short_relation(m1, m2, 5)
+            assert not glrep.no_short_relation(m1, m2, 6)
+            assert not glrep.no_short_relation(m1, m2, 12)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             glrep.no_short_relation([[2, 0], [0, 1]], [[1, 0], [0, 1]], 2)
+
+    @pytest.mark.parametrize("max_len", [0, -5])
+    def test_nonpositive_length_rejected(self, max_len):
+        with pytest.raises(ValueError, match="max_len"):
+            glrep.no_short_relation([[1, 0], [2, 1]], [[1, 2], [0, 1]], max_len)
+
+    def test_matches_depth_first_reference(self, rng):
+        shortest = collections.Counter()
+        for _ in range(3000):
+            m1, m2 = random_search_pair(rng)
+            cap = rng.randint(1, 8)
+            ell = next(
+                (n for n in range(1, cap + 1)
+                 if not reference_no_short_relation(m1, m2, n)),
+                None,
+            )
+            shortest[ell] += 1
+            for n in range(1, cap + 1):
+                expected = ell is None or n < ell
+                assert glrep.no_short_relation(m1, m2, n) is expected, (m1, m2, n)
+        # The pairs reach every shortest length from 1 to 8, and some
+        # have no relation within their bound.
+        assert set(shortest) == {None, *range(1, 9)}
