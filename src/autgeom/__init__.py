@@ -16,7 +16,6 @@ The package is organized around immutable values and pure functions:
 """
 
 from .words import (  # noqa: F401
-    Letter,
     Word,
     RankMismatchError,
     WordParseError,

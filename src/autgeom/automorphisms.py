@@ -212,14 +212,10 @@ def _elem_endo(elem: ElemAut, exp: int) -> Endo:
     images = [gen(rank, t) for t in range(1, rank + 1)]
     if elem.kind == "L":
         sign = 1 if exp > 0 else -1
-        images[elem.i - 1] = reduce(
-            rank, [(elem.j, sign)] * abs(exp) + [(elem.i, 1)]
-        )
+        images[elem.i - 1] = reduce(rank, [sign * elem.j] * abs(exp) + [elem.i])
     elif elem.kind == "R":
         sign = 1 if exp > 0 else -1
-        images[elem.i - 1] = reduce(
-            rank, [(elem.i, 1)] + [(elem.j, sign)] * abs(exp)
-        )
+        images[elem.i - 1] = reduce(rank, [elem.i] + [sign * elem.j] * abs(exp))
     elif elem.kind == "E":
         if exp % 2 == 1:
             images[elem.i - 1] = gen(rank, elem.i, -1)
@@ -268,10 +264,10 @@ def inner(g: Word) -> Endo:
 def _leading_a1_run(w: Word) -> int:
     """Signed length of the maximal leading run of a_1 letters."""
     run = 0
-    for let in w.letters:
-        if let.index != 1:
+    for x in w.letters:
+        if x not in (1, -1):
             break
-        run += let.sign
+        run += x
     return run
 
 
@@ -320,9 +316,8 @@ def right_multiplier(rank: int, target: int, w: Word) -> Endo:
     """
     if w.rank != rank:
         raise RankMismatchError(f"rank {w.rank} vs rank {rank}")
-    for let in w.letters:
-        if let.index == target:
-            raise ValueError(f"multiplier word must avoid a{target}")
+    if target in w.letters or -target in w.letters:
+        raise ValueError(f"multiplier word must avoid a{target}")
     images = [gen(rank, t) for t in range(1, rank + 1)]
     images[target - 1] = mul(gen(rank, target), w)
     return Endo(rank, tuple(images))
@@ -356,12 +351,12 @@ def gpq_check(n: int, p: int, q: int, w: Word) -> list[Check]:
     if p == 0 or q == 0:
         raise ValueError("p and q must be nonzero")
     free_factor = n - 2
-    for let in w.letters:
-        if let.index > free_factor:
-            raise ValueError(
-                f"word uses forbidden generator a{let.index}; "
-                f"only a1..a{free_factor} are allowed"
-            )
+    bad = next((abs(x) for x in w.letters if abs(x) > free_factor), None)
+    if bad is not None:
+        raise ValueError(
+            f"word uses forbidden generator a{bad}; "
+            f"only a1..a{free_factor} are allowed"
+        )
     rank = n + 1
     a0 = rank  # the extra basis element, stored last
     w_up = Word(rank, w.letters)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import automorphisms as aut
 from . import flats, glrep, latgeom
 from .reports import Check, Report, fraction_str, parse_fraction
-from .words import format_word, parse_word
+from .words import ab_vector, format_word, parse_word
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -159,7 +159,7 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
 
 def cmd_lk_basis(args: argparse.Namespace) -> Report:
     words = glrep.lk_basis(args.k)
-    total_a = sum(sum(l.sign for l in w.letters if l.index == 1) for w in words)
+    total_a = sum(ab_vector(w)[0] for w in words)
     checks = [
         Check("count", "the basis has exactly k words", len(words) == args.k, None),
         Check(

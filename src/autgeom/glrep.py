@@ -17,11 +17,10 @@ determinant +-1.  Everything here is a pure function of its input.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
+from itertools import combinations
 
-from . import linalg
 from .automorphisms import Endo, apply, inner
-from .words import Letter, Word, ab_vector, gen, mul, power, reduce, substitute
+from .words import Word, ab_vector, gen, mul, power, reduce, substitute
 
 __all__ = [
     "RANK",
@@ -48,29 +47,29 @@ COVER_RANK = 5
 BASIS: tuple[Word, ...] = (
     gen(3, 1),
     gen(3, 2),
-    reduce(3, [(3, 1), (3, 1)]),
-    reduce(3, [(3, 1), (1, 1), (3, -1)]),
-    reduce(3, [(3, 1), (2, 1), (3, -1)]),
+    reduce(3, [3, 3]),
+    reduce(3, [3, 1, -3]),
+    reduce(3, [3, 2, -3]),
 )
 
-# Schreier generator emitted when reading a positive letter a_i at coset
-# state s (state 0 <-> transversal rep 1, state 1 <-> rep a3).  None means
-# the scan consumed a transversal letter and emits nothing.
-_SCHREIER: dict[tuple[int, int], int | None] = {
-    (0, 1): 1,  # a1        -> x1
-    (0, 2): 2,  # a2        -> x2
-    (0, 3): None,
-    (1, 1): 4,  # a3 a1 a3^-1 -> x4
-    (1, 2): 5,  # a3 a2 a3^-1 -> x5
-    (1, 3): 3,  # a3^2      -> x3
-}
+# The Reidemeister-Schreier coset scan as a two-state table on signed
+# letters.  State 0 is the coset of the transversal rep 1, state 1 that
+# of a3.  _SCAN[state][letter] is (emitted cover letter, next state); 0
+# emits nothing (the scan consumed a transversal letter).  From state 0,
+# a1 and a2 emit x1 and x2; from state 1 they emit x4 = a3 a1 a3^-1 and
+# x5 = a3 a2 a3^-1, and a3 emits x3 = a3^2.  Reading a_i^-1 emits the
+# inverse of what a_i emits from the state that a_i^-1 leads to.
+_SCAN: tuple[dict[int, tuple[int, int]], ...] = (
+    {1: (1, 0), 2: (2, 0), 3: (0, 1), -1: (-1, 0), -2: (-2, 0), -3: (-3, 1)},
+    {1: (4, 1), 2: (5, 1), 3: (3, 0), -1: (-4, 1), -2: (-5, 1), -3: (0, 0)},
+)
 
 
 def nu(w: Word) -> int:
     """Exponent sum of a3 modulo 2 (the coset of w in the 2-sheeted cover)."""
     if w.rank != RANK:
         raise ValueError(f"expected a rank-3 word, got rank {w.rank}")
-    return sum(let.sign for let in w.letters if let.index == 3) % 2
+    return (w.letters.count(3) - w.letters.count(-3)) % 2
 
 
 def stabilizes(e: Endo) -> bool:
@@ -92,27 +91,19 @@ def rewrite(w: Word) -> Word:
 
     The scan carries the coset state through the word, emitting one
     Schreier generator per letter (or nothing for transversal letters).
-    The result is verified by expanding back through the basis, so a
-    wrong rewrite can never be returned.
+    With the Schreier transversal {1, a3} a reduced word rewrites to a
+    reduced word, so nothing cancels in the output.  The result is
+    verified by expanding back through the basis, so a wrong rewrite can
+    never be returned.
     """
     if nu(w) != 0:
         raise ValueError("word has odd a3-exponent and is not in the subgroup")
-    out: list[Letter] = []
+    out: list[int] = []
     state = 0
-    for let in w.letters:
-        if let.sign == 1:
-            emitted = _SCHREIER[(state, let.index)]
-            if let.index == 3:
-                state ^= 1
-        else:
-            if let.index == 3:
-                state ^= 1
-            emitted = _SCHREIER[(state, let.index)]
-        if emitted is not None:
-            if out and out[-1].index == emitted and out[-1].sign == -let.sign:
-                out.pop()
-            else:
-                out.append(Letter(emitted, let.sign))
+    for x in w.letters:
+        y, state = _SCAN[state][x]
+        if y:
+            out.append(y)
     result = Word(COVER_RANK, tuple(out))
     if expand(result) != w:
         raise RuntimeError("rewrite failed its round-trip self-check")
@@ -139,27 +130,42 @@ def sigma_star() -> IntMat:
     return ab5(inner(gen(3, 3)))
 
 
+def _det3(m: IntMat) -> int:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
 @functools.cache
 def minus_eigenbasis() -> tuple[tuple[int, ...], ...]:
-    """Primitive integer basis of the (-1)-eigenspace of the deck involution.
+    """Primitive integer basis {x1 - x4, x2 - x5} of the (-1)-eigenspace
+    of the deck involution (its 2x2 minor on x1, x2 is 1).
 
-    Computed as the integer kernel of sigma_star + I and asserted to be
-    exactly {x1 - x4, x2 - x5}; any drift in conventions fails loudly
-    here rather than corrupting the 2x2 representation downstream.  The
-    result is constant, so the check runs once per process.
+    Certified in integers: sigma_star f = -f for both basis vectors, and
+    a nonzero 3x3 minor of sigma_star + I gives it rank at least 3, so
+    the eigenspace has dimension exactly 2.  Any drift in conventions
+    fails loudly here (RuntimeError) rather than corrupting the 2x2
+    representation downstream.  The result is constant, so the check
+    runs once per process.
     """
     sigma = sigma_star()
-    m = [
-        [Fraction(sigma[i][j] + int(i == j)) for j in range(COVER_RANK)]
-        for i in range(COVER_RANK)
+    basis = ((1, 0, 0, -1, 0), (0, 1, 0, 0, -1))
+    for f in basis:
+        image = [sum(a * b for a, b in zip(row, f)) for row in sigma]
+        if image != [-c for c in f]:
+            raise RuntimeError(f"{f} is not a (-1)-eigenvector: image {image}")
+    shifted = [
+        [sigma[i][j] + (i == j) for j in range(COVER_RANK)] for i in range(COVER_RANK)
     ]
-    vectors = sorted(
-        tuple(linalg.primitive_integer(v)) for v in linalg.kernel(m)
-    )
-    expected = sorted([(0, 1, 0, 0, -1), (1, 0, 0, -1, 0)])
-    if vectors != expected:
-        raise RuntimeError(f"unexpected (-1)-eigenspace basis: {vectors}")
-    return ((1, 0, 0, -1, 0), (0, 1, 0, 0, -1))
+    if not any(
+        _det3([[shifted[i][j] for j in cols] for i in rows])
+        for rows in combinations(range(COVER_RANK), 3)
+        for cols in combinations(range(COVER_RANK), 3)
+    ):
+        raise RuntimeError("the (-1)-eigenspace has dimension above 2")
+    return basis
 
 
 def restrict_to_eigenplane(m: IntMat) -> IntMat:

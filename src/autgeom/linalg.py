@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count
-from math import gcd
 from typing import Sequence
 
 Vec = list[Fraction]
@@ -152,26 +151,3 @@ def project_onto_span(basis: Sequence[Sequence], t: Sequence) -> Vec:
             for k, x in us[c].items():
                 out[k] += row[n] * x
     return out
-
-
-def primitive_integer(v: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector to a primitive integer vector.
-
-    Clears denominators, divides by the gcd, and normalizes so the
-    first nonzero entry is positive.  The zero vector is rejected.
-    """
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
-        raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return ints

@@ -1,5 +1,20 @@
 """Reduced words in free groups of finite rank.
 
+A word is a tuple of nonzero ints: ``+i`` is the generator a_i and
+``-i`` its inverse, so inverting a word is
+``tuple(map(neg, reversed(letters)))``.  :class:`Word` checks its whole
+invariant (positive rank, nonzero letters within the rank, no adjacent
+``x, -x``) on construction, with builtins over the int tuple.
+
+The operands of :func:`mul`, :func:`power` and :func:`substitute` are
+reduced already, so letters can cancel only at the seam where two
+reduced pieces meet.  ``substitute`` pops while the result's last letter
+inverts the next letter of the image, then extends by the rest of the
+image in one slice; ``mul`` counts the cancelling letters and joins two
+slices; ``power`` splits w = u * core * u^-1 once, since every seam
+between copies of w cancels exactly u^-1 * u.  Only :func:`reduce`,
+whose input is raw, scans letter by letter.
+
 Words are immutable and every operation is a pure function, so the whole
 module is safe for unrestricted concurrent use.  A word carries the rank
 of its ambient free group; operations on words of different ranks are
@@ -10,11 +25,13 @@ into a larger group explicitly).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import groupby
+from operator import add, neg
+from typing import Iterable, Sequence
 
 __all__ = [
-    "Letter",
     "Word",
     "RankMismatchError",
     "WordParseError",
@@ -46,39 +63,30 @@ class WordParseError(ValueError):
         self.position = position
 
 
-class Letter(NamedTuple):
-    """A generator (sign +1) or inverse generator (sign -1); 1-based index."""
-
-    index: int
-    sign: int
-
-    def inverse(self) -> "Letter":
-        return Letter(self.index, -self.sign)
-
-
-def _check_letter(rank: int, let: Letter) -> None:
-    if let.sign not in (1, -1):
-        raise ValueError(f"letter sign must be +1 or -1, got {let.sign}")
-    if not 1 <= let.index <= rank:
-        raise ValueError(f"generator index {let.index} out of range for rank {rank}")
+def _check_range(rank: int, syms: Sequence[int]) -> None:
+    """Positive rank, and every letter nonzero with |letter| <= rank."""
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    if syms:
+        if 0 in syms:
+            raise ValueError("letter 0 is not a generator")
+        top = max(max(syms), -min(syms))
+        if top > rank:
+            raise ValueError(f"generator index {top} out of range for rank {rank}")
 
 
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word: no adjacent pair cancels, all indices <= rank."""
+    """A freely reduced word: no adjacent ``x, -x``, all |letters| <= rank."""
 
     rank: int
-    letters: tuple[Letter, ...]
+    letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        prev = None
-        for let in self.letters:
-            _check_letter(self.rank, let)
-            if prev is not None and prev.index == let.index and prev.sign == -let.sign:
-                raise ValueError("letter sequence is not freely reduced")
-            prev = let
+        syms = self.letters
+        _check_range(self.rank, syms)
+        if 0 in map(add, syms, syms[1:]):
+            raise ValueError("letter sequence is not freely reduced")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -93,26 +101,30 @@ def empty(rank: int) -> Word:
 
 def gen(rank: int, index: int, sign: int = 1) -> Word:
     """The one-letter word a_index, or its inverse for sign -1."""
-    return Word(rank, (Letter(index, sign),))
+    if sign not in (1, -1) or index < 1:
+        raise ValueError(f"need index >= 1 and sign +-1, got a{index} with sign {sign}")
+    return Word(rank, (sign * index,))
 
 
-def _push(stack: list[Letter], let: Letter) -> None:
-    if stack and stack[-1].index == let.index and stack[-1].sign == -let.sign:
-        stack.pop()
-    else:
-        stack.append(let)
+def _inverse(syms: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(neg, reversed(syms)))
 
 
-def reduce(rank: int, raw: Iterable[Letter | tuple[int, int]]) -> Word:
-    """Freely reduce a raw letter sequence in a single stack pass.
+def reduce(rank: int, raw: Iterable[int]) -> Word:
+    """Freely reduce a raw sequence of signed letters in a single stack pass.
 
+    Every letter is range-checked, including letters that cancel.
     Idempotent: reducing an already reduced sequence returns it unchanged.
     """
-    stack: list[Letter] = []
-    for item in raw:
-        let = item if isinstance(item, Letter) else Letter(*item)
-        _check_letter(rank, let)
-        _push(stack, let)
+    raw = tuple(raw)
+    _check_range(rank, raw)
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for x in raw:
+        if stack and stack[-1] == -x:
+            pop()
+        else:
+            push(x)
     return Word(rank, tuple(stack))
 
 
@@ -125,15 +137,16 @@ def _same_rank(u: Word, v: Word) -> int:
 def mul(u: Word, v: Word) -> Word:
     """Product u*v, reduced.  len(mul(u,v)) <= len(u)+len(v)."""
     rank = _same_rank(u, v)
-    stack = list(u.letters)
-    for let in v.letters:
-        _push(stack, let)
-    return Word(rank, tuple(stack))
+    a, b = u.letters, v.letters
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return Word(rank, a[: len(a) - k] + b[k:])
 
 
 def inv(w: Word) -> Word:
     """Inverse word: reversed letters with negated signs."""
-    return Word(w.rank, tuple(let.inverse() for let in reversed(w.letters)))
+    return Word(w.rank, _inverse(w.letters))
 
 
 def conj(w: Word, g: Word) -> Word:
@@ -141,24 +154,33 @@ def conj(w: Word, g: Word) -> Word:
     return mul(mul(g, w), inv(g))
 
 
+def _cyclic_split(syms: tuple[int, ...]) -> int:
+    """Length of the prefix u of a reduced word u * core * u^-1."""
+    i, j = 0, len(syms) - 1
+    while i < j and syms[i] == -syms[j]:
+        i += 1
+        j -= 1
+    return i
+
+
 def power(w: Word, k: int) -> Word:
-    """k-th power of w (k may be negative or zero)."""
+    """k-th power of w (k may be negative or zero).
+
+    With w = u * core * u^-1 and core cyclically reduced, w^k is
+    u * core^k * u^-1 with no cancellation left.
+    """
     if k == 0:
         return empty(w.rank)
-    base = w if k > 0 else inv(w)
-    stack: list[Letter] = []
-    for _ in range(abs(k)):
-        for let in base.letters:
-            _push(stack, let)
-    return Word(w.rank, tuple(stack))
+    syms = w.letters if k > 0 else _inverse(w.letters)
+    i = _cyclic_split(syms)
+    core = syms[i : len(syms) - i]
+    return Word(w.rank, syms[:i] + core * abs(k) + syms[len(syms) - i :])
 
 
 def ab_vector(w: Word) -> tuple[int, ...]:
     """Image in Z^rank: entry i is the exponent sum of a_{i+1}."""
-    out = [0] * w.rank
-    for let in w.letters:
-        out[let.index - 1] += let.sign
-    return tuple(out)
+    counts = Counter(w.letters)
+    return tuple(counts[i] - counts[-i] for i in range(1, w.rank + 1))
 
 
 def embed(w: Word, new_rank: int) -> Word:
@@ -167,34 +189,42 @@ def embed(w: Word, new_rank: int) -> Word:
     Every letter of w must fit in the new rank; shrinking below the
     largest used index is rejected.
     """
-    for let in w.letters:
-        if let.index > new_rank:
-            raise ValueError(
-                f"word uses generator a{let.index}, cannot embed into rank {new_rank}"
-            )
+    bad = next((abs(x) for x in w.letters if abs(x) > new_rank), None)
+    if bad is not None:
+        raise ValueError(f"word uses generator a{bad}, cannot embed into rank {new_rank}")
     return Word(new_rank, w.letters)
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:
     """Homomorphic image of w under a_i -> images[i-1], reduced.
 
-    The images fix the target rank and must all agree on it.
+    The images fix the target rank and must all agree on it.  Each
+    image (or its inverse) is reduced, so the result cancels only at the
+    seam with the next image.
     """
     if len(images) != w.rank:
         raise ValueError(f"need {w.rank} generator images, got {len(images)}")
     target = images[0].rank
-    for img in images:
-        if img.rank != target:
-            raise RankMismatchError("generator images have mixed ranks")
-    stack: list[Letter] = []
-    for let in w.letters:
-        img = images[let.index - 1].letters
-        if let.sign == 1:
-            for x in img:
-                _push(stack, x)
+    if any(img.rank != target for img in images):
+        raise RankMismatchError("generator images have mixed ranks")
+    # Images of the letters w uses: a_i -> images[i-1], a_i^-1 -> its inverse.
+    table = {
+        x: images[x - 1].letters if x > 0 else _inverse(images[-x - 1].letters)
+        for x in set(w.letters)
+    }
+    stack: list[int] = []
+    pop, extend = stack.pop, stack.extend
+    for x in w.letters:
+        piece = table[x]
+        if stack and piece and stack[-1] == -piece[0]:
+            pop()
+            k, n = 1, len(piece)
+            while k < n and stack and stack[-1] == -piece[k]:
+                pop()
+                k += 1
+            extend(piece[k:])
         else:
-            for x in reversed(img):
-                _push(stack, x.inverse())
+            extend(piece)
     return Word(target, tuple(stack))
 
 
@@ -204,12 +234,9 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     Returns (core, u).  For a reduced word this strips matching
     first/last letters; the stripped prefix is the witness u.
     """
-    letters = w.letters
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == letters[j].inverse():
-        i += 1
-        j -= 1
-    return Word(w.rank, letters[i : j + 1]), Word(w.rank, letters[:i])
+    syms = w.letters
+    i = _cyclic_split(syms)
+    return Word(w.rank, syms[i : len(syms) - i]), Word(w.rank, syms[:i])
 
 
 _TOKEN = re.compile(r"([aA])(\d+)(?:\^(-?\d+))?\Z")
@@ -222,7 +249,7 @@ def parse_word(text: str, rank: int) -> Word:
     word.  Indices must not exceed the rank.  Raises WordParseError with
     the character position of the first bad token.
     """
-    raw: list[Letter] = []
+    raw: list[int] = []
     for m in re.finditer(r"\S+", text):
         tok = m.group(0)
         if tok == "1":
@@ -238,8 +265,7 @@ def parse_word(text: str, rank: int) -> Word:
             raise WordParseError(
                 f"generator a{idx} out of range for rank {rank}", m.start()
             )
-        sign = 1 if exp > 0 else -1
-        raw.extend([Letter(idx, sign)] * abs(exp))
+        raw.extend([idx if exp > 0 else -idx] * abs(exp))
     return reduce(rank, raw)
 
 
@@ -249,19 +275,9 @@ def format_word(w: Word) -> str:
     Maximal runs of one letter are compressed to ``a1^3`` style tokens;
     the empty word renders as ``1``.
     """
-    if not w.letters:
-        return "1"
     parts: list[str] = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        j = i
-        while j + 1 < len(letters) and letters[j + 1] == letters[i]:
-            j += 1
-        count = (j - i + 1) * letters[i].sign
-        if count == 1:
-            parts.append(f"a{letters[i].index}")
-        else:
-            parts.append(f"a{letters[i].index}^{count}")
-        i = j + 1
-    return " ".join(parts)
+    for x, run in groupby(w.letters):
+        n = len(list(run))
+        count = n if x > 0 else -n
+        parts.append(f"a{abs(x)}" if count == 1 else f"a{abs(x)}^{count}")
+    return " ".join(parts) or "1"

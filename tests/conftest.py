@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from autgeom.words import Letter, Word, gen, mul, reduce
+from autgeom.words import Word, gen, mul, reduce
 
 
 @pytest.fixture
@@ -12,13 +12,12 @@ def rng():
 
 def naive_reduce(rank, raw):
     """Independent reduction oracle: repeated full scans to a fixpoint."""
-    letters = [Letter(*l) for l in raw]
+    letters = list(raw)
     changed = True
     while changed:
         changed = False
         for i in range(len(letters) - 1):
-            a, b = letters[i], letters[i + 1]
-            if a.index == b.index and a.sign == -b.sign:
+            if letters[i] == -letters[i + 1]:
                 del letters[i : i + 2]
                 changed = True
                 break
@@ -26,9 +25,8 @@ def naive_reduce(rank, raw):
 
 
 def random_raw(rng, rank, length):
-    return [
-        Letter(rng.randint(1, rank), rng.choice((1, -1))) for _ in range(length)
-    ]
+    """A raw (unreduced) sequence of signed letters: +i is a_i, -i its inverse."""
+    return [rng.randint(1, rank) * rng.choice((1, -1)) for _ in range(length)]
 
 
 def random_word(rng, rank, max_len):
@@ -38,7 +36,7 @@ def random_word(rng, rank, max_len):
 def random_a3_even_word(rng, max_len):
     """A random rank-3 word with even a3-exponent."""
     w = random_word(rng, 3, max_len)
-    if sum(l.sign for l in w.letters if l.index == 3) % 2 == 1:
+    if (w.letters.count(3) + w.letters.count(-3)) % 2 == 1:
         w = mul(w, gen(3, 3, rng.choice((1, -1))))
     return w
 

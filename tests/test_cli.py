@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -188,6 +189,42 @@ class TestPayloads:
         code, report = run_cli(["verify-relations", "--mode", "out"])
         assert code == 0
         assert any("mod-inner" in c.name for c in report.checks)
+
+
+# SHA-256 of the report, rendered as JSON with indent 1, for one request
+# per algebra subcommand, recorded before the word kernel moved to signed
+# ints.  A kernel change that alters an image, a verdict, a witness or an
+# error message shows up here.
+PINNED_ALGEBRA = [
+    (["verify-relations", "--mode", "aut"], 0,
+     "282f80def1ec6bae61bb1f1ba3a5326f8e32c40d2333243085897da28f977794"),
+    (["verify-relations", "--mode", "out", "--inject-fault"], 1,
+     "7fb25c206f5f534f444b4e3fe18ee486e09739c811248e934de59fdbd3af3426"),
+    (["gpq", "--n", "5", "--p", "2", "--q", "-3", "--w", "a1 a2^-1 a3^2"], 0,
+     "b57c7bdff069d4ae15e890560eb1b8f7267717a8d7ed0fa4e9da16c13b89c422"),
+    (["gpq", "--n", "4", "--p", "1", "--q", "2", "--w", "a1 a3"], 2,
+     "d63bd6233f123d48fe71b8e2a8ccefcf8c8a26eb3f6e86833fcd4835ce6766b4"),
+    (["inner-gpq", "--p", "3", "--q", "-2"], 0,
+     "298b1300f92dee2d67dd7661224ec929468974cd64225b0b3cf2833edcb9c556"),
+    (["gl-rep", "L21 R12 E3", "--power", "-3"], 0,
+     "fde09d2af50154fcf3a7754dca9d380ef636652a292d0f584ecedcbf0b5b6628"),
+    # Images of about 4.2k letters.
+    (["gl-rep", "P12 L21 R12 P12", "--power", "8"], 0,
+     "3b4ddfa72155f8d252986af066d1346b43e49fccd34328073f72d235be5fd4cc"),
+    (["lk-basis", "--k", "7"], 0,
+     "5b69034092ef66c94e4867ee9610bad8aa1040789cf452e04c23cc5880dcf53b"),
+    (["sanov", "--power", "2", "--max-len", "8"], 0,
+     "21dddec78bbe4f937b0f9be723f3da15c9680b9729358e6c02e373a20a443c98"),
+    (["sanov", "--power", "-1", "--max-len", "6"], 1,
+     "86cf419a8f08dd4a6983c24408cfc076cd573aa2f63cce86afa48d340bd296ce"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_ALGEBRA)
+def test_algebra_output_pinned(argv, code, digest):
+    got, report = run_cli(argv)
+    text = json.dumps(report.to_dict(), indent=1)
+    assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
 
 
 class TestEndToEnd:

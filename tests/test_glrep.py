@@ -8,6 +8,7 @@ from autgeom import words as fw
 from autgeom.automorphisms import inversion, nielsen_left, nielsen_right, transposition
 
 from conftest import random_a3_even_word
+from test_words import RefLetter, ref_letters, ref_syms
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, transposition
 
@@ -89,6 +90,63 @@ class TestRewrite:
             assert glrep.expand(glrep.rewrite(w)) == w
 
 
+# The per-letter Reidemeister-Schreier scan that the two-state table on
+# signed ints replaced, kept as the reference for it: the Schreier
+# generator emitted when reading a positive letter a_i at coset state s,
+# or None for a transversal letter.
+REF_SCHREIER = {
+    (0, 1): 1, (0, 2): 2, (0, 3): None,
+    (1, 1): 4, (1, 2): 5, (1, 3): 3,
+}
+
+
+def reference_rewrite(lets):
+    out = []
+    state = 0
+    for let in lets:
+        if let.sign == 1:
+            emitted = REF_SCHREIER[(state, let.index)]
+            if let.index == 3:
+                state ^= 1
+        else:
+            if let.index == 3:
+                state ^= 1
+            emitted = REF_SCHREIER[(state, let.index)]
+        if emitted is not None:
+            if out and out[-1].index == emitted and out[-1].sign == -let.sign:
+                out.pop()
+            else:
+                out.append(RefLetter(emitted, let.sign))
+    return tuple(out)
+
+
+class TestRewriteAgainstReference:
+    def test_random_even_words(self, rng):
+        for _ in range(2000):
+            w = random_a3_even_word(rng, rng.choice((0, 4, 40)))
+            got = glrep.rewrite(w)
+            assert got.letters == ref_syms(reference_rewrite(ref_letters(w.letters))), w
+
+    def test_images_of_the_basis(self, rng):
+        # Long words with heavy a3 traffic: images of the subgroup basis
+        # under random stabilizing automorphisms.
+        for _ in range(40):
+            e = random_stabilizing_endo(rng)
+            for x in glrep.BASIS:
+                w = aut.apply(e, x)
+                got = glrep.rewrite(w)
+                assert got.letters == ref_syms(reference_rewrite(ref_letters(w.letters)))
+
+    def test_corrupt_table_fails_self_check(self, monkeypatch):
+        # A scan that emits x5 for a1 from the a3 coset expands to the
+        # wrong word; the round-trip self-check must refuse to return it.
+        bad = (glrep._SCAN[0], {**glrep._SCAN[1], 1: (5, 1), -1: (-5, 1)})
+        monkeypatch.setattr(glrep, "_SCAN", bad)
+        assert glrep.rewrite(fw.parse_word("a1 a2", 3)) == fw.parse_word("a1 a2", 5)
+        with pytest.raises(RuntimeError, match="round-trip"):
+            glrep.rewrite(fw.parse_word("a3 a1 a3^-1", 3))
+
+
 class TestAb5:
     def test_identity(self):
         assert glrep.ab5(aut.identity_endo(3)) == IDENTITY5
@@ -149,6 +207,28 @@ class TestEigenplane:
         finally:
             glrep.minus_eigenbasis.cache_clear()
         assert len(calls) == 1
+
+    def test_certificate_rejects_three_dimensional_eigenspace(self, monkeypatch):
+        # x3 -> -x3 keeps x1 - x4 and x2 - x5 as (-1)-eigenvectors but
+        # adds a third, so every 3x3 minor of sigma + I vanishes.
+        sigma = [row[:] for row in glrep.sigma_star()]
+        sigma[2][2] = -1
+        glrep.minus_eigenbasis.cache_clear()
+        monkeypatch.setattr(glrep, "sigma_star", lambda: sigma)
+        try:
+            with pytest.raises(RuntimeError, match="dimension"):
+                glrep.minus_eigenbasis()
+        finally:
+            glrep.minus_eigenbasis.cache_clear()
+
+    def test_certificate_rejects_wrong_eigenvectors(self, monkeypatch):
+        glrep.minus_eigenbasis.cache_clear()
+        monkeypatch.setattr(glrep, "sigma_star", lambda: [row[:] for row in IDENTITY5])
+        try:
+            with pytest.raises(RuntimeError, match="eigenvector"):
+                glrep.minus_eigenbasis()
+        finally:
+            glrep.minus_eigenbasis.cache_clear()
 
     def test_restrict_rejects_non_invariant(self):
         bad = [row[:] for row in IDENTITY5]

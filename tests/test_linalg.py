@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from autgeom import linalg
 
 
@@ -180,15 +178,3 @@ class TestProjection:
         residual = [F(a) - b for a, b in zip(t, p)]
         for u in basis:
             assert linalg.dot(u, residual) == 0
-
-
-class TestPrimitiveInteger:
-    def test_clears_denominators(self):
-        assert linalg.primitive_integer([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-
-    def test_divides_gcd_and_fixes_sign(self):
-        assert linalg.primitive_integer([F(-4), F(-6)]) == [2, 3]
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.primitive_integer([F(0), F(0)])

@@ -1,16 +1,19 @@
+import random
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, strategies as st
 
 from autgeom import words as fw
-from autgeom.words import Letter, RankMismatchError, Word, WordParseError
+from autgeom.words import RankMismatchError, Word, WordParseError
 
-from conftest import naive_reduce, random_raw
+from conftest import naive_reduce, random_raw, random_word
 
 
 def letters(rank, max_len=200):
     letter = st.tuples(
         st.integers(1, rank), st.sampled_from((1, -1))
-    ).map(lambda t: Letter(*t))
+    ).map(lambda t: t[0] * t[1])
     return st.lists(letter, max_size=max_len)
 
 
@@ -20,21 +23,27 @@ def words(rank, max_len=40):
 
 class TestReduce:
     def test_inverse_cancellation(self):
-        assert fw.reduce(2, [(1, 1), (1, -1)]) == fw.empty(2)
+        assert fw.reduce(2, [1, -1]) == fw.empty(2)
 
     def test_inner_cancellation(self):
-        got = fw.reduce(2, [(1, 1), (2, 1), (2, -1), (1, 1)])
-        assert got == fw.reduce(2, [(1, 1), (1, 1)])
+        got = fw.reduce(2, [1, 2, -2, 1])
+        assert got == fw.reduce(2, [1, 1])
         assert fw.format_word(got) == "a1^2"
 
     def test_nested_cancellation(self):
         # Independent oracle: repeated-scan fixpoint reduction.
-        raw = [(3, 1), (1, 1), (1, -1), (3, -1), (2, 1)]
+        raw = [3, 1, -1, -3, 2]
         assert fw.reduce(3, raw) == naive_reduce(3, raw) == fw.gen(3, 2)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            fw.reduce(2, [(3, 1)])
+            fw.reduce(2, [3])
+
+    @pytest.mark.parametrize("raw", [[3, -3], [1, 0, 2], [0], [-3, 1]])
+    def test_cancelling_or_zero_letters_rejected(self, raw):
+        # Every raw letter is checked, even one that cancels away.
+        with pytest.raises(ValueError):
+            fw.reduce(2, raw)
 
     @given(letters(4))
     def test_matches_fixpoint_oracle(self, raw):
@@ -46,8 +55,35 @@ class TestReduce:
         assert fw.reduce(4, once.letters) == once
 
     def test_word_constructor_rejects_unreduced(self):
+        with pytest.raises(ValueError, match="reduced"):
+            Word(2, (1, -1))
+        with pytest.raises(ValueError, match="reduced"):
+            Word(3, (2, 1, 3, -3))
+
+
+class TestWordInvariant:
+    def test_rejects_zero_letter(self):
+        with pytest.raises(ValueError, match="letter 0"):
+            Word(3, (1, 0, 2))
+
+    @pytest.mark.parametrize("letters", [(4,), (-4,), (1, -2, 5)])
+    def test_rejects_out_of_range(self, letters):
+        with pytest.raises(ValueError, match="out of range"):
+            Word(3, letters)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rejects_nonpositive_rank(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            Word(rank, ())
+
+    @pytest.mark.parametrize("index,sign", [(1, 2), (1, 0), (-1, 1), (0, -1), (4, 1)])
+    def test_gen_rejects_bad_letter(self, index, sign):
         with pytest.raises(ValueError):
-            Word(2, (Letter(1, 1), Letter(1, -1)))
+            fw.gen(3, index, sign)
+
+    def test_accepts_reduced(self):
+        w = Word(3, (1, 1, -2, 3, -1))
+        assert len(w) == 5 and fw.format_word(w) == "a1^2 a2^-1 a3 a1^-1"
 
 
 class TestGroupOps:
@@ -82,7 +118,7 @@ class TestGroupOps:
         no_cancel = (
             not u.letters
             or not v.letters
-            or u.letters[-1] != v.letters[0].inverse()
+            or u.letters[-1] != -v.letters[0]
         )
         assert (len(prod) == len(u) + len(v)) == no_cancel
 
@@ -91,6 +127,11 @@ class TestGroupOps:
         assert fw.power(w, 3) == fw.parse_word("a1 a2 a1 a2 a1 a2", 2)
         assert fw.power(w, -2) == fw.inv(fw.power(w, 2))
         assert fw.power(w, 0) == fw.empty(2)
+
+    def test_power_of_conjugate(self):
+        w = fw.parse_word("a1 a2 a3 a2^-1 a1^-1", 3)
+        assert fw.power(w, 3) == fw.parse_word("a1 a2 a3^3 a2^-1 a1^-1", 3)
+        assert fw.power(w, -2) == fw.parse_word("a1 a2 a3^-2 a2^-1 a1^-1", 3)
 
 
 class TestAbVector:
@@ -136,18 +177,18 @@ class TestEmbedAndCyclic:
         core, u = fw.cyclic_reduce(w)
         assert fw.mul(fw.mul(u, core), fw.inv(u)) == w
         if core.letters:
-            assert core.letters[0] != core.letters[-1].inverse()
+            assert core.letters[0] != -core.letters[-1]
 
 
 class TestTextGrammar:
     @pytest.mark.parametrize(
         "text,expected",
         [
-            ("a1 a2^-1", [(1, 1), (2, -1)]),
-            ("A1", [(1, -1)]),
-            ("a2^3", [(2, 1)] * 3),
-            ("a1^-2", [(1, -1)] * 2),
-            ("A2^2", [(2, -1)] * 2),
+            ("a1 a2^-1", [1, -2]),
+            ("A1", [-1]),
+            ("a2^3", [2] * 3),
+            ("a1^-2", [-1] * 2),
+            ("A2^2", [-2] * 2),
             ("1", []),
             ("", []),
             ("a1^0", []),
@@ -180,3 +221,169 @@ def test_thousand_random_cases(rng):
         w = fw.reduce(4, raw)
         assert w == naive_reduce(4, raw)
         assert fw.reduce(4, w.letters) == w
+
+
+# ---------------------------------------------------------------------------
+# The letter-by-letter kernel that the signed-int kernel replaced, kept as
+# the reference for it: a letter is an (index, sign) pair, and every letter
+# of every operand goes through one push that cancels it against the top
+# of the stack.
+# ---------------------------------------------------------------------------
+
+
+class RefLetter(NamedTuple):
+    index: int
+    sign: int
+
+    def inverse(self):
+        return RefLetter(self.index, -self.sign)
+
+
+def ref_letters(syms):
+    return tuple(RefLetter(abs(x), 1 if x > 0 else -1) for x in syms)
+
+
+def ref_syms(lets):
+    return tuple(let.index * let.sign for let in lets)
+
+
+def _ref_push(stack, let):
+    if stack and stack[-1].index == let.index and stack[-1].sign == -let.sign:
+        stack.pop()
+    else:
+        stack.append(let)
+
+
+def ref_reduce(rank, raw):
+    stack = []
+    for let in raw:
+        if let.sign not in (1, -1) or not 1 <= let.index <= rank:
+            raise ValueError(f"bad letter {let}")
+        _ref_push(stack, let)
+    return tuple(stack)
+
+
+def ref_mul(u, v):
+    stack = list(u)
+    for let in v:
+        _ref_push(stack, let)
+    return tuple(stack)
+
+
+def ref_power(w, k):
+    base = w if k >= 0 else tuple(let.inverse() for let in reversed(w))
+    stack = []
+    for _ in range(abs(k)):
+        for let in base:
+            _ref_push(stack, let)
+    return tuple(stack)
+
+
+def ref_substitute(w, images):
+    stack = []
+    for let in w:
+        img = images[let.index - 1]
+        if let.sign == 1:
+            for x in img:
+                _ref_push(stack, x)
+        else:
+            for x in reversed(img):
+                _ref_push(stack, x.inverse())
+    return tuple(stack)
+
+
+def ref_cyclic_reduce(w):
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == w[j].inverse():
+        i += 1
+        j -= 1
+    return w[i : j + 1], w[:i]
+
+
+def ref_format_word(w):
+    if not w:
+        return "1"
+    parts = []
+    i = 0
+    while i < len(w):
+        j = i
+        while j + 1 < len(w) and w[j + 1] == w[i]:
+            j += 1
+        count = (j - i + 1) * w[i].sign
+        parts.append(f"a{w[i].index}" if count == 1 else f"a{w[i].index}^{count}")
+        i = j + 1
+    return " ".join(parts)
+
+
+def _random_image(rng, target):
+    """Images of every shape, the empty and one-letter words included."""
+    roll = rng.random()
+    if roll < 0.15:
+        return fw.empty(target)
+    if roll < 0.35:
+        return fw.gen(target, rng.randint(1, target), rng.choice((1, -1)))
+    return random_word(rng, target, 12)
+
+
+def _partner(rng, u):
+    """A right factor for u; often one that cancels u partly or wholly."""
+    roll = rng.random()
+    if roll < 0.2:
+        return fw.inv(u)
+    if roll < 0.4:
+        return fw.mul(fw.inv(u), random_word(rng, u.rank, 4))
+    if roll < 0.5:
+        return fw.empty(u.rank)
+    return random_word(rng, u.rank, 16)
+
+
+class TestAgainstLetterKernel:
+    def test_random_cases(self):
+        rng = random.Random(6021)
+        seen = {"empty": 0, "total": 0, "empty-image": 0, "one-letter-image": 0}
+        for case in range(2400):
+            rank = 1 + case % 6
+            raw = random_raw(rng, rank, rng.choice((0, rng.randint(0, 30))))
+            w = fw.reduce(rank, raw)
+            lets = ref_reduce(rank, ref_letters(raw))
+            assert w.letters == ref_syms(lets), raw
+            seen["empty"] += not w.letters
+
+            v = _partner(rng, w)
+            prod = fw.mul(w, v)
+            assert prod.letters == ref_syms(ref_mul(lets, ref_letters(v.letters)))
+            seen["total"] += bool(w.letters) and not prod.letters
+
+            k = rng.randint(-4, 4)
+            assert fw.power(w, k).letters == ref_syms(ref_power(lets, k)), (w, k)
+
+            target = rng.randint(1, 6)
+            images = [_random_image(rng, target) for _ in range(rank)]
+            if rank > 1 and rng.random() < 0.2:
+                # a_2 -> image(a_1)^-1, so a1 a2 cancels wholly.
+                images[1] = fw.inv(images[0])
+            got = fw.substitute(w, images)
+            expected = ref_substitute(lets, [ref_letters(im.letters) for im in images])
+            assert got.rank == target and got.letters == ref_syms(expected)
+            seen["empty-image"] += any(not im.letters for im in images)
+            seen["one-letter-image"] += any(len(im) == 1 for im in images)
+
+            core, u = fw.cyclic_reduce(prod)
+            ref_core, ref_u = ref_cyclic_reduce(ref_letters(prod.letters))
+            assert (core.letters, u.letters) == (ref_syms(ref_core), ref_syms(ref_u))
+            assert fw.format_word(prod) == ref_format_word(ref_letters(prod.letters))
+        assert min(seen.values()) >= 50, seen
+
+    def test_long_substitution(self):
+        # Iterated substitution reaches thousands of letters, and a1 a2
+        # maps to a1 a2^-1 a2 a1^-1 a2 = a2, cancelling two letters at
+        # the seam.
+        images = [fw.parse_word(t, 3) for t in ("a1 a2^-1", "a2 a1^-1 a2", "a3 a1")]
+        ref_images = [ref_letters(im.letters) for im in images]
+        w = fw.parse_word("a1 a2 a3^-1 a2^-1 a1", 3)
+        lets = ref_letters(w.letters)
+        for _ in range(8):
+            w = fw.substitute(w, images)
+            lets = ref_substitute(lets, ref_images)
+            assert w.letters == ref_syms(lets)
+        assert len(w) == 6156
