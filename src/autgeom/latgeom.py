@@ -4,11 +4,13 @@ Lattices are Z-modules spanned by up to four rational vectors, carried
 by a canonical Hermite-style echelon basis.  Voronoi (equivalently
 Dirichlet) cells of rank-3 lattices are computed as exact convex
 polytopes in one integer pass: the basis is scaled to integer rows and
-LLL-reduced, the Voronoi-relevant vectors are picked from a small box
-over the reduced basis, and vertices are integer solutions of plane
-triples.  Two authoritative gates verify the result: every vertex
-minimizes its distance over the candidate lattice points, and the cell
-volume equals the covolume of the lattice (the tiling condition).
+turned into an obtuse superbase by pairwise size reduction and
+Selling's steps, and the cell is the permutohedron of that superbase,
+its vertices the circumcentres of 24 Delaunay simplices and its faces
+the 14 subset sums.  Two authoritative gates verify the result: every
+vertex minimizes its distance over a box of lattice points holding all
+face normals, and the cell volume equals the covolume of the lattice
+(the tiling condition).
 
 Inputs and outputs are Fractions, the inner loops work on integers,
 and lengths are handled as squared values so no square root is ever
@@ -18,12 +20,11 @@ squared ratio of exactly 2.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "classify",
     "octo_check",
     "export_off",
-    "rotation_from_quaternion",
-    "apply_matrix",
 ]
 
 
@@ -232,42 +231,6 @@ def covolume(lat: Lattice) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _lll(rows: list[list[int]]) -> list[list[int]]:
-    """Exact LLL reduction (delta = 3/4) of independent integer rows."""
-    b = [r[:] for r in rows]
-    n = len(b)
-
-    def gram_schmidt():
-        star: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                denom = sum(x * x for x in star[j])
-                mu[i][j] = sum(Fraction(b[i][k]) * star[j][k] for k in range(3)) / denom
-                v = [v[k] - mu[i][j] * star[j][k] for k in range(3)]
-            star.append(v)
-        return star, mu
-
-    star, mu = gram_schmidt()
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                star, mu = gram_schmidt()
-        lhs = sum(x * x for x in star[k])
-        rhs = (Fraction(3, 4) - mu[k][k - 1] ** 2) * sum(x * x for x in star[k - 1])
-        if lhs >= rhs:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            star, mu = gram_schmidt()
-            k = max(k - 1, 1)
-    return b
-
-
 @dataclass(frozen=True)
 class Polytope:
     """An exact convex 3-polytope.
@@ -319,46 +282,56 @@ def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
     )
 
 
-def _cyclic_order(
-    indices: list[int], points: Sequence[Sequence[int]], normal: Sequence[int]
-) -> tuple[int, ...]:
-    """Order coplanar integer points into a convex cycle, deterministically.
+def _add(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    return [u[0] + v[0], u[1] + v[1], u[2] + v[2]]
 
-    Coordinates in the plane are taken against the frame (u, normal x u)
-    around the interior centroid, all scaled by the number of points so
-    they stay integers; cyclic order of rays is invariant under the
-    linear change of frame and under positive scaling, and the angular
-    comparison itself uses only sign tests on integer cross products.
+
+def _obtuse_superbase(rows: list[list[int]]) -> list[list[int]]:
+    """An obtuse superbase v0..v3 of the lattice of three integer rows.
+
+    The vectors sum to zero, any three of them are a basis, and every
+    v_i.v_j <= 0.  The rows are first size-reduced in pairs,
+    b_i -= q b_j with q the nearest integer to b_i.b_j / |b_j|^2,
+    whenever that strictly shortens b_i.  Selling's steps then start
+    from v0 = -(b1 + b2 + b3), b1, b2, b3: while some v_i.v_j > 0, add
+    v_i to the other two vectors and negate v_i.  Each step keeps the
+    sum zero and lowers sum |v|^2 by 2 v_i.v_j, so both stages stop.
     """
-    k = len(indices)
-    total = [sum(points[i][c] for i in indices) for c in range(3)]
-    offsets = {i: [k * points[i][c] - total[c] for c in range(3)] for i in indices}
-    u = offsets[indices[0]]
-    w = _cross(normal, u)
+    b = [r[:] for r in rows]
+    shortened = True
+    while shortened:
+        shortened = False
+        for i, j in itertools.permutations(range(3), 2):
+            d, n = _dot(b[i], b[j]), _dot(b[j], b[j])
+            q = (2 * d + n) // (2 * n)
+            if q * q * n < 2 * q * d:
+                b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                shortened = True
+    v = [[-sum(c) for c in zip(*b)], *b]
+    while True:
+        pair = next(
+            ((i, j) for i, j in itertools.combinations(range(4), 2)
+             if _dot(v[i], v[j]) > 0),
+            None,
+        )
+        if pair is None:
+            return v
+        i = pair[0]
+        for k in range(4):
+            if k not in pair:
+                v[k] = _add(v[k], v[i])
+        v[i] = [-x for x in v[i]]
 
-    def angle_key(i: int):
-        s, t = _dot(offsets[i], u), _dot(offsets[i], w)
-        half = 0 if (t > 0 or (t == 0 and s > 0)) else 1
-        return half, s, t
 
-    def cmp(i: int, j: int) -> int:
-        hi, si, ti = angle_key(i)
-        hj, sj, tj = angle_key(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        cross = si * tj - ti * sj
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    ordered = sorted(indices, key=functools.cmp_to_key(cmp))
-    # Canonical form: start at the smallest index, then pick the direction
-    # whose next index is smaller.
-    start = ordered.index(min(ordered))
-    cycle = ordered[start:] + ordered[:start]
-    if len(cycle) > 2 and cycle[-1] < cycle[1]:
-        cycle = [cycle[0]] + cycle[1:][::-1]
-    return tuple(cycle)
+def _ring(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The orderings of one to three letters around the cycle in which
+    neighbours differ by swapping two adjacent letters."""
+    if len(letters) == 1:
+        return [letters]
+    if len(letters) == 2:
+        return [letters, letters[::-1]]
+    a, b, c = letters
+    return [(a, b, c), (a, c, b), (c, a, b), (c, b, a), (b, c, a), (b, a, c)]
 
 
 def polytope_volume(poly: Polytope) -> Fraction:
@@ -377,82 +350,101 @@ def polytope_volume(poly: Polytope) -> Fraction:
 def voronoi_cell(lat: Lattice) -> Polytope:
     """The exact Voronoi cell {x : |x| <= |x - a| for all a in the lattice}.
 
-    The cell is the intersection of the bisector halfspaces
-    x.a <= |a|^2/2 of the Voronoi-relevant vectors a, and by Voronoi's
-    criterion a is relevant iff +-a are the only minimal vectors of its
-    class in L/2L.  The candidates are the 124 nonzero vectors of the
-    [-2, 2]^3 coefficient box over an LLL-reduced basis; their classes
-    are read off the coefficient parities, and a plane is kept when its
-    class has exactly the two minima +-a over the box.  Vertices are the
-    plane-triple intersections satisfying every kept constraint.
+    Every rank-3 lattice is of Voronoi's first kind: for an obtuse
+    superbase v0..v3 (sum zero, every v_i.v_j <= 0) the cell is the
+    permutohedron of the superbase (Conway & Sloane, "Low-dimensional
+    lattices VI", Proc. R. Soc. Lond. A 436, 1992).  Its vertices are
+    the circumcentres of the 24 Delaunay simplices
+    0, v_i, v_i + v_j, v_i + v_j + v_k, one per ordering (i, j, k, l) of
+    the superbase.  Its facets are the 14 nonempty proper subsets S of
+    {0, 1, 2, 3}, with normal v_S = sum of v_i over S and bounded by the
+    orderings that start with S: a hexagon for |S| = 1 or 3, a square
+    for |S| = 2.  Two orderings that differ by swapping adjacent letters
+    i, j have the same circumcentre exactly when v_i.v_j = 0, so
+    repeated vertices are dropped from each cycle and a facet with fewer
+    than three vertices left is not a facet.
 
-    Before returning, two gates are enforced exactly: each vertex is at
-    minimal squared distance from the origin among all candidate lattice
-    points, and the cell volume equals |det basis|.  The volume gate is
-    a complete certificate by itself: every kept plane bisects a true
-    lattice vector, so the computed polytope contains the cell, and
-    equal volume forces the two to be equal.
+    Before returning, two gates are enforced exactly.  Gate 1: every
+    vertex is at minimal squared distance from the origin among the 124
+    nonzero lattice points of the [-2, 2]^3 coefficient box over
+    v1, v2, v3; the box holds all 14 v_S, so every vertex satisfies
+    every face halfspace.  The Polytope itself checks that each face's
+    vertices lie on its plane and Euler's formula, so the polytope is
+    the intersection of halfspaces x.v_S <= |v_S|^2/2 that bisect true
+    lattice vectors and contains the cell.  Gate 2: its volume equals
+    |det basis|, which forces it to be the cell.
 
     Internally a lattice vector a is the integer row A = den * a and a
     point x is y = den * x, so the halfspace of A reads 2 y.A <= |A|^2;
-    points are exact homogeneous integer vectors until the Polytope is
-    built.
+    everything is an integer until the Polytope is built.
     """
     if lat.rank != 3:
         raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
     rows, den = _int_rows(lat.basis)
-    reduced = _lll(rows)
-    box = []
-    classes: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for c in itertools.product(range(-2, 3), repeat=3):
-        if any(c):
-            v = tuple(sum(c[j] * reduced[j][k] for j in range(3)) for k in range(3))
-            box.append(v)
-            if any(x % 2 for x in c):
-                classes.setdefault((c[0] % 2, c[1] % 2, c[2] % 2), []).append(v)
-    planes = []
-    for members in classes.values():
-        least = min(_dot(v, v) for v in members)
-        minima = [v for v in members if _dot(v, v) == least]
-        if len(minima) == 2:
-            planes.extend((v, least) for v in minima)
+    v = _obtuse_superbase(rows)
 
-    # Homogeneous vertices (X, Y, Z, D) with y = (X, Y, Z) / D, D > 0 and
-    # gcd 1: three planes A_i.y = n_i / 2 meet at
-    # y = sum n_i (A_j x A_k) / (2 det) by Cramer's rule.
-    points = set()
-    for (a1, n1), (a2, n2), (a3, n3) in itertools.combinations(planes, 3):
-        c1, c2, c3 = _cross(a2, a3), _cross(a3, a1), _cross(a1, a2)
-        det = _dot(a1, c1)
-        if det == 0:
-            continue
+    # Homogeneous circumcentres (X, Y, Z, D) with y = (X, Y, Z) / D, D > 0
+    # and gcd 1: the planes 2 y.p_t = |p_t|^2 through the partial sums
+    # p_1, p_2, p_3 of an ordering meet at
+    # y = sum |p_t|^2 (p_u x p_w) / (2 det) by Cramer's rule.
+    centres = {}
+    for order in itertools.permutations(range(4)):
+        p1 = v[order[0]]
+        p2 = _add(p1, v[order[1]])
+        p3 = _add(p2, v[order[2]])
+        c1, c2, c3 = _cross(p2, p3), _cross(p3, p1), _cross(p1, p2)
+        n1, n2, n3 = _dot(p1, p1), _dot(p2, p2), _dot(p3, p3)
+        det = _dot(p1, c1)
         p = [n1 * c1[k] + n2 * c2[k] + n3 * c3[k] for k in range(3)] + [2 * det]
         if det < 0:
             p = [-x for x in p]
-        if all(2 * _dot(p, a) <= p[3] * n for a, n in planes):
-            g = gcd(*p)
-            points.add(tuple(x // g for x in p))
-    if not points:
-        raise RuntimeError("no Voronoi vertices found")
+        g = gcd(*p)
+        centres[order] = tuple(x // g for x in p)
     # One common denominator: the vertices become integer points, and
     # their lexicographic order is that of their rational coordinates.
-    common = functools.reduce(lambda m, p: m * p[3] // gcd(m, p[3]), points, 1)
-    vertices = sorted(tuple(x * (common // p[3]) for x in p[:3]) for p in points)
+    common = lcm(*(p[3] for p in centres.values()))
+    scaled = {
+        order: tuple(x * (common // p[3]) for x in p[:3])
+        for order, p in centres.items()
+    }
+    vertices = sorted(set(scaled.values()))
+    index = {y: i for i, y in enumerate(vertices)}
 
-    # Gate 1: every vertex minimizes its distance over the candidates,
-    # equivalently satisfies every candidate halfspace.
-    for y in vertices:
-        for a in box:
-            if 2 * _dot(y, a) > common * _dot(a, a):
-                raise RuntimeError(
-                    "vertex fails the minimal-distance gate; candidate box too small"
-                )
+    # Gate 1: every vertex minimizes its distance over the box, which is
+    # to say it satisfies every halfspace of the box vectors; y.a is read
+    # off the products of y with v1, v2, v3.
+    products = [[_dot(y, v[j]) for j in (1, 2, 3)] for y in vertices]
+    for c in itertools.product(range(-2, 3), repeat=3):
+        a = [c[0] * x + c[1] * y + c[2] * z for x, y, z in zip(v[1], v[2], v[3])]
+        limit = common * _dot(a, a)
+        for t in products:
+            if 2 * (c[0] * t[0] + c[1] * t[1] + c[2] * t[2]) > limit:
+                raise RuntimeError("vertex fails the minimal-distance gate")
 
     faces = []
-    for a, n in planes:
-        tight = [i for i, y in enumerate(vertices) if 2 * _dot(y, a) == common * n]
-        if len(tight) >= 3:
-            faces.append((_cyclic_order(tight, vertices, a), a, n))
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(range(4), size):
+            # Neighbours on the boundary differ by one swap inside the head
+            # S or inside the tail; the tail ring turns back on every other
+            # head, which closes the square of |S| = 2.
+            rest = tuple(k for k in range(4) if k not in subset)
+            tails = _ring(rest)
+            ring = [
+                index[scaled[head + tail]]
+                for turn, head in enumerate(_ring(subset))
+                for tail in (tails if turn % 2 == 0 else tails[::-1])
+            ]
+            cycle = [x for i, x in enumerate(ring) if x != ring[i - 1]]
+            if len(cycle) < 3:
+                continue
+            # Canonical form: start at the smallest index, then go toward
+            # the smaller neighbour.
+            start = cycle.index(min(cycle))
+            cycle = cycle[start:] + cycle[:start]
+            if cycle[-1] < cycle[1]:
+                cycle = [cycle[0]] + cycle[:0:-1]
+            a = [sum(v[i][k] for i in subset) for k in range(3)]
+            faces.append((tuple(cycle), a, _dot(a, a)))
     faces.sort(key=lambda face: sorted(face[0]))
     poly = Polytope(
         tuple(Vec3(*(Fraction(x, common * den) for x in y)) for y in vertices),
@@ -575,7 +567,7 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> OctoReport:
 
 
 # ---------------------------------------------------------------------------
-# OFF export and rational rotations.
+# OFF export.
 # ---------------------------------------------------------------------------
 
 
@@ -634,31 +626,3 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
         json.dump(data, fh, indent=1)
     return path, sidecar
 
-
-def rotation_from_quaternion(a: int, b: int, c: int, d: int) -> list[list[Fraction]]:
-    """The exact rational rotation matrix of an integer quaternion.
-
-    Any nonzero integer quadruple gives an orthogonal matrix with
-    rational entries and determinant +1, which is how the test suites
-    produce exact rigid motions.
-    """
-    n = a * a + b * b + c * c + d * d
-    if n == 0:
-        raise ValueError("zero quaternion")
-    rows = [
-        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-    ]
-    m = [[Fraction(x, n) for x in row] for row in rows]
-    for i in range(3):
-        for j in range(3):
-            expected = Fraction(int(i == j))
-            assert sum(m[i][k] * m[j][k] for k in range(3)) == expected
-    return m
-
-
-def apply_matrix(m: Sequence[Sequence[Fraction]], v: Vec3) -> Vec3:
-    coords = v.coords()
-    out = [sum(Fraction(m[i][k]) * coords[k] for k in range(3)) for i in range(3)]
-    return Vec3(out[0], out[1], out[2])

@@ -32,10 +32,6 @@ class Check:
             "witness": self.witness,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Check":
-        return cls(d["name"], d["claim"], d["passed"], d.get("witness"))
-
 
 def all_pass(checks: Iterable[Check]) -> bool:
     return all(c.passed for c in checks)
@@ -63,15 +59,6 @@ class Report:
             "passed": self.passed,
             "payload": self.payload,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            command=d["command"],
-            args=dict(d.get("args", {})),
-            checks=tuple(Check.from_dict(c) for c in d.get("checks", [])),
-            payload=dict(d.get("payload", {})),
-        )
 
 
 def fraction_str(x: Fraction | int) -> str:

@@ -48,7 +48,12 @@ __all__ = [
     "cyclic_reduce",
     "parse_word",
     "format_word",
+    "MAX_WORD_LETTERS",
 ]
+
+# parse_word expands exponents into letters, so it refuses text that
+# spells out more letters than this before expanding any of them.
+MAX_WORD_LETTERS = 100_000
 
 
 class RankMismatchError(ValueError):
@@ -246,10 +251,12 @@ def parse_word(text: str, rank: int) -> Word:
     """Parse whitespace-separated tokens like ``a1 a2^-1 A3`` into a Word.
 
     Uppercase ``A3`` is shorthand for ``a3^-1``; ``1`` denotes the empty
-    word.  Indices must not exceed the rank.  Raises WordParseError with
-    the character position of the first bad token.
+    word.  Indices must not exceed the rank, and the exponents' absolute
+    values must not add up to more than MAX_WORD_LETTERS.  Raises
+    WordParseError with the character position of the first bad token.
     """
     raw: list[int] = []
+    letters = 0
     for m in re.finditer(r"\S+", text):
         tok = m.group(0)
         if tok == "1":
@@ -264,6 +271,11 @@ def parse_word(text: str, rank: int) -> Word:
         if not 1 <= idx <= rank:
             raise WordParseError(
                 f"generator a{idx} out of range for rank {rank}", m.start()
+            )
+        letters += abs(exp)
+        if letters > MAX_WORD_LETTERS:
+            raise WordParseError(
+                f"word longer than {MAX_WORD_LETTERS} letters", m.start()
             )
         raw.extend([idx if exp > 0 else -idx] * abs(exp))
     return reduce(rank, raw)

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from autgeom.latgeom import Vec3
 from autgeom.words import Word, gen, mul, reduce
 
 
@@ -46,3 +48,32 @@ def run_cli(argv):
     from autgeom.cli import run
 
     return run(argv)
+
+
+def rotation_from_quaternion(a, b, c, d):
+    """The exact rational rotation matrix of an integer quaternion.
+
+    Any nonzero integer quadruple gives an orthogonal matrix with
+    rational entries and determinant +1, which is how the test suites
+    produce exact rigid motions.
+    """
+    n = a * a + b * b + c * c + d * d
+    if n == 0:
+        raise ValueError("zero quaternion")
+    rows = [
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ]
+    m = [[Fraction(x, n) for x in row] for row in rows]
+    for i in range(3):
+        for j in range(3):
+            expected = Fraction(int(i == j))
+            assert sum(m[i][k] * m[j][k] for k in range(3)) == expected
+    return m
+
+
+def apply_matrix(m, v):
+    coords = v.coords()
+    out = [sum(Fraction(m[i][k]) * coords[k] for k in range(3)) for i in range(3)]
+    return Vec3(out[0], out[1], out[2])

@@ -13,7 +13,9 @@ from autgeom import latgeom as lg
 from autgeom import words as fw
 from autgeom.automorphisms import nielsen_left as L
 
-from conftest import random_a3_even_word, random_raw, random_word, run_cli
+from conftest import (
+    apply_matrix, random_a3_even_word, random_raw, random_word, run_cli,
+)
 from test_glrep import mat2_mul, random_stabilizing_endo
 from test_latgeom import FCC_GENS, random_rotation
 
@@ -119,7 +121,7 @@ def test_criterion_4_geometry(rng):
     ok_rotations = True
     rotations = [random_rotation(rng) for _ in range(20)]
     quads = [FCC_GENS] + [
-        tuple(lg.apply_matrix(rot, v) for v in FCC_GENS) for rot in rotations
+        tuple(apply_matrix(rot, v) for v in FCC_GENS) for rot in rotations
     ]
     for quad in quads:
         rep = lg.octo_check(*quad)

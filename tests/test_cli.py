@@ -3,12 +3,12 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from autgeom import latgeom
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
-from autgeom.reports import Report
 
 from conftest import run_cli
 
@@ -48,8 +48,8 @@ def test_subcommand_passes_and_matches_schema(command):
     for check in d["checks"]:
         assert sorted(check.keys()) == GOLDEN["check"]
     assert sorted(d["payload"].keys()) == GOLDEN_SCHEMA[command]
-    # JSON round trip preserves the report exactly.
-    assert Report.from_dict(json.loads(json.dumps(d))).to_dict() == d
+    # The report survives a JSON round trip exactly.
+    assert json.loads(json.dumps(d)) == d
 
 
 class TestExitCodes:
@@ -101,6 +101,15 @@ class TestExitCodes:
         assert report.to_dict()["passed"] is False
         assert not (tmp_path / "neg.off").exists()
 
+    def test_huge_exponent_is_two_at_once(self):
+        start = time.perf_counter()
+        code, report = run_cli(
+            ["gpq", "--n", "3", "--p", "1", "--q", "1", "--w", "a1^2000000000"]
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == USAGE_ERROR
+        assert "longer than 100000 letters" in report.payload["error"]
+
     def test_internal_gate_failure_is_three(self, monkeypatch):
         monkeypatch.setattr(latgeom, "covolume", lambda lat: 0)
         code, report = run_cli(["voronoi", "--gens", FCC_GENS])
@@ -119,7 +128,7 @@ class TestExitCodes:
         assert report.args == {"n": 2, "p": 1, "q": 2, "w": "a1"}
         d = report.to_dict()
         assert sorted(d.keys()) == GOLDEN["report"]
-        assert Report.from_dict(json.loads(json.dumps(d))).to_dict() == d
+        assert json.loads(json.dumps(d)) == d
 
     def test_unknown_subcommand_is_two(self):
         with pytest.raises(SystemExit) as err:
@@ -225,6 +234,71 @@ def test_algebra_output_pinned(argv, code, digest):
     got, report = run_cli(argv)
     text = json.dumps(report.to_dict(), indent=1)
     assert (got, hashlib.sha256(text.encode()).hexdigest()) == (code, digest)
+
+
+# SHA-256 of the report, rendered as JSON with indent 1, followed by the
+# OFF file and its sidecar where the request writes them, for Voronoi
+# cells of the benchmark's five lattice types (each once rotated by the
+# quaternion (1, 1, 1, 0) and scaled by 3/7, and once with a redundant
+# fourth generator), the Nielsen flat, and a passing and a failing
+# four-vector check.  They were recorded with the Voronoi kernel that
+# read the cell off plane triples; a kernel change that alters a vertex,
+# a face cycle, a halfspace or their order shows up here.
+PINNED_GEOMETRY = [
+    # fcc: rotated and scaled.
+    (["voronoi", "--gens=3/7,3/7,0;-1/7,1/7,-4/7;3/7,0,-3/7",
+      "--out", "cell.off"], 0,
+     "e21101c9e2ba14ea0e407cfe5317bec7a54f4abeb2d8eeb9cc4055092094c458"),
+    # fcc: a redundant fourth generator.
+    (["voronoi", "--gens=1,1,0;1,-1,0;1,0,1;1,3,0"], 0,
+     "34e50c06d1989f48252f9845df42d9d2bca7d459f8f3568e899fe0c53a3ecbb3"),
+    # cube: rotated and scaled.
+    (["voronoi", "--gens=1/7,2/7,-2/7;2/7,1/7,2/7;2/7,-2/7,-1/7",
+      "--out", "cell.off"], 0,
+     "30ec868a365b230b736a1a7f1fb1e1ca9c3acf4756b43424d93dac509c8c9718"),
+    # cube: a redundant fourth generator.
+    (["voronoi", "--gens=1,0,0;0,1,0;0,0,1;2,-1,0"], 0,
+     "9c46d9d3597cc472cc851ddb47c6fc24798bc80ae83b04635beb8ea5a847fadf"),
+    # bcc: rotated and scaled.
+    (["voronoi", "--gens=5/7,1/7,-1/7;-3/7,3/7,-3/7;-1/7,1/7,5/7",
+      "--out", "cell.off"], 0,
+     "6732b39bf919c1115ee1e01e4d4b06875924b320fe665720662f3699b0254977"),
+    # bcc: a redundant fourth generator.
+    (["voronoi", "--gens=1,1,1;1,-1,-1;-1,1,-1;1,3,3"], 0,
+     "42e3e7f8673eb7cb195350fcdeffda57f78a29d2c37e73e34f62e3ae7a9465d1"),
+    # hexagonal: rotated and scaled.
+    (["voronoi", "--gens=-1/7,1/7,-4/7;0,3/7,3/7;10/7,2/7,-2/7",
+      "--out", "cell.off"], 0,
+     "2f1807e575a55350113ca8edb643a58b5af9d2e099f447bd23be6682c2778a6e"),
+    # hexagonal: a redundant fourth generator.
+    (["voronoi", "--gens=1,-1,0;0,1,-1;2,2,2;2,-3,1"], 0,
+     "72e6a0d997ada57f3b3911fcdd2272b63e33ae3d55f16a3a7571d6139b9d4273"),
+    # generic: rotated and scaled.
+    (["voronoi", "--gens=31/7,2/7,-5/7;-3,18/7,-15/7;-1,10/7,29/7",
+      "--out", "cell.off"], 0,
+     "b903370044d53a9b2d9f922b573e61b1881abfaafb687792dc94cb48f8521354"),
+    # generic: a redundant fourth generator.
+    (["voronoi", "--gens=5,6,7;5,-6,-7;-5,6,-7;5,18,21"], 0,
+     "a6ba9a013943b868c1baa7cf69ce833bc972edb7f626c5202f0ffa6aaa116bc8"),
+    (["nielsen-flat", "--scale", "3",
+      "--out", "cell.off"], 0,
+     "f2dbc6f47f31dc10706c877ecc70e6693feb3190245036e97696d4065f5f04cd"),
+    (["check-octo", "--u1=0,2,2", "--u2=0,-2,2", "--v1=2,0,2", "--v2=-2,0,2"], 0,
+     "027e334da42aa842b41ffdcb1b7cf430b478aa968aba3bf7e519e5c8058c5ed8"),
+    (["check-octo", "--u1=1,0,0", "--u2=0,1,0", "--v1=1,0,0", "--v2=0,1,0"], 1,
+     "9f14f39c28953ea72a93a0d710acc06e9cee646b7229d757287bbc37076b9a2c"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_GEOMETRY)
+def test_geometry_output_pinned(argv, code, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got, report = run_cli(argv)
+    h = hashlib.sha256(json.dumps(report.to_dict(), indent=1).encode())
+    if "--out" in argv:
+        for name in ("cell.off", "cell.off.json"):
+            h.update((tmp_path / name).read_bytes())
+    assert (got, h.hexdigest()) == (code, digest)
 
 
 class TestEndToEnd:

@@ -1,10 +1,16 @@
+import functools
+import itertools
 import json
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 import pytest
 
 from autgeom import latgeom as lg
 from autgeom.latgeom import Vec3, vec3
+
+from conftest import apply_matrix, rotation_from_quaternion, run_cli
 
 FCC_GENS = (vec3(1, 1, 0), vec3(1, -1, 0), vec3(1, 0, 1), vec3(1, 0, -1))
 CUBE_GENS = (vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
@@ -22,7 +28,7 @@ def random_rotation(rng):
     while True:
         q = tuple(rng.randint(-3, 3) for _ in range(4))
         if any(q):
-            return lg.rotation_from_quaternion(*q)
+            return rotation_from_quaternion(*q)
 
 
 def random_unimodular_gens(rng, gens):
@@ -38,6 +44,202 @@ def random_unimodular_gens(rng, gens):
         else:
             vs[i] = -vs[i]
     return tuple(vs)
+
+
+# ---------------------------------------------------------------------------
+# The Voronoi kernel that the obtuse-superbase construction replaced, kept
+# as an independent reference: an LLL-reduced basis, the Voronoi-relevant
+# planes picked from the L/2L classes of a 124-vector box, vertices from
+# plane triples, and faces ordered by angle.
+# ---------------------------------------------------------------------------
+
+_dot, _cross, _int_rows = lg._dot, lg._cross, lg._int_rows
+
+
+def _lll(rows: list[list[int]]) -> list[list[int]]:
+    """Exact LLL reduction (delta = 3/4) of independent integer rows."""
+    b = [r[:] for r in rows]
+    n = len(b)
+
+    def gram_schmidt():
+        star: list[list[Fraction]] = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                denom = sum(x * x for x in star[j])
+                mu[i][j] = sum(Fraction(b[i][k]) * star[j][k] for k in range(3)) / denom
+                v = [v[k] - mu[i][j] * star[j][k] for k in range(3)]
+            star.append(v)
+        return star, mu
+
+    star, mu = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [a - q * c for a, c in zip(b[k], b[j])]
+                star, mu = gram_schmidt()
+        lhs = sum(x * x for x in star[k])
+        rhs = (Fraction(3, 4) - mu[k][k - 1] ** 2) * sum(x * x for x in star[k - 1])
+        if lhs >= rhs:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            star, mu = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
+
+
+def _cyclic_order(
+    indices: list[int], points: Sequence[Sequence[int]], normal: Sequence[int]
+) -> tuple[int, ...]:
+    """Order coplanar integer points into a convex cycle, deterministically.
+
+    Coordinates in the plane are taken against the frame (u, normal x u)
+    around the interior centroid, all scaled by the number of points so
+    they stay integers; cyclic order of rays is invariant under the
+    linear change of frame and under positive scaling, and the angular
+    comparison itself uses only sign tests on integer cross products.
+    """
+    k = len(indices)
+    total = [sum(points[i][c] for i in indices) for c in range(3)]
+    offsets = {i: [k * points[i][c] - total[c] for c in range(3)] for i in indices}
+    u = offsets[indices[0]]
+    w = _cross(normal, u)
+
+    def angle_key(i: int):
+        s, t = _dot(offsets[i], u), _dot(offsets[i], w)
+        half = 0 if (t > 0 or (t == 0 and s > 0)) else 1
+        return half, s, t
+
+    def cmp(i: int, j: int) -> int:
+        hi, si, ti = angle_key(i)
+        hj, sj, tj = angle_key(j)
+        if hi != hj:
+            return -1 if hi < hj else 1
+        cross = si * tj - ti * sj
+        if cross == 0:
+            return 0
+        return -1 if cross > 0 else 1
+
+    ordered = sorted(indices, key=functools.cmp_to_key(cmp))
+    # Canonical form: start at the smallest index, then pick the direction
+    # whose next index is smaller.
+    start = ordered.index(min(ordered))
+    cycle = ordered[start:] + ordered[:start]
+    if len(cycle) > 2 and cycle[-1] < cycle[1]:
+        cycle = [cycle[0]] + cycle[1:][::-1]
+    return tuple(cycle)
+
+
+def reference_voronoi_cell(lat):
+    """The Voronoi cell as the replaced kernel computed it, gates included."""
+    if lat.rank != 3:
+        raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
+    rows, den = _int_rows(lat.basis)
+    reduced = _lll(rows)
+    box = []
+    classes: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
+    for c in itertools.product(range(-2, 3), repeat=3):
+        if any(c):
+            v = tuple(sum(c[j] * reduced[j][k] for j in range(3)) for k in range(3))
+            box.append(v)
+            if any(x % 2 for x in c):
+                classes.setdefault((c[0] % 2, c[1] % 2, c[2] % 2), []).append(v)
+    planes = []
+    for members in classes.values():
+        least = min(_dot(v, v) for v in members)
+        minima = [v for v in members if _dot(v, v) == least]
+        if len(minima) == 2:
+            planes.extend((v, least) for v in minima)
+
+    # Homogeneous vertices (X, Y, Z, D) with y = (X, Y, Z) / D, D > 0 and
+    # gcd 1: three planes A_i.y = n_i / 2 meet at
+    # y = sum n_i (A_j x A_k) / (2 det) by Cramer's rule.
+    points = set()
+    for (a1, n1), (a2, n2), (a3, n3) in itertools.combinations(planes, 3):
+        c1, c2, c3 = _cross(a2, a3), _cross(a3, a1), _cross(a1, a2)
+        det = _dot(a1, c1)
+        if det == 0:
+            continue
+        p = [n1 * c1[k] + n2 * c2[k] + n3 * c3[k] for k in range(3)] + [2 * det]
+        if det < 0:
+            p = [-x for x in p]
+        if all(2 * _dot(p, a) <= p[3] * n for a, n in planes):
+            g = gcd(*p)
+            points.add(tuple(x // g for x in p))
+    if not points:
+        raise RuntimeError("no Voronoi vertices found")
+    # One common denominator: the vertices become integer points, and
+    # their lexicographic order is that of their rational coordinates.
+    common = functools.reduce(lambda m, p: m * p[3] // gcd(m, p[3]), points, 1)
+    vertices = sorted(tuple(x * (common // p[3]) for x in p[:3]) for p in points)
+
+    # Gate 1: every vertex minimizes its distance over the candidates,
+    # equivalently satisfies every candidate halfspace.
+    for y in vertices:
+        for a in box:
+            if 2 * _dot(y, a) > common * _dot(a, a):
+                raise RuntimeError(
+                    "vertex fails the minimal-distance gate; candidate box too small"
+                )
+
+    faces = []
+    for a, n in planes:
+        tight = [i for i, y in enumerate(vertices) if 2 * _dot(y, a) == common * n]
+        if len(tight) >= 3:
+            faces.append((_cyclic_order(tight, vertices, a), a, n))
+    faces.sort(key=lambda face: sorted(face[0]))
+    poly = lg.Polytope(
+        tuple(Vec3(*(Fraction(x, common * den) for x in y)) for y in vertices),
+        tuple(cycle for cycle, _, _ in faces),
+        tuple(
+            (Vec3(*(Fraction(x, den) for x in a)), Fraction(n, 2 * den * den))
+            for _, a, n in faces
+        ),
+    )
+
+    # Gate 2: the cell tiles, so its volume is exactly the covolume.
+    if lg.polytope_volume(poly) != lg.covolume(lat):
+        raise RuntimeError("volume gate failed; computed cell does not tile")
+    return poly
+
+
+
+
+F_VECTORS = {(24, 36, 14), (18, 28, 12), (14, 24, 12), (12, 18, 8), (8, 12, 6)}
+
+
+def random_lattice(rng):
+    """A seeded rank-3 lattice from three integer generators of a random
+    size, sometimes with a fourth generator that is redundant or not,
+    and in a third of the cases rotated by a rational quaternion and
+    scaled by a rational factor."""
+    while True:
+        bound = rng.choice((1, 2, 3, 5, 30))
+        gens = [vec3(*(rng.randint(-bound, bound) for _ in range(3)))
+                for _ in range(3)]
+        extra = rng.randrange(3)
+        if extra == 1:
+            x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+            gens.append(gens[0].scale(x) + gens[1].scale(y))
+        elif extra == 2:
+            gens.append(vec3(*(rng.randint(-bound, bound) for _ in range(3))))
+        if any(not g.is_zero() for g in gens) and lg.lattice_from(gens).rank == 3:
+            break
+    if rng.randrange(3) == 0:
+        rot = random_rotation(rng)
+        scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+        gens = [apply_matrix(rot, g).scale(scale) for g in gens]
+    return lg.lattice_from(gens)
+
+
+def skewed_lattice(z, rng):
+    """The lattice of the echelon rows (1, 0, x), (0, 1, y), (0, 0, z)."""
+    x, y = rng.randrange(z), rng.randrange(z)
+    return lg.lattice_from((vec3(1, 0, x), vec3(0, 1, y), vec3(0, 0, z)))
 
 
 class TestLatticeFrom:
@@ -152,14 +354,14 @@ class TestVoronoiCell:
             rot = random_rotation(rng)
             scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
             lat = lg.lattice_from(
-                [lg.apply_matrix(rot, g).scale(scale)
+                [apply_matrix(rot, g).scale(scale)
                  for g in random_unimodular_gens(rng, gens)]
             )
             cell = lg.voronoi_cell(lat)
             assert cell.f_vector() == f_vector
             assert lg.polytope_volume(cell) == lg.covolume(lat)
             assert set(cell.vertices) == {
-                lg.apply_matrix(rot, v).scale(scale) for v in base.vertices
+                apply_matrix(rot, v).scale(scale) for v in base.vertices
             }
 
     def test_symmetry_under_negation_and_basis_change(self, rng):
@@ -193,11 +395,57 @@ class TestVoronoiCell:
     def test_octo_implies_rhombic_dodecahedron_under_rotations(self, rng):
         for _ in range(5):
             rot = random_rotation(rng)
-            quad = [lg.apply_matrix(rot, v) for v in FCC_GENS]
+            quad = [apply_matrix(rot, v) for v in FCC_GENS]
             rep = lg.octo_check(*quad)
             assert rep.all_pass and rep.lattice_rank == 3
             cls = lg.classify(lg.voronoi_cell(lg.lattice_from(quad)))
             assert cls.is_rhombic_dodecahedron
+
+
+class TestAgainstReference:
+    def test_random_lattices(self, rng):
+        seen = set()
+        for _ in range(2000):
+            lat = random_lattice(rng)
+            cell = lg.voronoi_cell(lat)
+            assert cell == reference_voronoi_cell(lat)
+            seen.add(cell.f_vector())
+        assert seen == F_VECTORS
+
+    @pytest.mark.parametrize("z", [10**3, 10**9, 10**40])
+    def test_skewed_echelon_lattices(self, rng, z):
+        for _ in range(3):
+            lat = skewed_lattice(z, rng)
+            rows, _ = lg._int_rows(lat.basis)
+            v = lg._obtuse_superbase(rows)
+            assert [sum(c) for c in zip(*v)] == [0, 0, 0]
+            assert all(lg._dot(v[i], v[j]) <= 0
+                       for i, j in itertools.combinations(range(4), 2))
+            assert abs(lg._dot(v[1], lg._cross(v[2], v[3]))) == z
+            cell = lg.voronoi_cell(lat)
+            assert lg.polytope_volume(cell) == z
+            assert cell == reference_voronoi_cell(lat)
+
+
+class TestGates:
+    # The superbase (1,0,0), (5,1,0), (0,7,1) of the cube lattice, with
+    # v0 = -(6,8,1), is not obtuse, so its circumcentres are not the
+    # vertices of the cell.
+    UNREDUCED = [[-6, -8, -1], [1, 0, 0], [5, 1, 0], [0, 7, 1]]
+
+    def test_minimal_distance_gate_fires(self, monkeypatch):
+        monkeypatch.setattr(lg, "_obtuse_superbase", lambda rows: self.UNREDUCED)
+        with pytest.raises(RuntimeError, match="minimal-distance gate"):
+            lg.voronoi_cell(lg.lattice_from(CUBE_GENS))
+
+    def test_minimal_distance_gate_exits_three(self, monkeypatch):
+        from autgeom.cli import INTERNAL_ERROR
+
+        monkeypatch.setattr(lg, "_obtuse_superbase", lambda rows: self.UNREDUCED)
+        code, report = run_cli(["voronoi", "--gens", "1,0,0;0,1,0;0,0,1"])
+        assert code == INTERNAL_ERROR
+        assert "minimal-distance gate" in report.payload["error"]
+        assert report.to_dict()["passed"] is False
 
 
 class TestPolytopeInvariants:
@@ -259,4 +507,4 @@ class TestRotations:
 
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
-            lg.rotation_from_quaternion(0, 0, 0, 0)
+            rotation_from_quaternion(0, 0, 0, 0)

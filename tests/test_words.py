@@ -206,6 +206,17 @@ class TestTextGrammar:
         with pytest.raises(WordParseError):
             fw.parse_word("a4", 3)
 
+    def test_length_cap(self):
+        cap = fw.MAX_WORD_LETTERS
+        assert fw.parse_word(f"a1^{cap}", 3).letters == (1,) * cap
+        with pytest.raises(WordParseError) as err:
+            fw.parse_word(f"a2 a1^{cap}", 3)
+        assert err.value.position == 3
+        # Exponents count before free reduction, and signs do not offset.
+        with pytest.raises(WordParseError) as err:
+            fw.parse_word(f"a1^{cap // 2} A1^{cap // 2} a3", 3)
+        assert err.value.position == len(f"a1^{cap // 2} A1^{cap // 2} ")
+
     @given(words(3))
     def test_round_trip(self, w):
         assert fw.parse_word(fw.format_word(w), 3) == w
