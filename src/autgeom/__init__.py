@@ -13,70 +13,9 @@ The package is organized around immutable values and pure functions:
 * :mod:`autgeom.flats` -- Euclidean translation actions, induced
   isometries, and the canonical flat model.
 * :mod:`autgeom.cli` -- the ``autgeom`` command-line tool.
-"""
 
-from .words import (  # noqa: F401
-    Word,
-    RankMismatchError,
-    WordParseError,
-    ab_vector,
-    conj,
-    embed,
-    empty,
-    format_word,
-    gen,
-    inv,
-    mul,
-    parse_word,
-    power,
-    reduce,
-    substitute,
-)
-from .automorphisms import (  # noqa: F401
-    AutExpr,
-    ElemAut,
-    Endo,
-    apply,
-    compose,
-    endo_of,
-    equal,
-    gpq_check,
-    identity_endo,
-    inner,
-    inner_gpq_check,
-    inversion,
-    is_inner,
-    nielsen_left,
-    nielsen_right,
-    nielsen_z4_check,
-    parse_autexpr,
-    transposition,
-    verify_relation,
-)
-from .glrep import ab5, lk_basis, mu, no_short_relation, nu, rewrite, stabilizes  # noqa: F401
-from .latgeom import (  # noqa: F401
-    Lattice,
-    Polytope,
-    Vec3,
-    classify,
-    covolume,
-    export_off,
-    lattice_from,
-    octo_check,
-    polytope_volume,
-    vec3,
-    voronoi_cell,
-)
-from .flats import (  # noqa: F401
-    AffineIsometry,
-    TranslationAction,
-    cyclic_induced,
-    equidistant_check,
-    equidistant_forces_zero,
-    induced_action,
-    nielsen_flat,
-    trans_length_sq,
-)
-from .reports import Check, Report  # noqa: F401
+The modules are the API: import them, e.g.
+``from autgeom import latgeom``.  Nothing is re-exported here.
+"""
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 Two representations are used side by side:
 
 * :class:`AutExpr` -- a formal product of elementary generators (left and
-  right Nielsen transformations, generator inversions, transpositions),
+  right Nielsen transformations, generator inversions, generator swaps),
   which inverts syntactically, and
 * :class:`Endo` -- the concrete generator-image data the expression
   realizes, which supports exact application, composition and equality.
@@ -23,6 +23,7 @@ from typing import Literal
 
 from .reports import Check
 from .words import (
+    MAX_WORD_LETTERS,
     RankMismatchError,
     Word,
     conj,
@@ -45,7 +46,6 @@ __all__ = [
     "nielsen_left",
     "nielsen_right",
     "inversion",
-    "transposition",
     "commutator",
     "conjugate_expr",
     "identity_endo",
@@ -82,7 +82,7 @@ class ElemAut:
     kind "L": a_i -> a_j a_i   (left Nielsen transformation)
     kind "R": a_i -> a_i a_j   (right Nielsen transformation)
     kind "E": a_i -> a_i^-1    (inversion; j unused)
-    kind "P": a_i <-> a_j      (transposition)
+    kind "P": a_i <-> a_j      (swap of two generators)
     """
 
     kind: str
@@ -125,10 +125,6 @@ def inversion(i: int, rank: int = 3) -> "AutExpr":
     return AutExpr(rank, ((ElemAut("E", i, None, rank), 1),))
 
 
-def transposition(i: int, j: int, rank: int = 3) -> "AutExpr":
-    return AutExpr(rank, ((ElemAut("P", i, j, rank), 1),))
-
-
 @dataclass(frozen=True)
 class AutExpr:
     """A formal product of elementary automorphisms with integer exponents.
@@ -166,6 +162,8 @@ class AutExpr:
         if len(base.factors) == 1:
             elem, exp = base.factors[0]
             return AutExpr(self.rank, ((elem, exp * abs(k)),))
+        if len(base.factors) * abs(k) > MAX_WORD_LETTERS:
+            raise ValueError(f"power {k} has more than {MAX_WORD_LETTERS} factors")
         return AutExpr(self.rank, base.factors * abs(k))
 
     def token_text(self) -> str:
@@ -207,15 +205,21 @@ def identity_endo(rank: int) -> Endo:
 
 
 def _elem_endo(elem: ElemAut, exp: int) -> Endo:
-    """Closed form for an elementary automorphism raised to an exponent."""
+    """Closed form for an elementary automorphism raised to an exponent.
+
+    A Nielsen map to the power exp moves one image to |exp| + 1 letters;
+    more than MAX_WORD_LETTERS is refused with ValueError first.
+    """
     rank = elem.rank
     images = [gen(rank, t) for t in range(1, rank + 1)]
-    if elem.kind == "L":
-        sign = 1 if exp > 0 else -1
-        images[elem.i - 1] = reduce(rank, [sign * elem.j] * abs(exp) + [elem.i])
-    elif elem.kind == "R":
-        sign = 1 if exp > 0 else -1
-        images[elem.i - 1] = reduce(rank, [elem.i] + [sign * elem.j] * abs(exp))
+    if elem.kind in ("L", "R"):
+        if abs(exp) >= MAX_WORD_LETTERS:
+            raise ValueError(
+                f"{elem.token()}^{exp} makes an image over {MAX_WORD_LETTERS} letters"
+            )
+        run = [elem.j if exp > 0 else -elem.j] * abs(exp)
+        raw = run + [elem.i] if elem.kind == "L" else [elem.i] + run
+        images[elem.i - 1] = reduce(rank, raw)
     elif elem.kind == "E":
         if exp % 2 == 1:
             images[elem.i - 1] = gen(rank, elem.i, -1)
@@ -226,10 +230,19 @@ def _elem_endo(elem: ElemAut, exp: int) -> Endo:
 
 
 def endo_of(x: AutExpr) -> Endo:
-    """Realize a formal product as generator-image data."""
+    """Realize a formal product as generator-image data.
+
+    Before each factor is composed in, the lengths of the current images
+    bound the new ones; a bound above MAX_WORD_LETTERS raises ValueError.
+    """
     out = identity_endo(x.rank)
     for elem, exp in x.factors:
-        out = compose(out, _elem_endo(elem, exp))
+        step = _elem_endo(elem, exp)
+        lengths = [len(img) for img in out.images]
+        if any(sum(lengths[abs(s) - 1] for s in img.letters) > MAX_WORD_LETTERS
+               for img in step.images):
+            raise ValueError(f"images would exceed {MAX_WORD_LETTERS} letters")
+        out = compose(out, step)
     return out
 
 

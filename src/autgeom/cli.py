@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -201,16 +202,16 @@ def cmd_sanov(args: argparse.Namespace) -> Report:
 
 
 def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
+                 cell: latgeom.Polytope, cls: latgeom.Classification,
                  out: str | None, precision: int,
                  extra_checks: list[Check] | None = None,
                  extra_payload: dict | None = None) -> Report:
-    cell = latgeom.voronoi_cell(lattice)
-    cls = latgeom.classify(cell)
     volume = latgeom.polytope_volume(cell)
+    covolume = latgeom.covolume(lattice)
     payload = {
         "rank": lattice.rank,
         "basis": [_vec3_strs(b) for b in lattice.basis],
-        "covolume": fraction_str(latgeom.covolume(lattice)),
+        "covolume": fraction_str(covolume),
         "volume": fraction_str(volume),
         "classification": _classification_payload(cls),
         "off_path": None,
@@ -222,7 +223,7 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
         Check(
             "cell-tiles",
             "cell volume equals |det basis|",
-            volume == latgeom.covolume(lattice),
+            volume == covolume,
             {"volume": fraction_str(volume)},
         ),
         Check(
@@ -243,9 +244,11 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
 
 def cmd_voronoi(args: argparse.Namespace) -> Report:
     gens = [_parse_vec3(part) for part in args.gens.split(";")]
+    lattice = latgeom.lattice_from(gens)
+    cell = latgeom.voronoi_cell(lattice)
     return _cell_report(
-        "voronoi", {"gens": args.gens}, latgeom.lattice_from(gens), args.out,
-        args.precision,
+        "voronoi", {"gens": args.gens}, lattice, cell, latgeom.classify(cell),
+        args.out, args.precision,
     )
 
 
@@ -296,6 +299,8 @@ def cmd_nielsen_flat(args: argparse.Namespace) -> Report:
         "nielsen-flat",
         {"scale": args.scale},
         model.lattice,
+        model.cell,
+        model.classification,
         args.out,
         args.precision,
         extra_checks,
@@ -521,9 +526,18 @@ def run(argv: list[str] | None = None) -> tuple[int, Report]:
 def main(argv: list[str] | None = None) -> int:
     args, code, report = _dispatch(argv)
     if code >= USAGE_ERROR:
-        print(json.dumps(report.to_dict()), file=sys.stderr)
+        text, stream = json.dumps(report.to_dict()), sys.stderr
     elif args.pretty:
-        print(_render_pretty(report))
+        text, stream = _render_pretty(report), sys.stdout
     else:
-        print(json.dumps(report.to_dict(), indent=1))
+        text, stream = json.dumps(report.to_dict(), indent=1), sys.stdout
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point the stream at devnull so that the
+        # interpreter's flush at exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
     return code

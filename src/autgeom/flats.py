@@ -49,6 +49,10 @@ def _fracs(values: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum(x * y for x, y in zip(u, v))
+
+
 @dataclass(frozen=True)
 class TranslationAction:
     """A homomorphism Z^r -> (translations of Q^dim), one vector per
@@ -197,7 +201,7 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
     assert witness is not None, "fixed-space projection left an unsolvable residual"
     moved = g.apply(witness)
     length_sq = sum((m - w) ** 2 for m, w in zip(moved, witness))
-    assert length_sq == linalg.dot(proj, proj)
+    assert length_sq == _dot(proj, proj)
     return TranslationLength(length_sq, tuple(witness))
 
 
@@ -289,8 +293,8 @@ class EquidistanceCertificate:
         callers re-verify the elimination identity on any vector.
         """
         av = _fracs(a)
-        ta = linalg.dot(self.tau, av)
-        asq = linalg.dot(av, av)
+        ta = _dot(self.tau, av)
+        asq = _dot(av, av)
         first = 2 * self.p * ta + self.p * self.p * asq
         second = 2 * self.q * ta + self.q * self.q * asq
         return self.q * first - self.p * second
@@ -320,11 +324,11 @@ def equidistant_check(tau: Sequence, p: int, q: int, a: Sequence) -> bool:
     tv, av = _fracs(tau), _fracs(a)
     if len(tv) != len(av):
         raise ValueError("tau and a have different dimensions")
-    base = linalg.dot(tv, tv)
+    base = _dot(tv, tv)
 
     def shifted(m: int) -> Fraction:
         w = [t + m * x for t, x in zip(tv, av)]
-        return linalg.dot(w, w)
+        return _dot(w, w)
 
     return shifted(p) == base and shifted(q) == base
 

@@ -39,9 +39,13 @@ __all__ = [
     "mat2_inv",
     "mat2_det",
     "no_short_relation",
+    "MAX_SEARCH_LEN",
 ]
 
 RANK = 3
+# no_short_relation's time and memory triple with every 2 of max_len,
+# so it searches no further than this.
+MAX_SEARCH_LEN = 20
 COVER_RANK = 5
 
 BASIS: tuple[Word, ...] = (
@@ -237,10 +241,12 @@ def no_short_relation(m1: IntMat, m2: IntMat, max_len: int) -> bool:
     length 0); a word of length k landing on a matrix stored at length a
     is a relation when a + k <= max_len.  Time and memory are
     O(3^(max_len/2)), where a search over whole words takes 3^max_len:
-    on CPython 3.11 about 20 ms at max_len 16, and 0.2 s and 30 MB at
-    max_len 20.
-
-    Raises ValueError if max_len < 1 or a matrix is not unimodular.
+    on CPython 3.11 (2-CPU x86-64) an exhaustive search takes about 20 ms
+    at max_len 16, 0.17 s and 47 MB at the cap MAX_SEARCH_LEN = 20, and
+    1.6 s and 320 MB at 24.  Past the cap the search stops: a relation
+    found by then (such as the braid relation at length 6) still answers
+    a larger max_len, and otherwise it raises ValueError, as it does for
+    max_len < 1 or a matrix that is not unimodular.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
@@ -257,6 +263,8 @@ def no_short_relation(m1: IntMat, m2: IntMat, max_len: int) -> bool:
     least = {(1, 0, 0, 1): 0}
     frontier = [((1, 0, 0, 1), 4)]
     for k in range(1, (max_len + 1) // 2 + 1):
+        if k > (MAX_SEARCH_LEN + 1) // 2:
+            raise ValueError(f"max_len {max_len} is over the cap {MAX_SEARCH_LEN}")
         words = []
         for (p, q, r, s), last in frontier:
             for j, (a, b, c, d) in next_letters[last]:

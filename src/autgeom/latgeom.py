@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Vec3",
@@ -36,7 +36,6 @@ __all__ = [
     "Classification",
     "vec3",
     "lattice_from",
-    "contains",
     "covolume",
     "voronoi_cell",
     "polytope_volume",
@@ -99,23 +98,13 @@ ZERO = vec3(0, 0, 0)
 class Lattice:
     """A Z-module in rational 3-space with its canonical echelon basis."""
 
-    generators: tuple[Vec3, ...]
     basis: tuple[Vec3, ...]
     rank: int
 
 
-def _common_denominator(vectors: Iterable[Vec3]) -> int:
-    den = 1
-    for v in vectors:
-        for c in v.coords():
-            den = den * c.denominator // gcd(den, c.denominator)
-    return den
-
-
 def _int_rows(vectors: Sequence[Vec3]) -> tuple[list[list[int]], int]:
-    den = _common_denominator(vectors)
-    rows = [[int(c * den) for c in v.coords()] for v in vectors]
-    return rows, den
+    den = lcm(*(c.denominator for v in vectors for c in v.coords()))
+    return [[int(c * den) for c in v.coords()] for v in vectors], den
 
 
 def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -123,7 +112,9 @@ def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 
     Returns (echelon rows without the zero tail, transform rows U) with
     echelon[i] == sum_j U[i][j] * rows[j].  Pivots are positive and the
-    entries above each pivot are reduced into [0, pivot).
+    entries above each pivot are reduced into [0, pivot), so the form is
+    canonical: a row lies in the module of echelon rows E exactly when
+    the echelon form of E plus that row is E again.
     """
     m = [r[:] for r in rows]
     n = len(m)
@@ -160,22 +151,6 @@ def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return m[:h], u[:h]
 
 
-def _member_coeffs(basis_rows: list[list[int]], v: list[int]) -> list[int] | None:
-    """Integer coefficients of v over echelon basis rows, or None."""
-    rest = v[:]
-    coeffs = []
-    for row in basis_rows:
-        col = next(c for c in range(3) if row[c] != 0)
-        if rest[col] % row[col] != 0:
-            return None
-        q = rest[col] // row[col]
-        rest = [a - q * b for a, b in zip(rest, row)]
-        coeffs.append(q)
-    if any(rest):
-        return None
-    return coeffs
-
-
 def lattice_from(gens: Sequence[Vec3]) -> Lattice:
     """Build a lattice from 1..4 rational generators.
 
@@ -195,8 +170,8 @@ def lattice_from(gens: Sequence[Vec3]) -> Lattice:
         for r in basis_rows
     )
     # Two-way membership: each basis vector is the tracked integer
-    # combination of the generators, and each generator reduces to zero
-    # against the basis.
+    # combination of the generators, and adding any generator to the
+    # basis leaves its canonical echelon form unchanged.
     for i, coeffs in enumerate(transform):
         acc = ZERO
         for c, g in zip(coeffs, gens):
@@ -204,18 +179,9 @@ def lattice_from(gens: Sequence[Vec3]) -> Lattice:
         if acc != basis[i]:
             raise RuntimeError("echelon transform failed verification")
     for row in rows:
-        if _member_coeffs(basis_rows, row) is None:
+        if _hnf(basis_rows + [row])[0] != basis_rows:
             raise RuntimeError("generator not contained in echelon basis module")
-    return Lattice(gens, basis, len(basis_rows))
-
-
-def contains(lat: Lattice, v: Vec3) -> bool:
-    """Exact membership of a rational point in the lattice."""
-    rows, den = _int_rows(lat.basis)
-    scaled = [v.x * den, v.y * den, v.z * den]
-    if any(c.denominator != 1 for c in scaled):
-        return False
-    return _member_coeffs(rows, [int(c) for c in scaled]) is not None
+    return Lattice(basis, len(basis_rows))
 
 
 def covolume(lat: Lattice) -> Fraction:
@@ -371,7 +337,7 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     every face halfspace.  The Polytope itself checks that each face's
     vertices lie on its plane and Euler's formula, so the polytope is
     the intersection of halfspaces x.v_S <= |v_S|^2/2 that bisect true
-    lattice vectors and contains the cell.  Gate 2: its volume equals
+    lattice vectors and holds the cell.  Gate 2: its volume equals
     |det basis|, which forces it to be the cell.
 
     Internally a lattice vector a is the integer row A = den * a and a
@@ -468,8 +434,6 @@ def voronoi_cell(lat: Lattice) -> Polytope:
 
 @dataclass(frozen=True)
 class FaceShape:
-    sides: int
-    edge_lengths_sq: tuple[Fraction, ...]
     is_rhombus: bool
     diag_ratio_sq: Fraction | None
 
@@ -493,18 +457,16 @@ def classify(poly: Polytope) -> Classification:
     shapes = []
     for cycle in poly.faces:
         pts = [poly.vertices[i] for i in cycle]
-        edges = tuple(
-            (b - a).norm_sq() for a, b in zip(pts, pts[1:] + pts[:1])
-        )
-        if any(e == 0 for e in edges):
+        edges = {(b - a).norm_sq() for a, b in zip(pts, pts[1:] + pts[:1])}
+        if 0 in edges:
             raise ValueError("degenerate face with a zero-length edge")
-        rhombus = len(cycle) == 4 and len(set(edges)) == 1
+        rhombus = len(cycle) == 4 and len(edges) == 1
         ratio = None
         if len(cycle) == 4:
             d1 = (pts[2] - pts[0]).norm_sq()
             d2 = (pts[3] - pts[1]).norm_sq()
             ratio = max(d1, d2) / min(d1, d2)
-        shapes.append(FaceShape(len(cycle), edges, rhombus, ratio))
+        shapes.append(FaceShape(rhombus, ratio))
     fv = poly.f_vector()
     all_rhombi = all(s.is_rhombus for s in shapes)
     is_rd = fv == (14, 24, 12) and all_rhombi and all(
@@ -525,15 +487,6 @@ class OctoReport:
     pairs_orthogonal: bool
     differences_orthogonal: bool
     lattice_rank: int
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.equal_nonzero_norms
-            and self.sums_agree
-            and self.pairs_orthogonal
-            and self.differences_orthogonal
-        )
 
 
 def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> OctoReport:

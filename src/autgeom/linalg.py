@@ -23,10 +23,6 @@ Mat = list[list[Fraction]]
 Row = dict[int, Fraction]
 
 
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
-
-
 def _sparse(a: Sequence[Sequence]) -> list[Row]:
     return [{j: Fraction(row[j]) for j in compress(count(), row)} for row in a]
 

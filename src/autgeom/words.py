@@ -18,8 +18,7 @@ whose input is raw, scans letter by letter.
 Words are immutable and every operation is a pure function, so the whole
 module is safe for unrestricted concurrent use.  A word carries the rank
 of its ambient free group; operations on words of different ranks are
-rejected instead of silently coerced (use :func:`embed` to move a word
-into a larger group explicitly).
+rejected instead of silently coerced.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ __all__ = [
     "conj",
     "power",
     "ab_vector",
-    "embed",
     "substitute",
     "cyclic_reduce",
     "parse_word",
@@ -52,7 +50,9 @@ __all__ = [
 ]
 
 # parse_word expands exponents into letters, so it refuses text that
-# spells out more letters than this before expanding any of them.
+# spells out more letters than this before expanding any of them; power
+# refuses a repeated core longer than this before building it, and
+# automorphisms caps the images of its endomorphisms the same way.
 MAX_WORD_LETTERS = 100_000
 
 
@@ -172,13 +172,17 @@ def power(w: Word, k: int) -> Word:
     """k-th power of w (k may be negative or zero).
 
     With w = u * core * u^-1 and core cyclically reduced, w^k is
-    u * core^k * u^-1 with no cancellation left.
+    u * core^k * u^-1 with no cancellation left.  Raises ValueError
+    before building core^k when it would have more than
+    MAX_WORD_LETTERS letters.
     """
     if k == 0:
         return empty(w.rank)
     syms = w.letters if k > 0 else _inverse(w.letters)
     i = _cyclic_split(syms)
     core = syms[i : len(syms) - i]
+    if len(core) * abs(k) > MAX_WORD_LETTERS:
+        raise ValueError(f"power {k} is longer than {MAX_WORD_LETTERS} letters")
     return Word(w.rank, syms[:i] + core * abs(k) + syms[len(syms) - i :])
 
 
@@ -186,18 +190,6 @@ def ab_vector(w: Word) -> tuple[int, ...]:
     """Image in Z^rank: entry i is the exponent sum of a_{i+1}."""
     counts = Counter(w.letters)
     return tuple(counts[i] - counts[-i] for i in range(1, w.rank + 1))
-
-
-def embed(w: Word, new_rank: int) -> Word:
-    """Reinterpret w inside a free group of a different rank.
-
-    Every letter of w must fit in the new rank; shrinking below the
-    largest used index is rejected.
-    """
-    bad = next((abs(x) for x in w.letters if abs(x) > new_rank), None)
-    if bad is not None:
-        raise ValueError(f"word uses generator a{bad}, cannot embed into rank {new_rank}")
-    return Word(new_rank, w.letters)
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from autgeom.automorphisms import parse_autexpr
 from autgeom.latgeom import Vec3
 from autgeom.words import Word, gen, mul, reduce
 
@@ -48,6 +49,21 @@ def run_cli(argv):
     from autgeom.cli import run
 
     return run(argv)
+
+
+def swap(i, j, rank=3):
+    """The automorphism P_ij exchanging a_i and a_j."""
+    return parse_autexpr(f"P{i}{j}", rank)
+
+
+def octo_flags(rep):
+    """The four conditions an OctoReport checks, in report order."""
+    return (
+        rep.equal_nonzero_norms,
+        rep.sums_agree,
+        rep.pairs_orthogonal,
+        rep.differences_orthogonal,
+    )
 
 
 def rotation_from_quaternion(a, b, c, d):

@@ -14,7 +14,7 @@ from autgeom import words as fw
 from autgeom.automorphisms import nielsen_left as L
 
 from conftest import (
-    apply_matrix, random_a3_even_word, random_raw, random_word, run_cli,
+    apply_matrix, octo_flags, random_a3_even_word, random_raw, random_word, run_cli,
 )
 from test_glrep import mat2_mul, random_stabilizing_endo
 from test_latgeom import FCC_GENS, random_rotation
@@ -126,7 +126,7 @@ def test_criterion_4_geometry(rng):
     for quad in quads:
         rep = lg.octo_check(*quad)
         verdict = lg.classify(lg.voronoi_cell(lg.lattice_from(quad)))
-        if not (rep.all_pass and rep.lattice_rank == 3
+        if not (all(octo_flags(rep)) and rep.lattice_rank == 3
                 and verdict.is_rhombic_dodecahedron):
             ok_rotations = False
             break

@@ -10,14 +10,13 @@ from autgeom.automorphisms import (
     inversion,
     nielsen_left,
     nielsen_right,
-    transposition,
 )
 from autgeom.reports import all_pass
 from autgeom.words import RankMismatchError
 
-from conftest import random_word
+from conftest import random_word, swap
 
-L, R, E, P = nielsen_left, nielsen_right, inversion, transposition
+L, R, E, P = nielsen_left, nielsen_right, inversion, swap
 
 
 def random_expr(rng, rank=3, max_len=6):
@@ -61,6 +60,32 @@ class TestEndoOf:
         for _ in range(50):
             x = random_expr(rng, max_len=10)
             assert aut.equal(aut.endo_of(x * x.inverse()), aut.identity_endo(3))
+
+
+class TestImageCap:
+    def test_elementary_image_cap_is_exact(self):
+        n = fw.MAX_WORD_LETTERS
+        assert len(aut.endo_of(R(1, 2) ** -(n - 1)).images[0]) == n
+        with pytest.raises(ValueError, match="image over"):
+            aut.endo_of(L(1, 2) ** n)
+        # Swaps and inversions keep their images short at any exponent.
+        assert aut.equal(aut.endo_of(E(1) ** (2 * n)), aut.identity_endo(3))
+        assert aut.equal(aut.endo_of(P(1, 2) ** (2 * n)), aut.identity_endo(3))
+
+    def test_factor_count_cap(self):
+        n = fw.MAX_WORD_LETTERS
+        assert len(((E(1) * E(2)) ** (n // 2)).factors) == n
+        with pytest.raises(ValueError, match="factors"):
+            (E(1) * E(2)) ** -(n // 2 + 1)
+
+    def test_growth_refused_before_compose(self):
+        # The longest image of (L12 L21)^k has Fibonacci length F(2k + 2):
+        # 46,368 letters at k = 11, 121,393 at k = 12.
+        x = L(1, 2) * L(2, 1)
+        assert max(map(len, aut.endo_of(x ** 11).images)) == 46_368
+        for k in (12, 40):
+            with pytest.raises(ValueError, match="exceed"):
+                aut.endo_of(x ** k)
 
 
 class TestApplyComposeEqual:

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import pathlib
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
-from autgeom import latgeom
+from autgeom import flats, latgeom
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
 
 from conftest import run_cli
@@ -352,3 +353,83 @@ class TestEndToEnd:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["passed"] is False
+
+    def test_closed_stdout_prints_no_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "autgeom", "voronoi", "--gens", "1,1,0;1,-1,0;1,0,1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        # Close the read end before the child has imported anything, so
+        # its report meets a closed pipe.
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in stderr
+
+
+def _limit_address_space():
+    # A missing guard then fails fast with MemoryError instead of taking
+    # the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gl-rep", "L12^2000000000"],
+        ["sanov", "--power", "2000000000"],
+        ["gl-rep", "L12", "--power", "2000000000"],
+        ["gl-rep", "L12 L21", "--power", "2000000000"],
+        ["gl-rep", "L12 L21", "--power", "40"],
+        ["gpq", "--n", "3", "--p", "2000000000", "--q", "1", "--w", "a1"],
+        ["inner-gpq", "--p", "2000000000", "--q", "1"],
+        ["sanov", "--power", "2", "--max-len", "60"],
+    ],
+)
+def test_oversize_request_is_two_at_once(argv):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "autgeom", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == USAGE_ERROR
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["passed"] is False
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of latgeom functions, also where flats imported them."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(latgeom, name)
+
+        def counted(*args, _fn=original, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for module in (latgeom, flats):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_nielsen_flat_builds_one_cell(monkeypatch):
+    counts = _count_calls(monkeypatch, ["voronoi_cell", "classify"])
+    code, _ = run_cli(["nielsen-flat", "--scale", "2"])
+    assert code == 0
+    assert counts == {"voronoi_cell": 1, "classify": 1}
+
+
+def test_voronoi_computes_covolume_twice(monkeypatch):
+    # Once in the volume gate of voronoi_cell, once in the report.
+    counts = _count_calls(monkeypatch, ["covolume", "voronoi_cell", "classify"])
+    code, _ = run_cli(["voronoi", "--gens", FCC_GENS])
+    assert code == 0
+    assert counts == {"covolume": 2, "voronoi_cell": 1, "classify": 1}

@@ -5,12 +5,12 @@ import pytest
 from autgeom import automorphisms as aut
 from autgeom import glrep
 from autgeom import words as fw
-from autgeom.automorphisms import inversion, nielsen_left, nielsen_right, transposition
+from autgeom.automorphisms import inversion, nielsen_left, nielsen_right
 
-from conftest import random_a3_even_word
+from conftest import random_a3_even_word, swap
 from test_words import RefLetter, ref_letters, ref_syms
 
-L, R, E, P = nielsen_left, nielsen_right, inversion, transposition
+L, R, E, P = nielsen_left, nielsen_right, inversion, swap
 
 # Elementary automorphisms that preserve the even-a3 subgroup: Nielsen
 # maps multiplying by a1 or a2, all inversions, and the a1<->a2 swap.
@@ -386,6 +386,16 @@ class TestNoShortRelation:
     def test_nonpositive_length_rejected(self, max_len):
         with pytest.raises(ValueError, match="max_len"):
             glrep.no_short_relation([[1, 0], [2, 1]], [[1, 2], [0, 1]], max_len)
+
+    def test_search_cap(self):
+        cap = glrep.MAX_SEARCH_LEN
+        free = [[1, 0], [2, 1]], [[1, 2], [0, 1]]
+        assert glrep.no_short_relation(*free, cap)
+        with pytest.raises(ValueError, match="over the cap"):
+            glrep.no_short_relation(*free, cap + 1)
+        # A relation inside the cap still answers a longer bound.
+        braid = [[1, 0], [1, 1]], [[1, 1], [0, 1]]
+        assert not glrep.no_short_relation(*braid, 10 ** 6)
 
     def test_matches_depth_first_reference(self, rng):
         shortest = collections.Counter()

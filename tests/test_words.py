@@ -133,6 +133,16 @@ class TestGroupOps:
         assert fw.power(w, 3) == fw.parse_word("a1 a2 a3^3 a2^-1 a1^-1", 3)
         assert fw.power(w, -2) == fw.parse_word("a1 a2 a3^-2 a2^-1 a1^-1", 3)
 
+    def test_power_caps_the_repeated_core(self):
+        # The cap counts core^k; the conjugating prefix comes on top.
+        n = fw.MAX_WORD_LETTERS
+        w = fw.parse_word("a2 a1 a2^-1", 2)
+        assert len(fw.power(w, -n)) == n + 2
+        with pytest.raises(ValueError, match="longer than"):
+            fw.power(w, n + 1)
+        with pytest.raises(ValueError, match="longer than"):
+            fw.power(fw.parse_word("a1 a2", 2), -(n // 2 + 1))
+
 
 class TestAbVector:
     def test_exponent_count(self):
@@ -156,15 +166,6 @@ class TestAbVector:
 
 
 class TestEmbedAndCyclic:
-    def test_embed_up(self):
-        w = fw.parse_word("a1 a2", 2)
-        up = fw.embed(w, 5)
-        assert up.rank == 5 and up.letters == w.letters
-
-    def test_embed_too_small(self):
-        with pytest.raises(ValueError):
-            fw.embed(fw.parse_word("a1 a3", 3), 2)
-
     def test_cyclic_reduce(self):
         w = fw.parse_word("a1 a2^-1 a3 a2 a1^-1", 3)
         core, u = fw.cyclic_reduce(w)
