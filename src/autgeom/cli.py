@@ -160,7 +160,7 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
 
 def cmd_lk_basis(args: argparse.Namespace) -> Report:
     words = glrep.lk_basis(args.k)
-    total_a = sum(ab_vector(w)[0] for w in words)
+    total_a = sum(ab_vector(w, 2)[0] for w in words)
     checks = [
         Check("count", "the basis has exactly k words", len(words) == args.k, None),
         Check(

@@ -184,7 +184,8 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
     fixed point.  O - I is built as integer rows straight from the block
     permutation, with at most two nonzeros per row, so the sparse
     elimination in ``linalg`` does row operations in time linear in the
-    dimension instead of cubic.
+    dimension instead of cubic.  Raises RuntimeError if the witness
+    cannot be solved for or does not move by exactly proj t.
     """
     n = g.dim
     k = g.block_dim
@@ -198,10 +199,12 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
     proj = linalg.project_onto_span(fixed, g.translation)
     residual = [-(t - p) for t, p in zip(g.translation, proj)]
     witness = linalg.solve(a, residual)
-    assert witness is not None, "fixed-space projection left an unsolvable residual"
+    if witness is None:
+        raise RuntimeError("fixed-space projection left an unsolvable residual")
     moved = g.apply(witness)
     length_sq = sum((m - w) ** 2 for m, w in zip(moved, witness))
-    assert length_sq == _dot(proj, proj)
+    if length_sq != _dot(proj, proj):
+        raise RuntimeError("witness displacement differs from the projected translation")
     return TranslationLength(length_sq, tuple(witness))
 
 
@@ -314,9 +317,7 @@ def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> EquidistanceCertif
             "p = q is degenerate: the two constraints coincide and admit "
             "nonzero solutions"
         )
-    coefficient = p * q * (p - q)
-    assert coefficient != 0
-    return EquidistanceCertificate(_fracs(tau), p, q, coefficient)
+    return EquidistanceCertificate(_fracs(tau), p, q, p * q * (p - q))
 
 
 def equidistant_check(tau: Sequence, p: int, q: int, a: Sequence) -> bool:

@@ -20,7 +20,9 @@ import functools
 from itertools import combinations
 
 from .automorphisms import Endo, apply, inner
-from .words import Word, ab_vector, gen, mul, power, reduce, substitute
+from .words import (
+    MAX_WORD_LETTERS, Word, ab_vector, gen, mul, power, reduce, substitute,
+)
 
 __all__ = [
     "RANK",
@@ -49,8 +51,8 @@ MAX_SEARCH_LEN = 20
 COVER_RANK = 5
 
 BASIS: tuple[Word, ...] = (
-    gen(3, 1),
-    gen(3, 2),
+    gen(1),
+    gen(2),
     reduce(3, [3, 3]),
     reduce(3, [3, 1, -3]),
     reduce(3, [3, 2, -3]),
@@ -71,15 +73,11 @@ _SCAN: tuple[dict[int, tuple[int, int]], ...] = (
 
 def nu(w: Word) -> int:
     """Exponent sum of a3 modulo 2 (the coset of w in the 2-sheeted cover)."""
-    if w.rank != RANK:
-        raise ValueError(f"expected a rank-3 word, got rank {w.rank}")
     return (w.letters.count(3) - w.letters.count(-3)) % 2
 
 
 def stabilizes(e: Endo) -> bool:
     """True iff e preserves the even-a3 subgroup: nu(e(a_i)) = nu(a_i)."""
-    if e.rank != RANK:
-        raise ValueError(f"expected a rank-3 endomorphism, got rank {e.rank}")
     return (
         nu(e.images[0]) == 0 and nu(e.images[1]) == 0 and nu(e.images[2]) == 1
     )
@@ -108,7 +106,7 @@ def rewrite(w: Word) -> Word:
         y, state = _SCAN[state][x]
         if y:
             out.append(y)
-    result = Word(COVER_RANK, tuple(out))
+    result = Word(tuple(out))
     if expand(result) != w:
         raise RuntimeError("rewrite failed its round-trip self-check")
     return result
@@ -125,13 +123,13 @@ def ab5(e: Endo) -> IntMat:
     """
     if not stabilizes(e):
         raise ValueError("automorphism does not stabilize the even-a3 subgroup")
-    columns = [ab_vector(rewrite(apply(e, x))) for x in BASIS]
+    columns = [ab_vector(rewrite(apply(e, x)), COVER_RANK) for x in BASIS]
     return [[columns[j][i] for j in range(COVER_RANK)] for i in range(COVER_RANK)]
 
 
 def sigma_star() -> IntMat:
     """The deck involution on the abelianization: conjugation by a3."""
-    return ab5(inner(gen(3, 3)))
+    return ab5(inner(gen(3), RANK))
 
 
 def _det3(m: IntMat) -> int:
@@ -200,10 +198,17 @@ def lk_basis(k: int) -> tuple[Word, ...]:
         a^i b a^-i for 0 <= i <= k-2, followed by a^{k-1}.
 
     Returns k words; each is a conjugate of a power of a basis element.
+    They have k(k-1) letters in all, and a k for which that is more than
+    MAX_WORD_LETTERS is refused with ValueError before any is built.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    a, b = gen(2, 1), gen(2, 2)
+    if k * (k - 1) > MAX_WORD_LETTERS:
+        raise ValueError(
+            f"k = {k} makes a basis of {k * (k - 1)} letters, "
+            f"more than {MAX_WORD_LETTERS}"
+        )
+    a, b = gen(1), gen(2)
     words = [mul(mul(power(a, i), b), power(a, -i)) for i in range(k - 1)]
     words.append(power(a, k - 1))
     return tuple(words)

@@ -141,7 +141,8 @@ def project_onto_span(basis: Sequence[Sequence], t: Sequence) -> Vec:
         if rhs:
             row[n] = rhs
     pivots = _gauss_jordan(normal)
-    assert n not in pivots, "basis vectors are linearly dependent"
+    if n in pivots:
+        raise RuntimeError("the normal equations of the projection are inconsistent")
     for c, row in pivots.items():
         if n in row:
             for k, x in us[c].items():

@@ -2,9 +2,13 @@
 
 A word is a tuple of nonzero ints: ``+i`` is the generator a_i and
 ``-i`` its inverse, so inverting a word is
-``tuple(map(neg, reversed(letters)))``.  :class:`Word` checks its whole
-invariant (positive rank, nonzero letters within the rank, no adjacent
-``x, -x``) on construction, with builtins over the int tuple.
+``tuple(map(neg, reversed(letters)))``.  :class:`Word` checks that it
+is reduced (nonzero letters, no adjacent ``x, -x``) on construction,
+with builtins over the int tuple.  A word does not carry the rank of a
+free group, so one word serves in every free group whose basis covers
+its letters.  Letters are range-checked against a rank only where they
+enter from outside, in :func:`reduce` and :func:`parse_word`; functions
+that need a rank, such as :func:`ab_vector`, take it as an argument.
 
 The operands of :func:`mul`, :func:`power` and :func:`substitute` are
 reduced already, so letters can cancel only at the seam where two
@@ -16,9 +20,7 @@ between copies of w cancels exactly u^-1 * u.  Only :func:`reduce`,
 whose input is raw, scans letter by letter.
 
 Words are immutable and every operation is a pure function, so the whole
-module is safe for unrestricted concurrent use.  A word carries the rank
-of its ambient free group; operations on words of different ranks are
-rejected instead of silently coerced.
+module is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "Word",
-    "RankMismatchError",
     "WordParseError",
     "empty",
     "gen",
@@ -56,10 +57,6 @@ __all__ = [
 MAX_WORD_LETTERS = 100_000
 
 
-class RankMismatchError(ValueError):
-    """Operands live in free groups of different ranks."""
-
-
 class WordParseError(ValueError):
     """Malformed word text; ``position`` is the character offset."""
 
@@ -68,28 +65,16 @@ class WordParseError(ValueError):
         self.position = position
 
 
-def _check_range(rank: int, syms: Sequence[int]) -> None:
-    """Positive rank, and every letter nonzero with |letter| <= rank."""
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
-    if syms:
-        if 0 in syms:
-            raise ValueError("letter 0 is not a generator")
-        top = max(max(syms), -min(syms))
-        if top > rank:
-            raise ValueError(f"generator index {top} out of range for rank {rank}")
-
-
 @dataclass(frozen=True)
 class Word:
-    """A freely reduced word: no adjacent ``x, -x``, all |letters| <= rank."""
+    """A freely reduced word: nonzero letters, no adjacent ``x, -x``."""
 
-    rank: int
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
         syms = self.letters
-        _check_range(self.rank, syms)
+        if 0 in syms:
+            raise ValueError("letter 0 is not a generator")
         if 0 in map(add, syms, syms[1:]):
             raise ValueError("letter sequence is not freely reduced")
 
@@ -97,18 +82,18 @@ class Word:
         return len(self.letters)
 
     def __repr__(self) -> str:
-        return f"Word({self.rank}, {format_word(self)!r})"
+        return f"Word({format_word(self)!r})"
 
 
-def empty(rank: int) -> Word:
-    return Word(rank, ())
+def empty() -> Word:
+    return Word(())
 
 
-def gen(rank: int, index: int, sign: int = 1) -> Word:
+def gen(index: int, sign: int = 1) -> Word:
     """The one-letter word a_index, or its inverse for sign -1."""
     if sign not in (1, -1) or index < 1:
         raise ValueError(f"need index >= 1 and sign +-1, got a{index} with sign {sign}")
-    return Word(rank, (sign * index,))
+    return Word((sign * index,))
 
 
 def _inverse(syms: Sequence[int]) -> tuple[int, ...]:
@@ -118,11 +103,19 @@ def _inverse(syms: Sequence[int]) -> tuple[int, ...]:
 def reduce(rank: int, raw: Iterable[int]) -> Word:
     """Freely reduce a raw sequence of signed letters in a single stack pass.
 
-    Every letter is range-checked, including letters that cancel.
-    Idempotent: reducing an already reduced sequence returns it unchanged.
+    The rank must be positive, and every letter, including letters that
+    cancel, nonzero with absolute value at most the rank.  Idempotent:
+    reducing an already reduced sequence returns it unchanged.
     """
     raw = tuple(raw)
-    _check_range(rank, raw)
+    if rank < 1:
+        raise ValueError(f"rank must be positive, got {rank}")
+    if raw:
+        if 0 in raw:
+            raise ValueError("letter 0 is not a generator")
+        top = max(max(raw), -min(raw))
+        if top > rank:
+            raise ValueError(f"generator index {top} out of range for rank {rank}")
     stack: list[int] = []
     push, pop = stack.append, stack.pop
     for x in raw:
@@ -130,28 +123,21 @@ def reduce(rank: int, raw: Iterable[int]) -> Word:
             pop()
         else:
             push(x)
-    return Word(rank, tuple(stack))
-
-
-def _same_rank(u: Word, v: Word) -> int:
-    if u.rank != v.rank:
-        raise RankMismatchError(f"rank {u.rank} vs rank {v.rank}")
-    return u.rank
+    return Word(tuple(stack))
 
 
 def mul(u: Word, v: Word) -> Word:
     """Product u*v, reduced.  len(mul(u,v)) <= len(u)+len(v)."""
-    rank = _same_rank(u, v)
     a, b = u.letters, v.letters
     k, n = 0, min(len(a), len(b))
     while k < n and a[-1 - k] == -b[k]:
         k += 1
-    return Word(rank, a[: len(a) - k] + b[k:])
+    return Word(a[: len(a) - k] + b[k:])
 
 
 def inv(w: Word) -> Word:
     """Inverse word: reversed letters with negated signs."""
-    return Word(w.rank, _inverse(w.letters))
+    return Word(_inverse(w.letters))
 
 
 def conj(w: Word, g: Word) -> Word:
@@ -177,37 +163,36 @@ def power(w: Word, k: int) -> Word:
     MAX_WORD_LETTERS letters.
     """
     if k == 0:
-        return empty(w.rank)
+        return empty()
     syms = w.letters if k > 0 else _inverse(w.letters)
     i = _cyclic_split(syms)
     core = syms[i : len(syms) - i]
     if len(core) * abs(k) > MAX_WORD_LETTERS:
         raise ValueError(f"power {k} is longer than {MAX_WORD_LETTERS} letters")
-    return Word(w.rank, syms[:i] + core * abs(k) + syms[len(syms) - i :])
+    return Word(syms[:i] + core * abs(k) + syms[len(syms) - i :])
 
 
-def ab_vector(w: Word) -> tuple[int, ...]:
+def ab_vector(w: Word, rank: int) -> tuple[int, ...]:
     """Image in Z^rank: entry i is the exponent sum of a_{i+1}."""
     counts = Counter(w.letters)
-    return tuple(counts[i] - counts[-i] for i in range(1, w.rank + 1))
+    return tuple(counts[i] - counts[-i] for i in range(1, rank + 1))
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:
     """Homomorphic image of w under a_i -> images[i-1], reduced.
 
-    The images fix the target rank and must all agree on it.  Each
+    Raises ValueError if w uses a generator that has no image.  Each
     image (or its inverse) is reduced, so the result cancels only at the
     seam with the next image.
     """
-    if len(images) != w.rank:
-        raise ValueError(f"need {w.rank} generator images, got {len(images)}")
-    target = images[0].rank
-    if any(img.rank != target for img in images):
-        raise RankMismatchError("generator images have mixed ranks")
+    used = set(w.letters)
+    top = max(map(abs, used), default=0)
+    if top > len(images):
+        raise ValueError(f"generator a{top} has no image among {len(images)}")
     # Images of the letters w uses: a_i -> images[i-1], a_i^-1 -> its inverse.
     table = {
         x: images[x - 1].letters if x > 0 else _inverse(images[-x - 1].letters)
-        for x in set(w.letters)
+        for x in used
     }
     stack: list[int] = []
     pop, extend = stack.pop, stack.extend
@@ -222,7 +207,7 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
             extend(piece[k:])
         else:
             extend(piece)
-    return Word(target, tuple(stack))
+    return Word(tuple(stack))
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -233,7 +218,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """
     syms = w.letters
     i = _cyclic_split(syms)
-    return Word(w.rank, syms[i : len(syms) - i]), Word(w.rank, syms[:i])
+    return Word(syms[i : len(syms) - i]), Word(syms[:i])
 
 
 _TOKEN = re.compile(r"([aA])(\d+)(?:\^(-?\d+))?\Z")

@@ -13,7 +13,7 @@ def rng():
     return random.Random(20110222)
 
 
-def naive_reduce(rank, raw):
+def naive_reduce(raw):
     """Independent reduction oracle: repeated full scans to a fixpoint."""
     letters = list(raw)
     changed = True
@@ -24,7 +24,7 @@ def naive_reduce(rank, raw):
                 del letters[i : i + 2]
                 changed = True
                 break
-    return Word(rank, tuple(letters))
+    return Word(tuple(letters))
 
 
 def random_raw(rng, rank, length):
@@ -40,7 +40,7 @@ def random_a3_even_word(rng, max_len):
     """A random rank-3 word with even a3-exponent."""
     w = random_word(rng, 3, max_len)
     if (w.letters.count(3) + w.letters.count(-3)) % 2 == 1:
-        w = mul(w, gen(3, 3, rng.choice((1, -1))))
+        w = mul(w, gen(3, rng.choice((1, -1))))
     return w
 
 

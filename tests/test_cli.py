@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from autgeom import flats, latgeom
+from autgeom import flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
 
 from conftest import run_cli
@@ -93,6 +93,7 @@ class TestExitCodes:
             ["voronoi", "--gens", FCC_GENS, "--out", "{tmp}/missing/c.off"],
             ["sanov", "--max-len", "-5"],
             ["sanov", "--max-len", "0"],
+            ["lk-basis", "--k", "300000"],
         ],
     )
     def test_precondition_violations_are_two(self, argv, tmp_path):
@@ -117,6 +118,12 @@ class TestExitCodes:
         assert code == INTERNAL_ERROR
         assert "volume gate" in report.payload["error"]
         assert report.to_dict()["passed"] is False
+
+    def test_unsolvable_witness_is_three(self, monkeypatch):
+        monkeypatch.setattr(linalg, "solve", lambda a, b: None)
+        code, report = run_cli(["induce", "--d", "3", "--ell", "5/2"])
+        assert code == INTERNAL_ERROR
+        assert report.payload["error"].startswith("internal failure: RuntimeError")
 
     def test_error_report_echoes_arguments(self, tmp_path):
         out = str(tmp_path / "c.off")
@@ -227,6 +234,14 @@ PINNED_ALGEBRA = [
      "21dddec78bbe4f937b0f9be723f3da15c9680b9729358e6c02e373a20a443c98"),
     (["sanov", "--power", "-1", "--max-len", "6"], 1,
      "86cf419a8f08dd4a6983c24408cfc076cd573aa2f63cce86afa48d340bd296ce"),
+    # Error reports whose messages come from the range checks on input
+    # letters and generator indices.
+    (["gpq", "--n", "2", "--p", "1", "--q", "2", "--w", "1"], 2,
+     "6c8ed624709691255567dff5a76cb6ea7ba4f6bea3e0e934b9d371f5544ccf47"),
+    (["gpq", "--n", "5", "--p", "1", "--q", "2", "--w", "a4"], 2,
+     "18c8bb9bf5caacc32ac064320a303da1377ac5c840d74946f85c40915d5593cf"),
+    (["gl-rep", "L45"], 2,
+     "9bf6bf7122fb74e9c0305902c62fb9fd6ecb663f1ee34926862c1c6bf6272055"),
 ]
 
 
