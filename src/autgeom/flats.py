@@ -36,6 +36,7 @@ __all__ = [
     "trans_length_sq",
     "induced_action",
     "cyclic_induced",
+    "MAX_COSETS",
     "EquidistanceCertificate",
     "equidistant_forces_zero",
     "equidistant_check",
@@ -243,15 +244,22 @@ def induced_action(
     return AffineIsometry(k, tuple(source), tuple(signs), tuple(translation))
 
 
+# The most cosets cyclic_induced accepts: trans_length_sq still eliminates
+# on dense d x d rows, and `induce --d 1000` takes about 0.6 s and 34 MB.
+MAX_COSETS = 1000
+
+
 def cyclic_induced(d: int, ell) -> AffineIsometry:
     """Induce the generator of Z through its index-d subgroup, where the
     subgroup generator translates the line by ell.
 
     The result is the d-block cyclic isometry whose squared translation
-    length is ell^2 / d.
+    length is ell^2 / d.  A d above MAX_COSETS is refused.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    if d > MAX_COSETS:
+        raise ValueError(f"need d <= {MAX_COSETS}, got {d}")
     ell = Fraction(ell)
     base = [AffineIsometry.pure_translation([Fraction(0)]) for _ in range(d - 1)]
     base.append(AffineIsometry.pure_translation([ell]))

@@ -10,12 +10,14 @@ its vertices the circumcentres of 24 Delaunay simplices and its faces
 the 14 subset sums.  Two authoritative gates verify the result: every
 vertex minimizes its distance over a box of lattice points holding all
 face normals, and the cell volume equals the covolume of the lattice
-(the tiling condition).
+(the tiling condition).  Two more check that the faces lie on their
+bisector planes and satisfy Euler's formula.
 
-Inputs and outputs are Fractions, the inner loops work on integers,
-and lengths are handled as squared values so no square root is ever
-taken.  A claimed diagonal ratio of 1:sqrt(2) therefore appears as a
-squared ratio of exactly 2.
+Generators come in as Fractions, and a cell stays integer points over
+one denominator until the OFF export, its volume and its diagonal
+ratios turn them into Fractions.  Lengths are handled as squared values
+so no square root is ever taken: a claimed diagonal ratio of 1:sqrt(2)
+appears as a squared ratio of exactly 2.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class Vec3:
     def __neg__(self) -> "Vec3":
         return Vec3(-self.x, -self.y, -self.z)
 
-    def scale(self, c) -> "Vec3":
-        f = Fraction(c)
-        return Vec3(self.x * f, self.y * f, self.z * f)
-
     def dot(self, other: "Vec3") -> Fraction:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
@@ -89,9 +87,6 @@ class Vec3:
 def vec3(x, y, z) -> Vec3:
     """Build a Vec3 from ints, Fractions, or rational strings like '1/2'."""
     return Vec3(Fraction(x), Fraction(y), Fraction(z))
-
-
-ZERO = vec3(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -165,22 +160,16 @@ def lattice_from(gens: Sequence[Vec3]) -> Lattice:
         raise ValueError("all generators are zero")
     rows, den = _int_rows(gens)
     basis_rows, transform = _hnf(rows)
-    basis = tuple(
-        Vec3(Fraction(r[0], den), Fraction(r[1], den), Fraction(r[2], den))
-        for r in basis_rows
-    )
-    # Two-way membership: each basis vector is the tracked integer
-    # combination of the generators, and adding any generator to the
-    # basis leaves its canonical echelon form unchanged.
-    for i, coeffs in enumerate(transform):
-        acc = ZERO
-        for c, g in zip(coeffs, gens):
-            acc = acc + g.scale(c)
-        if acc != basis[i]:
+    # Two-way membership: each basis row is the tracked integer
+    # combination of the generator rows, and adding any generator row to
+    # the basis leaves its canonical echelon form unchanged.
+    for coeffs, target in zip(transform, basis_rows):
+        if [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(3)] != target:
             raise RuntimeError("echelon transform failed verification")
     for row in rows:
         if _hnf(basis_rows + [row])[0] != basis_rows:
             raise RuntimeError("generator not contained in echelon basis module")
+    basis = tuple(Vec3(*(Fraction(x, den) for x in r)) for r in basis_rows)
     return Lattice(basis, len(basis_rows))
 
 
@@ -199,41 +188,23 @@ def covolume(lat: Lattice) -> Fraction:
 
 @dataclass(frozen=True)
 class Polytope:
-    """An exact convex 3-polytope.
+    """A Voronoi cell as integer points over one denominator.
 
-    ``faces[k]`` is the cyclic vertex-index cycle of the face supported
-    by ``halfspaces[k]`` (pairs (normal a, offset c) meaning x.a <= c).
+    Vertex i is the point ``vertices[i] / den``.  ``faces[k]`` is the
+    cyclic vertex-index cycle of the face on the bisector plane
+    x.a = |a|^2 / 2 of the lattice vector a = ``normals[k] / den``.
+    ``voronoi_cell`` gates every cell it returns.
     """
 
-    vertices: tuple[Vec3, ...]
+    vertices: tuple[tuple[int, int, int], ...]
     faces: tuple[tuple[int, ...], ...]
-    halfspaces: tuple[tuple[Vec3, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.faces) != len(self.halfspaces):
-            raise ValueError("faces and halfspaces must correspond one-to-one")
-        edges = set()
-        for cycle, (normal, offset) in zip(self.faces, self.halfspaces):
-            if len(cycle) < 3:
-                raise ValueError("face with fewer than three vertices")
-            for idx in cycle:
-                if self.vertices[idx].dot(normal) != offset:
-                    raise ValueError("face vertex misses its supporting plane")
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                edges.add(frozenset((a, b)))
-        v, e, f = len(self.vertices), len(edges), len(self.faces)
-        if v - e + f != 2:
-            raise ValueError(f"Euler check failed: V={v} E={e} F={f}")
-
-    def edge_count(self) -> int:
-        edges = set()
-        for cycle in self.faces:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                edges.add(frozenset((a, b)))
-        return len(edges)
+    normals: tuple[tuple[int, int, int], ...]
+    den: int
 
     def f_vector(self) -> tuple[int, int, int]:
-        return (len(self.vertices), self.edge_count(), len(self.faces))
+        edges = {frozenset(edge) for cycle in self.faces
+                 for edge in zip(cycle, cycle[1:] + cycle[:1])}
+        return (len(self.vertices), len(edges), len(self.faces))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -250,6 +221,10 @@ def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
 
 def _add(u: Sequence[int], v: Sequence[int]) -> list[int]:
     return [u[0] + v[0], u[1] + v[1], u[2] + v[2]]
+
+
+def _dist_sq(u: Sequence[int], v: Sequence[int]) -> int:
+    return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 + (u[2] - v[2]) ** 2
 
 
 def _obtuse_superbase(rows: list[list[int]]) -> list[list[int]]:
@@ -302,15 +277,13 @@ def _ring(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def polytope_volume(poly: Polytope) -> Fraction:
     """Exact volume via origin-apex pyramids over each face."""
-    total = Fraction(0)
+    pts = poly.vertices
+    total = 0
     for cycle in poly.faces:
-        v0 = poly.vertices[cycle[0]]
-        signed = Fraction(0)
-        for a, b in zip(cycle[1:], cycle[2:]):
-            va, vb = poly.vertices[a], poly.vertices[b]
-            signed += v0.dot(va.cross(vb))
-        total += abs(signed)
-    return total / 6
+        p0 = pts[cycle[0]]
+        total += abs(sum(_dot(p0, _cross(pts[a], pts[b]))
+                         for a, b in zip(cycle[1:], cycle[2:])))
+    return Fraction(total, 6 * poly.den ** 3)
 
 
 def voronoi_cell(lat: Lattice) -> Polytope:
@@ -330,19 +303,21 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     repeated vertices are dropped from each cycle and a facet with fewer
     than three vertices left is not a facet.
 
-    Before returning, two gates are enforced exactly.  Gate 1: every
-    vertex is at minimal squared distance from the origin among the 124
-    nonzero lattice points of the [-2, 2]^3 coefficient box over
-    v1, v2, v3; the box holds all 14 v_S, so every vertex satisfies
-    every face halfspace.  The Polytope itself checks that each face's
-    vertices lie on its plane and Euler's formula, so the polytope is
-    the intersection of halfspaces x.v_S <= |v_S|^2/2 that bisect true
+    Before returning, four gates are enforced exactly, each raising
+    RuntimeError.  Gate 1: every vertex is at minimal squared distance
+    from the origin among the 124 nonzero lattice points of the
+    [-2, 2]^3 coefficient box over v1, v2, v3; the box holds all 14 v_S,
+    so every vertex satisfies every face halfspace.  The plane gate
+    checks that each face's vertices lie on the bisector plane of its
+    v_S, and the Euler gate that V - E + F = 2, so the polytope is the
+    intersection of halfspaces x.v_S <= |v_S|^2/2 that bisect true
     lattice vectors and holds the cell.  Gate 2: its volume equals
     |det basis|, which forces it to be the cell.
 
     Internally a lattice vector a is the integer row A = den * a and a
-    point x is y = den * x, so the halfspace of A reads 2 y.A <= |A|^2;
-    everything is an integer until the Polytope is built.
+    point x is y = den * x, so the halfspace of A reads 2 y.A <= |A|^2.
+    The returned Polytope stays in integers: its vertices and face
+    vectors are taken over the one denominator common * den.
     """
     if lat.rank != 3:
         raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
@@ -409,17 +384,24 @@ def voronoi_cell(lat: Lattice) -> Polytope:
             cycle = cycle[start:] + cycle[:start]
             if cycle[-1] < cycle[1]:
                 cycle = [cycle[0]] + cycle[:0:-1]
-            a = [sum(v[i][k] for i in subset) for k in range(3)]
-            faces.append((tuple(cycle), a, _dot(a, a)))
+            normal = tuple(common * sum(v[i][k] for i in subset) for k in range(3))
+            faces.append((tuple(cycle), normal))
     faces.sort(key=lambda face: sorted(face[0]))
     poly = Polytope(
-        tuple(Vec3(*(Fraction(x, common * den) for x in y)) for y in vertices),
-        tuple(cycle for cycle, _, _ in faces),
-        tuple(
-            (Vec3(*(Fraction(x, den) for x in a)), Fraction(n, 2 * den * den))
-            for _, a, n in faces
-        ),
+        tuple(vertices),
+        tuple(cycle for cycle, _ in faces),
+        tuple(normal for _, normal in faces),
+        common * den,
     )
+
+    # The plane gate: a face at x.a = |a|^2 / 2 reads 2 p.n = |n|^2 for
+    # the integer point p and face vector n over the one denominator.
+    for cycle, n in zip(poly.faces, poly.normals):
+        if any(2 * _dot(vertices[i], n) != _dot(n, n) for i in cycle):
+            raise RuntimeError("face vertex misses its bisector plane")
+    n_v, n_e, n_f = poly.f_vector()
+    if n_v - n_e + n_f != 2:
+        raise RuntimeError(f"Euler gate failed: V={n_v} E={n_e} F={n_f}")
 
     # Gate 2: the cell tiles, so its volume is exactly the covolume.
     if polytope_volume(poly) != covolume(lat):
@@ -457,15 +439,15 @@ def classify(poly: Polytope) -> Classification:
     shapes = []
     for cycle in poly.faces:
         pts = [poly.vertices[i] for i in cycle]
-        edges = {(b - a).norm_sq() for a, b in zip(pts, pts[1:] + pts[:1])}
+        edges = {_dist_sq(a, b) for a, b in zip(pts, pts[1:] + pts[:1])}
         if 0 in edges:
             raise ValueError("degenerate face with a zero-length edge")
         rhombus = len(cycle) == 4 and len(edges) == 1
         ratio = None
         if len(cycle) == 4:
-            d1 = (pts[2] - pts[0]).norm_sq()
-            d2 = (pts[3] - pts[1]).norm_sq()
-            ratio = max(d1, d2) / min(d1, d2)
+            d1 = _dist_sq(pts[2], pts[0])
+            d2 = _dist_sq(pts[3], pts[1])
+            ratio = Fraction(max(d1, d2), min(d1, d2))
         shapes.append(FaceShape(rhombus, ratio))
     fv = poly.f_vector()
     all_rhombi = all(s.is_rhombus for s in shapes)
@@ -537,24 +519,27 @@ def _decimal_str(x: Fraction, digits: int) -> str:
     return f"{sign}{t // q}.{t % q:0{digits}d}"
 
 
+def _pair(x: Fraction) -> list[int]:
+    return [x.numerator, x.denominator]
+
+
 def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]:
     """Write an OFF file plus an exact JSON sidecar.
 
     The OFF file renders coordinates as decimal strings with the given
     precision; the sidecar at ``<path>.json`` carries every vertex
     coordinate as an exact [numerator, denominator] pair along with the
-    face cycles and the defining halfspaces.
+    face cycles and the defining halfspaces (normal a and offset
+    |a|^2 / 2 of x.a <= |a|^2 / 2).
     """
     if precision < 0:
         raise ValueError(f"precision must be >= 0, got {precision}")
-    lines = ["OFF"]
-    lines.append(
-        f"{len(poly.vertices)} {len(poly.faces)} {poly.edge_count()}"
-    )
-    for v in poly.vertices:
-        lines.append(
-            " ".join(_decimal_str(c, precision) for c in v.coords())
-        )
+    den = poly.den
+    vertices = [[Fraction(x, den) for x in p] for p in poly.vertices]
+    n_v, n_e, n_f = poly.f_vector()
+    lines = ["OFF", f"{n_v} {n_f} {n_e}"]
+    for v in vertices:
+        lines.append(" ".join(_decimal_str(c, precision) for c in v))
     for cycle in poly.faces:
         lines.append(" ".join(str(n) for n in (len(cycle), *cycle)))
     with open(path, "w", encoding="ascii") as fh:
@@ -562,17 +547,14 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
 
     sidecar = path + ".json"
     data = {
-        "vertices": [
-            [[c.numerator, c.denominator] for c in v.coords()]
-            for v in poly.vertices
-        ],
+        "vertices": [[_pair(c) for c in v] for v in vertices],
         "faces": [list(cycle) for cycle in poly.faces],
         "halfspaces": [
             {
-                "normal": [[c.numerator, c.denominator] for c in a.coords()],
-                "offset": [c.numerator, c.denominator],
+                "normal": [_pair(Fraction(x, den)) for x in n],
+                "offset": _pair(Fraction(_dot(n, n), 2 * den * den)),
             }
-            for a, c in poly.halfspaces
+            for n in poly.normals
         ],
     }
     with open(sidecar, "w", encoding="ascii") as fh:

@@ -402,6 +402,7 @@ def _limit_address_space():
         ["gpq", "--n", "3", "--p", "2000000000", "--q", "1", "--w", "a1"],
         ["inner-gpq", "--p", "2000000000", "--q", "1"],
         ["sanov", "--power", "2", "--max-len", "60"],
+        ["induce", "--d", "100000000", "--ell", "1"],
     ],
 )
 def test_oversize_request_is_two_at_once(argv):
@@ -443,8 +444,13 @@ def test_nielsen_flat_builds_one_cell(monkeypatch):
 
 
 def test_voronoi_computes_covolume_twice(monkeypatch):
-    # Once in the volume gate of voronoi_cell, once in the report.
-    counts = _count_calls(monkeypatch, ["covolume", "voronoi_cell", "classify"])
+    # Once in the volume gate of voronoi_cell, once in the report; only
+    # the gate measures the cell's volume.
+    counts = _count_calls(
+        monkeypatch, ["covolume", "polytope_volume", "voronoi_cell", "classify"]
+    )
     code, _ = run_cli(["voronoi", "--gens", FCC_GENS])
     assert code == 0
-    assert counts == {"covolume": 2, "voronoi_cell": 1, "classify": 1}
+    assert counts == {
+        "covolume": 2, "polytope_volume": 1, "voronoi_cell": 1, "classify": 1
+    }

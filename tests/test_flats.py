@@ -232,6 +232,11 @@ class TestInducedAction:
         g2_direct = flats.induced_action((2, 0, 1), [e, h, h])
         assert g.compose(g) == g2_direct
 
+    def test_cyclic_induced_caps_the_cosets(self):
+        assert flats.cyclic_induced(flats.MAX_COSETS, 1).blocks == flats.MAX_COSETS
+        with pytest.raises(ValueError, match=f"need d <= {flats.MAX_COSETS}"):
+            flats.cyclic_induced(flats.MAX_COSETS + 1, 1)
+
     def test_inconsistent_blocks_rejected(self):
         a = AffineIsometry.pure_translation([Fraction(1)])
         b = AffineIsometry.pure_translation([Fraction(1), Fraction(0)])

@@ -24,6 +24,16 @@ LATTICE_TYPES = {
 }
 
 
+def scale(v, c):
+    c = Fraction(c)
+    return Vec3(v.x * c, v.y * c, v.z * c)
+
+
+def points(cell):
+    """The vertices of a cell as rational points."""
+    return tuple(Vec3(*(Fraction(x, cell.den) for x in p)) for p in cell.vertices)
+
+
 def in_lattice(lat, v):
     """Exact membership of a rational point: adding it to the integer
     basis rows leaves their canonical echelon form unchanged."""
@@ -48,7 +58,7 @@ def random_unimodular_gens(rng, gens):
         op = rng.randrange(3)
         i, j = rng.sample(range(len(vs)), 2)
         if op == 0:
-            vs[i] = vs[i] + vs[j].scale(rng.choice((-1, 1)))
+            vs[i] = vs[i] + scale(vs[j], rng.choice((-1, 1)))
         elif op == 1:
             vs[i], vs[j] = vs[j], vs[i]
         else:
@@ -60,10 +70,13 @@ def random_unimodular_gens(rng, gens):
 # The Voronoi kernel that the obtuse-superbase construction replaced, kept
 # as an independent reference: an LLL-reduced basis, the Voronoi-relevant
 # planes picked from the L/2L classes of a 124-vector box, vertices from
-# plane triples, and faces ordered by angle.
+# plane triples, and faces ordered by angle.  Its volume gate and the
+# classification it is compared under are the Fraction versions that the
+# integer polytope_volume and classify replaced.
 # ---------------------------------------------------------------------------
 
 _dot, _cross, _int_rows = lg._dot, lg._cross, lg._int_rows
+ORIGINAL_RING = lg._ring
 
 
 def _lll(rows: list[list[int]]) -> list[list[int]]:
@@ -203,18 +216,56 @@ def reference_voronoi_cell(lat):
             faces.append((_cyclic_order(tight, vertices, a), a, n))
     faces.sort(key=lambda face: sorted(face[0]))
     poly = lg.Polytope(
-        tuple(Vec3(*(Fraction(x, common * den) for x in y)) for y in vertices),
+        tuple(vertices),
         tuple(cycle for cycle, _, _ in faces),
-        tuple(
-            (Vec3(*(Fraction(x, den) for x in a)), Fraction(n, 2 * den * den))
-            for _, a, n in faces
-        ),
+        tuple(tuple(common * x for x in a) for _, a, _ in faces),
+        common * den,
     )
 
     # Gate 2: the cell tiles, so its volume is exactly the covolume.
-    if lg.polytope_volume(poly) != lg.covolume(lat):
+    if fraction_volume(poly) != lg.covolume(lat):
         raise RuntimeError("volume gate failed; computed cell does not tile")
     return poly
+
+
+def fraction_volume(poly):
+    """Exact volume via origin-apex pyramids over each face, in Fractions."""
+    pts = points(poly)
+    total = Fraction(0)
+    for cycle in poly.faces:
+        v0 = pts[cycle[0]]
+        signed = Fraction(0)
+        for a, b in zip(cycle[1:], cycle[2:]):
+            signed += v0.dot(pts[a].cross(pts[b]))
+        total += abs(signed)
+    return total / 6
+
+
+def fraction_classify(poly):
+    """The classification of a cell, measured on its rational points."""
+    all_pts = points(poly)
+    shapes = []
+    for cycle in poly.faces:
+        pts = [all_pts[i] for i in cycle]
+        edges = {(b - a).norm_sq() for a, b in zip(pts, pts[1:] + pts[:1])}
+        if 0 in edges:
+            raise ValueError("degenerate face with a zero-length edge")
+        rhombus = len(cycle) == 4 and len(edges) == 1
+        ratio = None
+        if len(cycle) == 4:
+            d1 = (pts[2] - pts[0]).norm_sq()
+            d2 = (pts[3] - pts[1]).norm_sq()
+            ratio = max(d1, d2) / min(d1, d2)
+        shapes.append(lg.FaceShape(rhombus, ratio))
+    fv = poly.f_vector()
+    all_rhombi = all(s.is_rhombus for s in shapes)
+    is_rd = fv == (14, 24, 12) and all_rhombi and all(
+        s.diag_ratio_sq == 2 for s in shapes
+    )
+    is_cube = fv == (8, 12, 6) and all_rhombi and all(
+        s.diag_ratio_sq == 1 for s in shapes
+    )
+    return lg.Classification(fv, tuple(shapes), is_rd, is_cube)
 
 
 
@@ -234,15 +285,15 @@ def random_lattice(rng):
         extra = rng.randrange(3)
         if extra == 1:
             x, y = rng.randint(-2, 2), rng.randint(-2, 2)
-            gens.append(gens[0].scale(x) + gens[1].scale(y))
+            gens.append(scale(gens[0], x) + scale(gens[1], y))
         elif extra == 2:
             gens.append(vec3(*(rng.randint(-bound, bound) for _ in range(3))))
         if any(not g.is_zero() for g in gens) and lg.lattice_from(gens).rank == 3:
             break
     if rng.randrange(3) == 0:
         rot = random_rotation(rng)
-        scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-        gens = [apply_matrix(rot, g).scale(scale) for g in gens]
+        factor = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+        gens = [scale(apply_matrix(rot, g), factor) for g in gens]
     return lg.lattice_from(gens)
 
 
@@ -310,7 +361,7 @@ class TestOctoCheck:
         assert not all(octo_flags(rep))
 
     def test_scaled_quadruple_passes(self):
-        rep = lg.octo_check(*(v.scale(2) for v in FCC_GENS))
+        rep = lg.octo_check(*(scale(v, 2) for v in FCC_GENS))
         assert all(octo_flags(rep))
         assert rep.common_norm_sq == 8
 
@@ -330,9 +381,7 @@ class TestVoronoiCell:
         assert lg.polytope_volume(cell) == 1
         assert cls.is_cube and not cls.is_rhombic_dodecahedron
         half = Fraction(1, 2)
-        assert all(
-            abs(c) == half for v in cell.vertices for c in v.coords()
-        )
+        assert all(abs(c) == half for v in points(cell) for c in v.coords())
 
     def test_fcc_cell(self):
         cell = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
@@ -344,7 +393,7 @@ class TestVoronoiCell:
         assert all(s.diag_ratio_sq == 2 for s in cls.faces)
 
     def test_scaled_cube_detected(self):
-        cell = lg.voronoi_cell(lg.lattice_from([v.scale(2) for v in CUBE_GENS]))
+        cell = lg.voronoi_cell(lg.lattice_from([scale(v, 2) for v in CUBE_GENS]))
         cls = lg.classify(cell)
         assert cls.is_cube and not cls.is_rhombic_dodecahedron
         assert lg.polytope_volume(cell) == 8
@@ -362,16 +411,16 @@ class TestVoronoiCell:
         assert base.f_vector() == f_vector
         for _ in range(8):
             rot = random_rotation(rng)
-            scale = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+            factor = Fraction(rng.randint(1, 7), rng.randint(1, 7))
             lat = lg.lattice_from(
-                [apply_matrix(rot, g).scale(scale)
+                [scale(apply_matrix(rot, g), factor)
                  for g in random_unimodular_gens(rng, gens)]
             )
             cell = lg.voronoi_cell(lat)
             assert cell.f_vector() == f_vector
             assert lg.polytope_volume(cell) == lg.covolume(lat)
-            assert set(cell.vertices) == {
-                apply_matrix(rot, v).scale(scale) for v in base.vertices
+            assert set(points(cell)) == {
+                scale(apply_matrix(rot, v), factor) for v in points(base)
             }
 
     def test_symmetry_under_negation_and_basis_change(self, rng):
@@ -419,6 +468,8 @@ class TestAgainstReference:
             lat = random_lattice(rng)
             cell = lg.voronoi_cell(lat)
             assert cell == reference_voronoi_cell(lat)
+            assert lg.polytope_volume(cell) == fraction_volume(cell)
+            assert lg.classify(cell) == fraction_classify(cell)
             seen.add(cell.f_vector())
         assert seen == F_VECTORS
 
@@ -435,6 +486,22 @@ class TestAgainstReference:
             cell = lg.voronoi_cell(lat)
             assert lg.polytope_volume(cell) == z
             assert cell == reference_voronoi_cell(lat)
+
+
+def opposite_ring(letters):
+    """Rings of the complementary letters: each face vector a gets the
+    cycle of the opposite face, which lies on x.a = -|a|^2 / 2."""
+    return ORIGINAL_RING(tuple(k for k in range(4) if k not in letters))
+
+
+def swapped_ring(letters):
+    """Rings with their first two orderings swapped: faces join vertices
+    that share no edge, so they no longer close up into a sphere."""
+    ring = ORIGINAL_RING(letters)
+    return ring[1:2] + ring[:1] + ring[2:]
+
+
+FACE_GATES = [(opposite_ring, "bisector plane"), (swapped_ring, "Euler gate failed")]
 
 
 class TestGates:
@@ -457,18 +524,31 @@ class TestGates:
         assert "minimal-distance gate" in report.payload["error"]
         assert report.to_dict()["passed"] is False
 
+    @pytest.mark.parametrize("ring,message", FACE_GATES, ids=["plane", "euler"])
+    def test_face_gate_fires(self, monkeypatch, ring, message):
+        monkeypatch.setattr(lg, "_ring", ring)
+        with pytest.raises(RuntimeError, match=message):
+            lg.voronoi_cell(lg.lattice_from(FCC_GENS))
+
+    @pytest.mark.parametrize("ring,message", FACE_GATES, ids=["plane", "euler"])
+    def test_face_gate_exits_three(self, monkeypatch, ring, message):
+        from autgeom.cli import INTERNAL_ERROR
+
+        monkeypatch.setattr(lg, "_ring", ring)
+        code, report = run_cli(["voronoi", "--gens", "1,1,0;1,-1,0;1,0,1;1,0,-1"])
+        assert code == INTERNAL_ERROR
+        assert message in report.payload["error"]
+        assert report.to_dict()["passed"] is False
+
 
 class TestPolytopeInvariants:
-    def test_euler_enforced(self):
-        cell = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
-        with pytest.raises(ValueError):
-            lg.Polytope(cell.vertices, cell.faces[:-1], cell.halfspaces[:-1])
-
     def test_faces_lie_on_halfspaces(self):
         cell = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
-        for cycle, (normal, offset) in zip(cell.faces, cell.halfspaces):
+        pts = points(cell)
+        for cycle, n in zip(cell.faces, cell.normals):
+            a = Vec3(*(Fraction(x, cell.den) for x in n))
             for idx in cycle:
-                assert cell.vertices[idx].dot(normal) == offset
+                assert pts[idx].dot(a) == a.norm_sq() / 2
 
     def test_deterministic(self):
         a = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
@@ -494,7 +574,7 @@ class TestOffExport(object):
         exact = [
             Vec3(*(Fraction(n, d) for n, d in vert)) for vert in data["vertices"]
         ]
-        assert tuple(exact) == cell.vertices
+        assert tuple(exact) == points(cell)
         assert [tuple(fc) for fc in data["faces"]] == list(cell.faces)
         assert len(data["halfspaces"]) == f
 
