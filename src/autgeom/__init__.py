@@ -10,8 +10,8 @@ The package is organized around immutable values and pure functions:
   and its 2x2 integer representation.
 * :mod:`autgeom.latgeom` -- exact rational lattices, Voronoi cells,
   and polytope classification.
-* :mod:`autgeom.flats` -- Euclidean translation actions, induced
-  isometries, and the canonical flat model.
+* :mod:`autgeom.flats` -- affine isometries, induced actions, and
+  the canonical flat model.
 * :mod:`autgeom.cli` -- the ``autgeom`` command-line tool.
 
 The modules are the API: import them, e.g.

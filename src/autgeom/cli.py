@@ -37,10 +37,6 @@ def _parse_vec3(text: str) -> latgeom.Vec3:
     return latgeom.Vec3(*coords)
 
 
-def _vec3_strs(v: latgeom.Vec3) -> list[str]:
-    return [fraction_str(c) for c in v.coords()]
-
-
 def _octo_payload(rep: latgeom.OctoReport) -> dict:
     return {
         "norms_sq": [fraction_str(n) for n in rep.norms_sq],
@@ -211,7 +207,8 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
     volume = fraction_str(latgeom.covolume(lattice))
     payload = {
         "rank": lattice.rank,
-        "basis": [_vec3_strs(b) for b in lattice.basis],
+        "basis": [[fraction_str(Fraction(x, lattice.den)) for x in row]
+                  for row in lattice.rows],
         "covolume": volume,
         "volume": volume,
         "classification": _classification_payload(cls),
@@ -289,10 +286,8 @@ def cmd_nielsen_flat(args: argparse.Namespace) -> Report:
     extra_checks.extend(_octo_checks(model.octo))
     extra_payload = {
         "vectors": {
-            name: [fraction_str(c) for c in vec]
-            for name, vec in zip(
-                flats.NIELSEN_FLAT_GENERATORS, model.action.vectors
-            )
+            name: [str(c) for c in vec]
+            for name, vec in zip(flats.NIELSEN_FLAT_GENERATORS, model.vectors)
         },
         "octo_quadruple": list(model.octo_quadruple),
     }

@@ -1,13 +1,15 @@
-"""Euclidean model computations: translation actions, affine isometries
-with signed block-permutation rotational parts, induced actions on
-finite products, the collinear-equidistance degeneracy certificate, and
-the canonical flat model for the commuting Nielsen family.
+"""Euclidean model computations: affine isometries with signed
+block-permutation rotational parts and their exact translation lengths,
+induced actions on finite products, the collinear-equidistance
+degeneracy certificate, and the canonical flat model for the commuting
+Nielsen family.
 
 Every length is kept as a squared rational, so the module never takes a
 square root and all comparisons are exact.  Orthogonal parts are
 restricted to signed block permutations: these cover every isometry the
 Euclidean model needs (inductions permute factors, flats carry pure
 translations) while keeping the fixed-space projection exact and total.
+The flat model translates by integer vectors, summed as integers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .latgeom import (
 )
 
 __all__ = [
-    "TranslationAction",
     "AffineIsometry",
     "TranslationLength",
     "trans_length_sq",
@@ -52,34 +53,6 @@ def _fracs(values: Sequence) -> tuple[Fraction, ...]:
 
 def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum(x * y for x, y in zip(u, v))
-
-
-@dataclass(frozen=True)
-class TranslationAction:
-    """A homomorphism Z^r -> (translations of Q^dim), one vector per
-    free-abelian generator."""
-
-    dim: int
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        for v in self.vectors:
-            if len(v) != self.dim:
-                raise ValueError("translation vector has wrong dimension")
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    def translation(self, exponents: Sequence[int]) -> tuple[Fraction, ...]:
-        """The translation vector of the group element with these exponents."""
-        if len(exponents) != self.rank:
-            raise ValueError(f"need {self.rank} exponents, got {len(exponents)}")
-        out = [Fraction(0)] * self.dim
-        for n, v in zip(exponents, self.vectors):
-            for k in range(self.dim):
-                out[k] += n * v[k]
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -351,11 +324,12 @@ NIELSEN_FLAT_GENERATORS = ("L21", "R21", "L31", "R31")
 
 @dataclass(frozen=True)
 class NielsenFlatModel:
-    """A rank-4 translation action on Q^3 realizing the commuting family
-    <L21, R21, L31, R31>, together with its Dirichlet-domain report."""
+    """The integer translation vectors of L21, R21, L31, R31 in the flat
+    model of the commuting family, with the lattice they generate and
+    its Dirichlet-domain report."""
 
     scale: int
-    action: TranslationAction
+    vectors: tuple[tuple[int, int, int], ...]
     lattice: Lattice
     cell: Polytope
     classification: Classification
@@ -365,16 +339,15 @@ class NielsenFlatModel:
     kernel_is_zero: bool
 
     @property
-    def lengths_sq(self) -> tuple[Fraction, ...]:
-        return tuple(
-            sum(c * c for c in v) for v in self.action.vectors
-        )
+    def lengths_sq(self) -> tuple[int, ...]:
+        return tuple(x * x + y * y + z * z for x, y, z in self.vectors)
 
 
 def nielsen_flat(scale: int) -> NielsenFlatModel:
     """Build the canonical flat model at a given integer scale.
 
-    The four generators L21, R21, L31, R31 receive translation vectors
+    The four generators L21, R21, L31, R31 translate 3-space by the
+    integer vectors
 
         L21 -> -s(1,1,0), R21 -> s(1,-1,0),
         L31 -> -s(-1,0,1), R31 -> s(-1,0,-1),
@@ -382,7 +355,7 @@ def nielsen_flat(scale: int) -> NielsenFlatModel:
     all of squared length 2 s^2 (conjugate generators translate equally
     far).  The signs are fixed so the exponent vector (-1, 1, -1, 1) --
     the combination equal to conjugation by a1, which must act
-    elliptically -- maps to the zero translation.  The effective lattice
+    elliptically -- sums the vectors to zero.  The effective lattice
     generated by the four vectors is the face-centred cubic lattice at
     scale s; its Dirichlet domain is computed and classified, and the
     four-vector conditions are checked on the sign-normalized quadruple
@@ -392,30 +365,23 @@ def nielsen_flat(scale: int) -> NielsenFlatModel:
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
     s = scale
-    vectors = (
-        vec3(-s, -s, 0),
-        vec3(s, -s, 0),
-        vec3(s, 0, -s),
-        vec3(-s, 0, -s),
-    )
-    action = TranslationAction(
-        3, tuple(tuple(Fraction(c) for c in v.coords()) for v in vectors)
-    )
+    vectors = ((-s, -s, 0), (s, -s, 0), (s, 0, -s), (-s, 0, -s))
     kernel_exponents = (-1, 1, -1, 1)
-    kernel_vec = action.translation(kernel_exponents)
-    lattice = lattice_from(vectors)
+    kernel_vec = [
+        sum(n * v[k] for n, v in zip(kernel_exponents, vectors)) for k in range(3)
+    ]
+    lattice = lattice_from([vec3(*v) for v in vectors])
     cell = voronoi_cell(lattice)
     classification = classify(cell)
-    w1, w2, w3, w4 = vectors
-    octo = octo_check(-w1, w2, -w4, w3)
+    octo = octo_check(vec3(s, s, 0), vec3(s, -s, 0), vec3(s, 0, s), vec3(s, 0, -s))
     return NielsenFlatModel(
         scale=scale,
-        action=action,
+        vectors=vectors,
         lattice=lattice,
         cell=cell,
         classification=classification,
         octo=octo,
         octo_quadruple=("-L21", "R21", "-R31", "L31"),
         kernel_exponents=kernel_exponents,
-        kernel_is_zero=all(c == 0 for c in kernel_vec),
+        kernel_is_zero=not any(kernel_vec),
     )

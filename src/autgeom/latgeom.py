@@ -3,21 +3,24 @@
 Lattices are Z-modules spanned by up to four rational vectors, carried
 by a canonical Hermite-style echelon basis.  Voronoi (equivalently
 Dirichlet) cells of rank-3 lattices are computed as exact convex
-polytopes in one integer pass: the basis is scaled to integer rows and
-turned into an obtuse superbase by pairwise size reduction and
-Selling's steps, and the cell is the permutohedron of that superbase,
-its vertices the circumcentres of 24 Delaunay simplices and its faces
-the 14 subset sums.  Two authoritative gates verify the result: every
-vertex minimizes its distance over a box of lattice points holding all
-face normals, and the cell volume equals the covolume of the lattice
-(the tiling condition).  Two more check that the faces lie on their
-bisector planes and satisfy Euler's formula.
+polytopes in one integer pass: the basis is turned into an obtuse
+superbase by pairwise size reduction and Selling's steps, and the cell
+is the permutohedron of that superbase, its vertices the circumcentres
+of 24 Delaunay simplices and its faces the 14 subset sums.  Two
+authoritative gates verify the result: every vertex minimizes its
+distance over a box of lattice points holding all face normals, and the
+cell volume equals the covolume of the lattice (the tiling condition).
+Two more check that the faces lie on their bisector planes and satisfy
+Euler's formula.
 
-Generators come in as Fractions, and a cell stays integer points over
-one denominator until the OFF export, its volume and its diagonal
-ratios turn them into Fractions.  Lengths are handled as squared values
-so no square root is ever taken: a claimed diagonal ratio of 1:sqrt(2)
-appears as a squared ratio of exactly 2.
+Generators come in as Vec3 records of Fractions and are scaled once to
+integer rows over their least common denominator; a Lattice holds its
+echelon rows and a Polytope its points, each over one denominator.
+Fractions are built only for the values returned: the covolume, the
+volume, octo_check's squared norms, the diagonal ratios and the OFF
+export.  Lengths are handled as squared values so no square root is ever
+taken: a claimed diagonal ratio of 1:sqrt(2) appears as a squared ratio
+of exactly 2.
 """
 
 from __future__ import annotations
@@ -44,41 +47,17 @@ __all__ = [
     "classify",
     "octo_check",
     "export_off",
+    "MAX_PRECISION",
 ]
 
 
 @dataclass(frozen=True)
 class Vec3:
-    """A point or vector with exact rational coordinates."""
+    """An input vector with exact rational coordinates."""
 
     x: Fraction
     y: Fraction
     z: Fraction
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
-    def dot(self, other: "Vec3") -> Fraction:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def norm_sq(self) -> Fraction:
-        return self.dot(self)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.x, self.y, self.z)
@@ -91,15 +70,41 @@ def vec3(x, y, z) -> Vec3:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A Z-module in rational 3-space with its canonical echelon basis."""
+    """A Z-module in rational 3-space: basis vector i is ``rows[i] / den``,
+    where the rows are the canonical echelon form of the module scaled
+    by ``den``, the least common denominator of the basis entries."""
 
-    basis: tuple[Vec3, ...]
-    rank: int
+    rows: tuple[tuple[int, int, int], ...]
+    den: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
 def _int_rows(vectors: Sequence[Vec3]) -> tuple[list[list[int]], int]:
     den = lcm(*(c.denominator for v in vectors for c in v.coords()))
     return [[int(c * den) for c in v.coords()] for v in vectors], den
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _add(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    return [u[0] + v[0], u[1] + v[1], u[2] + v[2]]
+
+
+def _dist_sq(u: Sequence[int], v: Sequence[int]) -> int:
+    return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 + (u[2] - v[2]) ** 2
 
 
 def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -156,9 +161,9 @@ def lattice_from(gens: Sequence[Vec3]) -> Lattice:
     gens = tuple(gens)
     if not 1 <= len(gens) <= 4:
         raise ValueError(f"need 1..4 generators, got {len(gens)}")
-    if all(g.is_zero() for g in gens):
-        raise ValueError("all generators are zero")
     rows, den = _int_rows(gens)
+    if not any(map(any, rows)):
+        raise ValueError("all generators are zero")
     basis_rows, transform = _hnf(rows)
     # Two-way membership: each basis row is the tracked integer
     # combination of the generator rows, and adding any generator row to
@@ -169,16 +174,17 @@ def lattice_from(gens: Sequence[Vec3]) -> Lattice:
     for row in rows:
         if _hnf(basis_rows + [row])[0] != basis_rows:
             raise RuntimeError("generator not contained in echelon basis module")
-    basis = tuple(Vec3(*(Fraction(x, den) for x in r)) for r in basis_rows)
-    return Lattice(basis, len(basis_rows))
+    # The least common denominator of the basis entries divides den.
+    g = gcd(den, *itertools.chain.from_iterable(basis_rows))
+    return Lattice(tuple(tuple(x // g for x in r) for r in basis_rows), den // g)
 
 
 def covolume(lat: Lattice) -> Fraction:
     """|det| of the basis for rank-3 lattices."""
     if lat.rank != 3:
         raise ValueError(f"covolume needs rank 3, got rank {lat.rank}")
-    b = lat.basis
-    return abs(b[0].dot(b[1].cross(b[2])))
+    r0, r1, r2 = lat.rows
+    return Fraction(abs(_dot(r0, _cross(r1, r2))), lat.den ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +213,7 @@ class Polytope:
         return (len(self.vertices), len(edges), len(self.faces))
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _add(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    return [u[0] + v[0], u[1] + v[1], u[2] + v[2]]
-
-
-def _dist_sq(u: Sequence[int], v: Sequence[int]) -> int:
-    return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 + (u[2] - v[2]) ** 2
-
-
-def _obtuse_superbase(rows: list[list[int]]) -> list[list[int]]:
+def _obtuse_superbase(rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
     """An obtuse superbase v0..v3 of the lattice of three integer rows.
 
     The vectors sum to zero, any three of them are a basis, and every
@@ -238,7 +224,7 @@ def _obtuse_superbase(rows: list[list[int]]) -> list[list[int]]:
     v_i to the other two vectors and negate v_i.  Each step keeps the
     sum zero and lowers sum |v|^2 by 2 v_i.v_j, so both stages stop.
     """
-    b = [r[:] for r in rows]
+    b = list(rows)
     shortened = True
     while shortened:
         shortened = False
@@ -314,15 +300,15 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     lattice vectors and holds the cell.  Gate 2: its volume equals
     |det basis|, which forces it to be the cell.
 
-    Internally a lattice vector a is the integer row A = den * a and a
-    point x is y = den * x, so the halfspace of A reads 2 y.A <= |A|^2.
-    The returned Polytope stays in integers: its vertices and face
-    vectors are taken over the one denominator common * den.
+    Internally a lattice vector a is the integer row A = lat.den * a and
+    a point x is y = lat.den * x, so the halfspace of A reads
+    2 y.A <= |A|^2.  The returned Polytope stays in integers: its
+    vertices and face vectors are taken over the one denominator
+    common * lat.den.
     """
     if lat.rank != 3:
         raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
-    rows, den = _int_rows(lat.basis)
-    v = _obtuse_superbase(rows)
+    v = _obtuse_superbase(lat.rows)
 
     # Homogeneous circumcentres (X, Y, Z, D) with y = (X, Y, Z) / D, D > 0
     # and gcd 1: the planes 2 y.p_t = |p_t|^2 through the partial sums
@@ -391,7 +377,7 @@ def voronoi_cell(lat: Lattice) -> Polytope:
         tuple(vertices),
         tuple(cycle for cycle, _ in faces),
         tuple(normal for _, normal in faces),
-        common * den,
+        common * lat.den,
     )
 
     # The plane gate: a face at x.a = |a|^2 / 2 reads 2 p.n = |n|^2 for
@@ -485,18 +471,20 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> OctoReport:
     The rank of the generated lattice is included: when every condition
     holds, the four vectors necessarily span all of 3-space.
     """
-    norms = (u1.norm_sq(), u2.norm_sq(), v1.norm_sq(), v2.norm_sq())
-    equal_norms = len(set(norms)) == 1 and norms[0] != 0
-    rank = 0
-    if any(not v.is_zero() for v in (u1, u2, v1, v2)):
-        rank = lattice_from((u1, u2, v1, v2)).rank
+    vectors = (u1, u2, v1, v2)
+    (a1, a2, b1, b2), den = _int_rows(vectors)
+    dots = [_dot(w, w) for w in (a1, a2, b1, b2)]
+    norms = tuple(Fraction(n, den * den) for n in dots)
+    equal_norms = len(set(dots)) == 1 and dots[0] != 0
+    rank = lattice_from(vectors).rank if any(dots) else 0
+    cross_terms = _dot(a1, b1) - _dot(a1, b2) - _dot(a2, b1) + _dot(a2, b2)
     return OctoReport(
         norms_sq=norms,
         common_norm_sq=norms[0] if equal_norms else None,
         equal_nonzero_norms=equal_norms,
-        sums_agree=(u1 + u2) == (v1 + v2),
-        pairs_orthogonal=(u1.dot(u2) == 0 and v1.dot(v2) == 0),
-        differences_orthogonal=(u1 - u2).dot(v1 - v2) == 0,
+        sums_agree=_add(a1, a2) == _add(b1, b2),
+        pairs_orthogonal=_dot(a1, a2) == 0 and _dot(b1, b2) == 0,
+        differences_orthogonal=cross_terms == 0,
         lattice_rank=rank,
     )
 
@@ -504,6 +492,11 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> OctoReport:
 # ---------------------------------------------------------------------------
 # OFF export.
 # ---------------------------------------------------------------------------
+
+
+# The most fraction digits export_off renders, well under the 4,300
+# digits CPython converts to a string; each digit costs time and memory.
+MAX_PRECISION = 1000
 
 
 def _decimal_str(x: Fraction, digits: int) -> str:
@@ -527,13 +520,15 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
     """Write an OFF file plus an exact JSON sidecar.
 
     The OFF file renders coordinates as decimal strings with the given
-    precision; the sidecar at ``<path>.json`` carries every vertex
-    coordinate as an exact [numerator, denominator] pair along with the
-    face cycles and the defining halfspaces (normal a and offset
-    |a|^2 / 2 of x.a <= |a|^2 / 2).
+    precision, at most MAX_PRECISION; the sidecar at ``<path>.json``
+    carries every vertex coordinate as an exact [numerator, denominator]
+    pair along with the face cycles and the defining halfspaces (normal
+    a and offset |a|^2 / 2 of x.a <= |a|^2 / 2).
     """
     if precision < 0:
         raise ValueError(f"precision must be >= 0, got {precision}")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be <= {MAX_PRECISION}, got {precision}")
     den = poly.den
     vertices = [[Fraction(x, den) for x in p] for p in poly.vertices]
     n_v, n_e, n_f = poly.f_vector()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
@@ -12,6 +13,7 @@ __all__ = [
     "all_pass",
     "fraction_str",
     "parse_fraction",
+    "MAX_LITERAL_SIZE",
 ]
 
 
@@ -69,7 +71,24 @@ def fraction_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# The most digits plus |exponent| in a rational literal, checked on the
+# text because Fraction('1e1000000') builds the integer first.  A voronoi
+# cell's numbers are of degree about four in its integer rows, whose
+# denominator has at most 12 * 40 digits; so no report gets near the
+# 4,300 digits CPython converts to a string (seeded searches: 1,560).
+MAX_LITERAL_SIZE = 40
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
+
+
 def parse_fraction(text: str) -> Fraction:
+    """Parse a rational literal of at most MAX_LITERAL_SIZE."""
+    size = sum(map(str.isdigit, text))
+    exponent = _EXPONENT.search(text) if size <= MAX_LITERAL_SIZE else None
+    if exponent:
+        size += abs(int(exponent[1].replace("_", "")))
+    if size > MAX_LITERAL_SIZE:
+        raise ValueError(f"rational literal too large: digits plus |exponent| "
+                         f"come to {size}, over the cap of {MAX_LITERAL_SIZE}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

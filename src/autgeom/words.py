@@ -28,8 +28,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
-from operator import add, neg
+from itertools import compress
+from operator import add, ne, neg
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -264,9 +264,12 @@ def format_word(w: Word) -> str:
     Maximal runs of one letter are compressed to ``a1^3`` style tokens;
     the empty word renders as ``1``.
     """
-    parts: list[str] = []
-    for x, run in groupby(w.letters):
-        n = len(list(run))
+    s = w.letters
+    # A run starts where a letter differs from the one before (or from 0).
+    starts = list(compress(range(len(s)), map(ne, s, (0, *s))))
+    parts = []
+    for start, end in zip(starts, starts[1:] + [len(s)]):
+        x, n = s[start], end - start
         count = n if x > 0 else -n
         parts.append(f"a{abs(x)}" if count == 1 else f"a{abs(x)}^{count}")
     return " ".join(parts) or "1"

@@ -5,11 +5,13 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from autgeom import flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
+from autgeom.reports import MAX_LITERAL_SIZE, fraction_str
 
 from conftest import run_cli
 
@@ -142,6 +144,57 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run_cli(["frobnicate"])
         assert err.value.code == 2
+
+
+class TestInputCaps:
+    # A literal's size is its digits plus |exponent|, so 1e37 and 1e-37
+    # have size 3 + 37 = 40, the cap.
+    @pytest.mark.parametrize("ell", [
+        "9" * MAX_LITERAL_SIZE, "1e37", "1e-37", "-1.5e36",
+        "3/" + "7" * (MAX_LITERAL_SIZE - 1),
+    ])
+    def test_literal_at_the_cap_renders(self, ell):
+        code, report = run_cli(["induce", "--d", "3", f"--ell={ell}"])
+        assert code == 0
+        assert report.payload["ell"] == fraction_str(Fraction(ell))
+        json.dumps(report.to_dict())
+
+    @pytest.mark.parametrize("ell", [
+        "9" * (MAX_LITERAL_SIZE + 1), "1e38", "1e-38", "-1.5e37",
+        "3/" + "7" * MAX_LITERAL_SIZE,
+        "1e" + "9" * 5000,
+    ])
+    def test_literal_over_the_cap_is_two(self, ell):
+        code, report = run_cli(["induce", "--d", "3", f"--ell={ell}"])
+        assert code == USAGE_ERROR
+        assert report.payload["error"].startswith("rational literal too large")
+
+    def test_voronoi_at_both_caps_renders(self, tmp_path):
+        # Nine literals of size 40 with nearly coprime denominators give
+        # the largest numbers a report builds from literals.
+        gens = ";".join(
+            ",".join(f"1/{10**38 + 2 * (3 * i + j) + 1}" for j in range(3))
+            for i in range(3)
+        )
+        out = str(tmp_path / "c.off")
+        code, report = run_cli([
+            "voronoi", "--gens", gens, "--out", out,
+            "--precision", str(latgeom.MAX_PRECISION),
+        ])
+        assert code == 0
+        json.dumps(report.to_dict(), indent=1)
+        coords = open(out).read().splitlines()[2].split()
+        assert {len(c.split(".")[1]) for c in coords} == {latgeom.MAX_PRECISION}
+
+    def test_precision_over_the_cap_is_two(self, tmp_path):
+        out = tmp_path / "c.off"
+        code, report = run_cli([
+            "voronoi", "--gens", FCC_GENS, "--out", str(out),
+            "--precision", str(latgeom.MAX_PRECISION + 1),
+        ])
+        assert code == USAGE_ERROR
+        assert f"precision must be <= {latgeom.MAX_PRECISION}" in report.payload["error"]
+        assert not out.exists()
 
 
 class TestPayloads:
@@ -403,12 +456,16 @@ def _limit_address_space():
         ["inner-gpq", "--p", "2000000000", "--q", "1"],
         ["sanov", "--power", "2", "--max-len", "60"],
         ["induce", "--d", "100000000", "--ell", "1"],
+        ["induce", "--d", "3", "--ell", "1e1000000"],
+        ["voronoi", "--gens", "1e1000000,0,0;0,1,0;0,0,1"],
+        ["voronoi", "--gens", "1,0,0;0,1,0;0,0,1", "--precision", "100000000",
+         "--out", "{tmp}/p.off"],
     ],
 )
-def test_oversize_request_is_two_at_once(argv):
+def test_oversize_request_is_two_at_once(argv, tmp_path):
     start = time.perf_counter()
     proc = subprocess.run(
-        [sys.executable, "-m", "autgeom", *argv],
+        [sys.executable, "-m", "autgeom", *(a.format(tmp=tmp_path) for a in argv)],
         capture_output=True,
         text=True,
         timeout=60,

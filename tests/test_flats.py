@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from autgeom import flats, latgeom as lg
-from autgeom.flats import AffineIsometry, TranslationAction
+from autgeom.flats import AffineIsometry
 
 from conftest import octo_flags
 
@@ -78,22 +78,6 @@ def cycle_oracle(g):
             for c in range(k):
                 shift[i * k + c] = s * total[c] / len(cycle)
     return length_sq, shift
-
-
-class TestTranslationAction:
-    def test_translation_combination(self):
-        act = TranslationAction(2, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))))
-        assert act.rank == 2
-        assert act.translation([3, -1]) == (Fraction(3), Fraction(-2))
-
-    def test_dimension_checked(self):
-        with pytest.raises(ValueError):
-            TranslationAction(2, ((Fraction(1),),))
-
-    def test_exponent_count_checked(self):
-        act = TranslationAction(1, ((Fraction(1),),))
-        with pytest.raises(ValueError):
-            act.translation([1, 2])
 
 
 class TestAffineIsometry:
@@ -309,19 +293,24 @@ class TestNielsenFlat:
     def test_kernel_vector_is_stated_combination(self):
         m = flats.nielsen_flat(3)
         assert m.kernel_exponents == (-1, 1, -1, 1)
-        assert all(c == 0 for c in m.action.translation(m.kernel_exponents))
+        assert m.vectors == ((-3, -3, 0), (3, -3, 0), (3, 0, -3), (-3, 0, -3))
+        assert [
+            sum(n * v[k] for n, v in zip(m.kernel_exponents, m.vectors))
+            for k in range(3)
+        ] == [0, 0, 0]
+        assert m.lengths_sq == (18, 18, 18, 18)
 
     def test_octo_quadruple_signs(self):
         m = flats.nielsen_flat(1)
         assert m.octo_quadruple == ("-L21", "R21", "-R31", "L31")
-        vecs = {
-            name: lg.Vec3(*v)
-            for name, v in zip(flats.NIELSEN_FLAT_GENERATORS, m.action.vectors)
-        }
-        rep = lg.octo_check(
-            -vecs["L21"], vecs["R21"], -vecs["R31"], vecs["L31"]
-        )
+        vecs = dict(zip(flats.NIELSEN_FLAT_GENERATORS, m.vectors))
+        quad = [
+            lg.vec3(*(-c if name.startswith("-") else c for c in vecs[name.lstrip("-")]))
+            for name in m.octo_quadruple
+        ]
+        rep = lg.octo_check(*quad)
         assert all(octo_flags(rep))
+        assert rep == m.octo
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):

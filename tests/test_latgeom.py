@@ -2,7 +2,7 @@ import functools
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import pytest
@@ -24,9 +24,40 @@ LATTICE_TYPES = {
 }
 
 
+# Fraction arithmetic on Vec3 records, which carry none of their own.
+
+
 def scale(v, c):
     c = Fraction(c)
     return Vec3(v.x * c, v.y * c, v.z * c)
+
+
+def add(u, v):
+    return Vec3(u.x + v.x, u.y + v.y, u.z + v.z)
+
+
+def neg(v):
+    return Vec3(-v.x, -v.y, -v.z)
+
+
+def sub(u, v):
+    return add(u, neg(v))
+
+
+def dot(u, v):
+    return u.x * v.x + u.y * v.y + u.z * v.z
+
+
+def cross(u, v):
+    return Vec3(
+        u.y * v.z - u.z * v.y,
+        u.z * v.x - u.x * v.z,
+        u.x * v.y - u.y * v.x,
+    )
+
+
+def is_zero(v):
+    return not any(v.coords())
 
 
 def points(cell):
@@ -34,14 +65,45 @@ def points(cell):
     return tuple(Vec3(*(Fraction(x, cell.den) for x in p)) for p in cell.vertices)
 
 
+def basis(lat):
+    """The basis vectors of a lattice as rational points."""
+    return tuple(Vec3(*(Fraction(x, lat.den) for x in r)) for r in lat.rows)
+
+
 def in_lattice(lat, v):
     """Exact membership of a rational point: adding it to the integer
     basis rows leaves their canonical echelon form unchanged."""
-    rows, den = lg._int_rows(lat.basis)
-    scaled = [c * den for c in v.coords()]
+    scaled = [c * lat.den for c in v.coords()]
     if any(c.denominator != 1 for c in scaled):
         return False
-    return lg._hnf(rows + [[int(c) for c in scaled]])[0] == lg._hnf(rows)[0]
+    rows = [list(r) for r in lat.rows]
+    return lg._hnf(rows + [[int(c) for c in scaled]])[0] == rows
+
+
+# The Fraction covolume and four-vector check that the integer versions
+# replaced, kept as references.
+
+
+def fraction_covolume(lat):
+    b = basis(lat)
+    return abs(dot(b[0], cross(b[1], b[2])))
+
+
+def fraction_octo_check(u1, u2, v1, v2):
+    norms = tuple(dot(v, v) for v in (u1, u2, v1, v2))
+    equal_norms = len(set(norms)) == 1 and norms[0] != 0
+    rank = 0
+    if any(not is_zero(v) for v in (u1, u2, v1, v2)):
+        rank = lg.lattice_from((u1, u2, v1, v2)).rank
+    return lg.OctoReport(
+        norms_sq=norms,
+        common_norm_sq=norms[0] if equal_norms else None,
+        equal_nonzero_norms=equal_norms,
+        sums_agree=add(u1, u2) == add(v1, v2),
+        pairs_orthogonal=(dot(u1, u2) == 0 and dot(v1, v2) == 0),
+        differences_orthogonal=dot(sub(u1, u2), sub(v1, v2)) == 0,
+        lattice_rank=rank,
+    )
 
 
 def random_rotation(rng):
@@ -58,11 +120,11 @@ def random_unimodular_gens(rng, gens):
         op = rng.randrange(3)
         i, j = rng.sample(range(len(vs)), 2)
         if op == 0:
-            vs[i] = vs[i] + scale(vs[j], rng.choice((-1, 1)))
+            vs[i] = add(vs[i], scale(vs[j], rng.choice((-1, 1))))
         elif op == 1:
             vs[i], vs[j] = vs[j], vs[i]
         else:
-            vs[i] = -vs[i]
+            vs[i] = neg(vs[i])
     return tuple(vs)
 
 
@@ -75,7 +137,7 @@ def random_unimodular_gens(rng, gens):
 # integer polytope_volume and classify replaced.
 # ---------------------------------------------------------------------------
 
-_dot, _cross, _int_rows = lg._dot, lg._cross, lg._int_rows
+_dot, _cross = lg._dot, lg._cross
 ORIGINAL_RING = lg._ring
 
 
@@ -161,8 +223,7 @@ def reference_voronoi_cell(lat):
     """The Voronoi cell as the replaced kernel computed it, gates included."""
     if lat.rank != 3:
         raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
-    rows, den = _int_rows(lat.basis)
-    reduced = _lll(rows)
+    reduced = _lll([list(r) for r in lat.rows])
     box = []
     classes: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
     for c in itertools.product(range(-2, 3), repeat=3):
@@ -219,11 +280,11 @@ def reference_voronoi_cell(lat):
         tuple(vertices),
         tuple(cycle for cycle, _, _ in faces),
         tuple(tuple(common * x for x in a) for _, a, _ in faces),
-        common * den,
+        common * lat.den,
     )
 
     # Gate 2: the cell tiles, so its volume is exactly the covolume.
-    if fraction_volume(poly) != lg.covolume(lat):
+    if fraction_volume(poly) != fraction_covolume(lat):
         raise RuntimeError("volume gate failed; computed cell does not tile")
     return poly
 
@@ -236,7 +297,7 @@ def fraction_volume(poly):
         v0 = pts[cycle[0]]
         signed = Fraction(0)
         for a, b in zip(cycle[1:], cycle[2:]):
-            signed += v0.dot(pts[a].cross(pts[b]))
+            signed += dot(v0, cross(pts[a], pts[b]))
         total += abs(signed)
     return total / 6
 
@@ -247,14 +308,14 @@ def fraction_classify(poly):
     shapes = []
     for cycle in poly.faces:
         pts = [all_pts[i] for i in cycle]
-        edges = {(b - a).norm_sq() for a, b in zip(pts, pts[1:] + pts[:1])}
+        edges = {dot(sub(b, a), sub(b, a)) for a, b in zip(pts, pts[1:] + pts[:1])}
         if 0 in edges:
             raise ValueError("degenerate face with a zero-length edge")
         rhombus = len(cycle) == 4 and len(edges) == 1
         ratio = None
         if len(cycle) == 4:
-            d1 = (pts[2] - pts[0]).norm_sq()
-            d2 = (pts[3] - pts[1]).norm_sq()
+            d1 = dot(sub(pts[2], pts[0]), sub(pts[2], pts[0]))
+            d2 = dot(sub(pts[3], pts[1]), sub(pts[3], pts[1]))
             ratio = max(d1, d2) / min(d1, d2)
         shapes.append(lg.FaceShape(rhombus, ratio))
     fv = poly.f_vector()
@@ -285,10 +346,10 @@ def random_lattice(rng):
         extra = rng.randrange(3)
         if extra == 1:
             x, y = rng.randint(-2, 2), rng.randint(-2, 2)
-            gens.append(scale(gens[0], x) + scale(gens[1], y))
+            gens.append(add(scale(gens[0], x), scale(gens[1], y)))
         elif extra == 2:
             gens.append(vec3(*(rng.randint(-bound, bound) for _ in range(3))))
-        if any(not g.is_zero() for g in gens) and lg.lattice_from(gens).rank == 3:
+        if any(not is_zero(g) for g in gens) and lg.lattice_from(gens).rank == 3:
             break
     if rng.randrange(3) == 0:
         rot = random_rotation(rng)
@@ -317,7 +378,7 @@ class TestLatticeFrom:
     def test_collinear(self):
         lat = lg.lattice_from((vec3(1, 0, 0), vec3(2, 0, 0)))
         assert lat.rank == 1
-        assert lat.basis == (vec3(1, 0, 0),)
+        assert lat.rows == ((1, 0, 0),) and lat.den == 1
 
     def test_rational_generators(self):
         lat = lg.lattice_from((vec3("1/2", 0, 0), vec3(0, "1/3", 0)))
@@ -335,14 +396,14 @@ class TestLatticeFrom:
             lat = lg.lattice_from(gens)
             for g in gens:
                 assert in_lattice(lat, g)
-            for b in lat.basis:
+            for b in basis(lat):
                 assert in_lattice(lg.lattice_from(gens), b)
 
     def test_canonical_under_generator_change(self, rng):
         base = lg.lattice_from(FCC_GENS)
         for _ in range(10):
             other = lg.lattice_from(random_unimodular_gens(rng, FCC_GENS))
-            assert other.basis == base.basis
+            assert other == base
 
 
 class TestOctoCheck:
@@ -371,6 +432,28 @@ class TestOctoCheck:
         )
         assert not rep.equal_nonzero_norms
         assert rep.common_norm_sq is None
+
+    @pytest.mark.parametrize("quad", [
+        FCC_GENS,
+        tuple(scale(v, 2) for v in FCC_GENS),
+        tuple(scale(v, Fraction(3, 7)) for v in FCC_GENS),
+        (vec3(1, 0, 0), vec3(0, 1, 0), vec3(1, 0, 0), vec3(0, 1, 0)),
+        (vec3(2, 2, 0), vec3(1, -1, 0), vec3(1, 0, 1), vec3(1, 0, -1)),
+        (vec3("1/2", 0, 0), vec3(0, "1/3", 0), vec3(0, 0, "1/5"), vec3(0, 0, 0)),
+        (vec3(0, 0, 0),) * 4,
+    ], ids=["fcc", "scaled", "rational-scale", "repeated-pair", "unequal-norms",
+            "mixed-denominators", "zero"])
+    def test_matches_fraction_reference(self, quad):
+        assert lg.octo_check(*quad) == fraction_octo_check(*quad)
+
+    def test_rotated_matches_fraction_reference(self, rng):
+        for _ in range(20):
+            rot = random_rotation(rng)
+            factor = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+            quad = [scale(apply_matrix(rot, v), factor) for v in FCC_GENS]
+            rep = lg.octo_check(*quad)
+            assert rep == fraction_octo_check(*quad)
+            assert all(octo_flags(rep)) and rep.common_norm_sq == 2 * factor**2
 
 
 class TestVoronoiCell:
@@ -425,7 +508,7 @@ class TestVoronoiCell:
 
     def test_symmetry_under_negation_and_basis_change(self, rng):
         base = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
-        negated = lg.voronoi_cell(lg.lattice_from([-v for v in FCC_GENS]))
+        negated = lg.voronoi_cell(lg.lattice_from([neg(v) for v in FCC_GENS]))
         assert negated.vertices == base.vertices
         for _ in range(5):
             other = lg.voronoi_cell(
@@ -466,6 +549,11 @@ class TestAgainstReference:
         seen = set()
         for _ in range(2000):
             lat = random_lattice(rng)
+            b = basis(lat)
+            assert lat.den == lcm(*(c.denominator for v in b for c in v.coords()))
+            assert lg.covolume(lat) == fraction_covolume(lat)
+            quad = (*b, neg(add(add(b[0], b[1]), b[2])))
+            assert lg.octo_check(*quad) == fraction_octo_check(*quad)
             cell = lg.voronoi_cell(lat)
             assert cell == reference_voronoi_cell(lat)
             assert lg.polytope_volume(cell) == fraction_volume(cell)
@@ -477,14 +565,13 @@ class TestAgainstReference:
     def test_skewed_echelon_lattices(self, rng, z):
         for _ in range(3):
             lat = skewed_lattice(z, rng)
-            rows, _ = lg._int_rows(lat.basis)
-            v = lg._obtuse_superbase(rows)
+            v = lg._obtuse_superbase(lat.rows)
             assert [sum(c) for c in zip(*v)] == [0, 0, 0]
             assert all(lg._dot(v[i], v[j]) <= 0
                        for i, j in itertools.combinations(range(4), 2))
             assert abs(lg._dot(v[1], lg._cross(v[2], v[3]))) == z
             cell = lg.voronoi_cell(lat)
-            assert lg.polytope_volume(cell) == z
+            assert lg.polytope_volume(cell) == z == fraction_covolume(lat)
             assert cell == reference_voronoi_cell(lat)
 
 
@@ -548,7 +635,7 @@ class TestPolytopeInvariants:
         for cycle, n in zip(cell.faces, cell.normals):
             a = Vec3(*(Fraction(x, cell.den) for x in n))
             for idx in cycle:
-                assert pts[idx].dot(a) == a.norm_sq() / 2
+                assert dot(pts[idx], a) == dot(a, a) / 2
 
     def test_deterministic(self):
         a = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
