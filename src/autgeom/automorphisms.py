@@ -45,7 +45,6 @@ __all__ = [
     "ElemAut",
     "AutExpr",
     "Endo",
-    "AutExprParseError",
     "nielsen_left",
     "nielsen_right",
     "inversion",
@@ -60,6 +59,8 @@ __all__ = [
     "is_inner",
     "verify_relation",
     "right_multiplier",
+    "MAX_GPQ_N",
+    "gpq_word_rank",
     "gpq_check",
     "inner_gpq_check",
     "nielsen_z4_check",
@@ -68,14 +69,6 @@ __all__ = [
 ]
 
 Mode = Literal["aut", "out"]
-
-
-class AutExprParseError(ValueError):
-    """Malformed automorphism text; ``position`` is the character offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"char {position}: {message}")
-        self.position = position
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,7 @@ def endo_of(x: AutExpr) -> Endo:
     for elem, exp in x.factors:
         step = _elem_endo(elem, exp)
         lengths = [len(img) for img in out.images]
-        if any(sum(lengths[abs(s) - 1] for s in img.letters) > MAX_WORD_LETTERS
+        if any(sum(lengths[abs(s) - 1] for s in img) > MAX_WORD_LETTERS
                for img in step.images):
             raise ValueError(f"images would exceed {MAX_WORD_LETTERS} letters")
         out = compose(out, step)
@@ -259,7 +252,7 @@ def inner(g: Word, rank: int) -> Endo:
 def _leading_a1_run(w: Word) -> int:
     """Signed length of the maximal leading run of a_1 letters."""
     run = 0
-    for x in w.letters:
+    for x in w:
         if x not in (1, -1):
             break
         run += x
@@ -308,7 +301,7 @@ def right_multiplier(rank: int, target: int, w: Word) -> Endo:
     w must not use a_target, so the map is invertible with inverse
     a_target -> a_target * w^-1.
     """
-    if target in w.letters or -target in w.letters:
+    if target in w or -target in w:
         raise ValueError(f"multiplier word must avoid a{target}")
     images = [gen(t) for t in range(1, rank + 1)]
     images[target - 1] = mul(gen(target), w)
@@ -321,6 +314,24 @@ def _image_table(e: Endo) -> dict[str, str]:
         for i, img in enumerate(e.images)
         if img != gen(i + 1)
     }
+
+
+# The largest n gpq_check accepts: its endomorphisms have n + 1 images
+# each, and `gpq --n 10000` takes about 0.5 s.
+MAX_GPQ_N = 10_000
+
+
+def gpq_word_rank(n: int) -> int:
+    """The rank n - 2 of the free factor that gpq_check's word lives in.
+
+    Raises ValueError unless 3 <= n <= MAX_GPQ_N, so a caller can refuse
+    n before it parses the word.
+    """
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    if n > MAX_GPQ_N:
+        raise ValueError(f"need n <= {MAX_GPQ_N}, got {n}")
+    return n - 2
 
 
 def gpq_check(n: int, p: int, q: int, w: Word) -> list[Check]:
@@ -338,12 +349,10 @@ def gpq_check(n: int, p: int, q: int, w: Word) -> list[Check]:
 
     Both relations are checked in the inverse-free forms t*x = rhs*t.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    free_factor = gpq_word_rank(n)
     if p == 0 or q == 0:
         raise ValueError("p and q must be nonzero")
-    free_factor = n - 2
-    bad = next((abs(x) for x in w.letters if abs(x) > free_factor), None)
+    bad = next((abs(x) for x in w if abs(x) > free_factor), None)
     if bad is not None:
         raise ValueError(
             f"word uses forbidden generator a{bad}; "
@@ -629,7 +638,7 @@ def parse_autexpr(text: str, rank: int = 3) -> AutExpr:
             continue
         mt = _EXPR_TOKEN.match(tok)
         if mt is None:
-            raise AutExprParseError(f"bad token {tok!r}", m.start())
+            raise ValueError(f"char {m.start()}: bad token {tok!r}")
         try:
             if mt.group(5) is not None:
                 elem = ElemAut("E", int(mt.group(5)), None, rank)
@@ -638,7 +647,7 @@ def parse_autexpr(text: str, rank: int = 3) -> AutExpr:
                 elem = ElemAut(mt.group(1), int(mt.group(2)), int(mt.group(3)), rank)
                 exp = 1 if mt.group(4) is None else int(mt.group(4))
         except ValueError as exc:
-            raise AutExprParseError(str(exc), m.start()) from None
+            raise ValueError(f"char {m.start()}: {exc}") from None
         if exp != 0:
             factors.append((elem, exp))
     return AutExpr(rank, tuple(factors))

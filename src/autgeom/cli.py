@@ -111,7 +111,8 @@ def cmd_verify_relations(args: argparse.Namespace) -> Report:
 
 
 def cmd_gpq(args: argparse.Namespace) -> Report:
-    checks = aut.gpq_check(args.n, args.p, args.q, parse_word(args.w, args.n - 2))
+    w = parse_word(args.w, aut.gpq_word_rank(args.n))
+    checks = aut.gpq_check(args.n, args.p, args.q, w)
     return Report(
         "gpq",
         {"n": args.n, "p": args.p, "q": args.q, "w": args.w},

@@ -38,11 +38,13 @@ __all__ = [
     "induced_action",
     "cyclic_induced",
     "MAX_COSETS",
+    "MAX_MULTIPLIER_DIGITS",
     "EquidistanceCertificate",
     "equidistant_forces_zero",
     "equidistant_check",
     "NielsenFlatModel",
     "nielsen_flat",
+    "MAX_SCALE_DIGITS",
     "NIELSEN_FLAT_GENERATORS",
 ]
 
@@ -284,15 +286,26 @@ class EquidistanceCertificate:
         return self.q * first - self.p * second
 
 
+# The most digits equidistant_forces_zero accepts in p and q.  The
+# eliminant p q (p - q) is then below 2 * 10^4200, so it has at most
+# 3 * 1,400 + 1 = 4,201 digits, under the 4,300 digits CPython converts
+# to a string when the report renders it.
+MAX_MULTIPLIER_DIGITS = 1400
+_MULTIPLIER_BOUND = 10**MAX_MULTIPLIER_DIGITS
+
+
 def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> EquidistanceCertificate:
     """Certificate that |tau + p a| = |tau + q a| = |tau| forces a = 0.
 
     Refuses p = q and zero multipliers: with p = q the two constraints
     coincide and nonzero solutions exist, so no such certificate can be
-    issued.
+    issued.  Also refuses p or q of more than MAX_MULTIPLIER_DIGITS
+    digits.
     """
     if p == 0 or q == 0:
         raise ValueError("multipliers must be nonzero")
+    if max(abs(p), abs(q)) >= _MULTIPLIER_BOUND:
+        raise ValueError(f"p and q must have at most {MAX_MULTIPLIER_DIGITS} digits")
     if p == q:
         raise ValueError(
             "p = q is degenerate: the two constraints coincide and admit "
@@ -343,6 +356,14 @@ class NielsenFlatModel:
         return tuple(x * x + y * y + z * z for x, y, z in self.vectors)
 
 
+# The most digits nielsen_flat accepts in the scale s.  The largest
+# number in a cell report is the covolume 2 s^3, below 2 * 10^4200, so it
+# has at most 3 * 1,400 + 1 = 4,201 digits, under the 4,300 digits
+# CPython converts to a string.
+MAX_SCALE_DIGITS = 1400
+_SCALE_BOUND = 10**MAX_SCALE_DIGITS
+
+
 def nielsen_flat(scale: int) -> NielsenFlatModel:
     """Build the canonical flat model at a given integer scale.
 
@@ -360,10 +381,13 @@ def nielsen_flat(scale: int) -> NielsenFlatModel:
     scale s; its Dirichlet domain is computed and classified, and the
     four-vector conditions are checked on the sign-normalized quadruple
     (-L21, R21, -R31, L31), for which the sum condition becomes exactly
-    the kernel relation.
+    the kernel relation.  A scale of more than MAX_SCALE_DIGITS digits
+    is refused before anything is built.
     """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
+    if scale >= _SCALE_BOUND:
+        raise ValueError(f"scale must have at most {MAX_SCALE_DIGITS} digits")
     s = scale
     vectors = ((-s, -s, 0), (s, -s, 0), (s, 0, -s), (-s, 0, -s))
     kernel_exponents = (-1, 1, -1, 1)

@@ -73,7 +73,7 @@ _SCAN: tuple[dict[int, tuple[int, int]], ...] = (
 
 def nu(w: Word) -> int:
     """Exponent sum of a3 modulo 2 (the coset of w in the 2-sheeted cover)."""
-    return (w.letters.count(3) - w.letters.count(-3)) % 2
+    return (w.count(3) - w.count(-3)) % 2
 
 
 def stabilizes(e: Endo) -> bool:
@@ -94,19 +94,19 @@ def rewrite(w: Word) -> Word:
     The scan carries the coset state through the word, emitting one
     Schreier generator per letter (or nothing for transversal letters).
     With the Schreier transversal {1, a3} a reduced word rewrites to a
-    reduced word, so nothing cancels in the output.  The result is
-    verified by expanding back through the basis, so a wrong rewrite can
-    never be returned.
+    reduced word, so the emitted letters are returned as they are, with
+    nothing to cancel.  The result is verified by expanding back through
+    the basis, so a wrong rewrite can never be returned.
     """
     if nu(w) != 0:
         raise ValueError("word has odd a3-exponent and is not in the subgroup")
     out: list[int] = []
     state = 0
-    for x in w.letters:
+    for x in w:
         y, state = _SCAN[state][x]
         if y:
             out.append(y)
-    result = Word(tuple(out))
+    result = tuple(out)
     if expand(result) != w:
         raise RuntimeError("rewrite failed its round-trip self-check")
     return result
@@ -199,15 +199,14 @@ def lk_basis(k: int) -> tuple[Word, ...]:
 
     Returns k words; each is a conjugate of a power of a basis element.
     They have k(k-1) letters in all, and a k for which that is more than
-    MAX_WORD_LETTERS is refused with ValueError before any is built.
+    MAX_WORD_LETTERS is refused with ValueError before any is built; the
+    message renders neither k nor k(k-1), which may have too many digits
+    to convert to a string.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if k * (k - 1) > MAX_WORD_LETTERS:
-        raise ValueError(
-            f"k = {k} makes a basis of {k * (k - 1)} letters, "
-            f"more than {MAX_WORD_LETTERS}"
-        )
+        raise ValueError(f"need k(k - 1) <= {MAX_WORD_LETTERS} letters")
     a, b = gen(1), gen(2)
     words = [mul(mul(power(a, i), b), power(a, -i)) for i in range(k - 1)]
     words.append(power(a, k - 1))

@@ -1,14 +1,16 @@
 """Reduced words in free groups of finite rank.
 
-A word is a tuple of nonzero ints: ``+i`` is the generator a_i and
-``-i`` its inverse, so inverting a word is
-``tuple(map(neg, reversed(letters)))``.  :class:`Word` checks that it
-is reduced (nonzero letters, no adjacent ``x, -x``) on construction,
-with builtins over the int tuple.  A word does not carry the rank of a
-free group, so one word serves in every free group whose basis covers
-its letters.  Letters are range-checked against a rank only where they
-enter from outside, in :func:`reduce` and :func:`parse_word`; functions
-that need a rank, such as :func:`ab_vector`, take it as an argument.
+A word is a plain tuple of nonzero ints: ``+i`` is the generator a_i
+and ``-i`` its inverse, so inverting a word is
+``tuple(map(neg, reversed(w)))``.  Every word this module returns is
+freely reduced (no adjacent ``x, -x``).  Words enter only through
+:func:`reduce`, :func:`gen` and :func:`parse_word`: all three refuse a
+zero letter, and ``reduce`` and ``parse_word`` also refuse a letter out
+of range for their rank.  Every other function takes reduced words and
+returns one that is reduced by construction, without checking it again.
+A word does not carry the rank of a free group, so one word serves in
+every free group whose basis covers its letters; functions that need a
+rank, such as :func:`ab_vector`, take it as an argument.
 
 The operands of :func:`mul`, :func:`power` and :func:`substitute` are
 reduced already, so letters can cancel only at the seam where two
@@ -27,14 +29,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
-from operator import add, ne, neg
+from operator import ne, neg
 from typing import Iterable, Sequence
 
 __all__ = [
     "Word",
-    "WordParseError",
     "empty",
     "gen",
     "reduce",
@@ -57,47 +57,19 @@ __all__ = [
 MAX_WORD_LETTERS = 100_000
 
 
-class WordParseError(ValueError):
-    """Malformed word text; ``position`` is the character offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"char {position}: {message}")
-        self.position = position
-
-
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word: nonzero letters, no adjacent ``x, -x``."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        syms = self.letters
-        if 0 in syms:
-            raise ValueError("letter 0 is not a generator")
-        if 0 in map(add, syms, syms[1:]):
-            raise ValueError("letter sequence is not freely reduced")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __repr__(self) -> str:
-        return f"Word({format_word(self)!r})"
+# A freely reduced word: nonzero letters, no adjacent ``x, -x``.
+Word = tuple[int, ...]
 
 
 def empty() -> Word:
-    return Word(())
+    return ()
 
 
 def gen(index: int, sign: int = 1) -> Word:
     """The one-letter word a_index, or its inverse for sign -1."""
     if sign not in (1, -1) or index < 1:
         raise ValueError(f"need index >= 1 and sign +-1, got a{index} with sign {sign}")
-    return Word((sign * index,))
-
-
-def _inverse(syms: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(syms)))
+    return (sign * index,)
 
 
 def reduce(rank: int, raw: Iterable[int]) -> Word:
@@ -123,21 +95,20 @@ def reduce(rank: int, raw: Iterable[int]) -> Word:
             pop()
         else:
             push(x)
-    return Word(tuple(stack))
+    return tuple(stack)
 
 
 def mul(u: Word, v: Word) -> Word:
     """Product u*v, reduced.  len(mul(u,v)) <= len(u)+len(v)."""
-    a, b = u.letters, v.letters
-    k, n = 0, min(len(a), len(b))
-    while k < n and a[-1 - k] == -b[k]:
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
         k += 1
-    return Word(a[: len(a) - k] + b[k:])
+    return u[: len(u) - k] + v[k:]
 
 
 def inv(w: Word) -> Word:
     """Inverse word: reversed letters with negated signs."""
-    return Word(_inverse(w.letters))
+    return tuple(map(neg, reversed(w)))
 
 
 def conj(w: Word, g: Word) -> Word:
@@ -164,17 +135,17 @@ def power(w: Word, k: int) -> Word:
     """
     if k == 0:
         return empty()
-    syms = w.letters if k > 0 else _inverse(w.letters)
+    syms = w if k > 0 else inv(w)
     i = _cyclic_split(syms)
     core = syms[i : len(syms) - i]
     if len(core) * abs(k) > MAX_WORD_LETTERS:
         raise ValueError(f"power {k} is longer than {MAX_WORD_LETTERS} letters")
-    return Word(syms[:i] + core * abs(k) + syms[len(syms) - i :])
+    return syms[:i] + core * abs(k) + syms[len(syms) - i :]
 
 
 def ab_vector(w: Word, rank: int) -> tuple[int, ...]:
     """Image in Z^rank: entry i is the exponent sum of a_{i+1}."""
-    counts = Counter(w.letters)
+    counts = Counter(w)
     return tuple(counts[i] - counts[-i] for i in range(1, rank + 1))
 
 
@@ -185,18 +156,17 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
     image (or its inverse) is reduced, so the result cancels only at the
     seam with the next image.
     """
-    used = set(w.letters)
+    used = set(w)
     top = max(map(abs, used), default=0)
     if top > len(images):
         raise ValueError(f"generator a{top} has no image among {len(images)}")
     # Images of the letters w uses: a_i -> images[i-1], a_i^-1 -> its inverse.
     table = {
-        x: images[x - 1].letters if x > 0 else _inverse(images[-x - 1].letters)
-        for x in used
+        x: images[x - 1] if x > 0 else inv(images[-x - 1]) for x in used
     }
     stack: list[int] = []
     pop, extend = stack.pop, stack.extend
-    for x in w.letters:
+    for x in w:
         piece = table[x]
         if stack and piece and stack[-1] == -piece[0]:
             pop()
@@ -207,7 +177,7 @@ def substitute(w: Word, images: Sequence[Word]) -> Word:
             extend(piece[k:])
         else:
             extend(piece)
-    return Word(tuple(stack))
+    return tuple(stack)
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -216,21 +186,20 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     Returns (core, u).  For a reduced word this strips matching
     first/last letters; the stripped prefix is the witness u.
     """
-    syms = w.letters
-    i = _cyclic_split(syms)
-    return Word(syms[i : len(syms) - i]), Word(syms[:i])
+    i = _cyclic_split(w)
+    return w[i : len(w) - i], w[:i]
 
 
 _TOKEN = re.compile(r"([aA])(\d+)(?:\^(-?\d+))?\Z")
 
 
 def parse_word(text: str, rank: int) -> Word:
-    """Parse whitespace-separated tokens like ``a1 a2^-1 A3`` into a Word.
+    """Parse whitespace-separated tokens like ``a1 a2^-1 A3`` into a word.
 
     Uppercase ``A3`` is shorthand for ``a3^-1``; ``1`` denotes the empty
     word.  Indices must not exceed the rank, and the exponents' absolute
     values must not add up to more than MAX_WORD_LETTERS.  Raises
-    WordParseError with the character position of the first bad token.
+    ValueError with the character position of the first bad token.
     """
     raw: list[int] = []
     letters = 0
@@ -240,19 +209,19 @@ def parse_word(text: str, rank: int) -> Word:
             continue
         mt = _TOKEN.match(tok)
         if mt is None:
-            raise WordParseError(f"bad token {tok!r}", m.start())
+            raise ValueError(f"char {m.start()}: bad token {tok!r}")
         idx = int(mt.group(2))
         exp = 1 if mt.group(3) is None else int(mt.group(3))
         if mt.group(1) == "A":
             exp = -exp
         if not 1 <= idx <= rank:
-            raise WordParseError(
-                f"generator a{idx} out of range for rank {rank}", m.start()
+            raise ValueError(
+                f"char {m.start()}: generator a{idx} out of range for rank {rank}"
             )
         letters += abs(exp)
         if letters > MAX_WORD_LETTERS:
-            raise WordParseError(
-                f"word longer than {MAX_WORD_LETTERS} letters", m.start()
+            raise ValueError(
+                f"char {m.start()}: word longer than {MAX_WORD_LETTERS} letters"
             )
         raw.extend([idx if exp > 0 else -idx] * abs(exp))
     return reduce(rank, raw)
@@ -264,12 +233,11 @@ def format_word(w: Word) -> str:
     Maximal runs of one letter are compressed to ``a1^3`` style tokens;
     the empty word renders as ``1``.
     """
-    s = w.letters
     # A run starts where a letter differs from the one before (or from 0).
-    starts = list(compress(range(len(s)), map(ne, s, (0, *s))))
+    starts = list(compress(range(len(w)), map(ne, w, (0, *w))))
     parts = []
-    for start, end in zip(starts, starts[1:] + [len(s)]):
-        x, n = s[start], end - start
+    for start, end in zip(starts, starts[1:] + [len(w)]):
+        x, n = w[start], end - start
         count = n if x > 0 else -n
         parts.append(f"a{abs(x)}" if count == 1 else f"a{abs(x)}^{count}")
     return " ".join(parts) or "1"

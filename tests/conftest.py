@@ -5,7 +5,7 @@ import pytest
 
 from autgeom.automorphisms import parse_autexpr
 from autgeom.latgeom import Vec3
-from autgeom.words import Word, gen, mul, reduce
+from autgeom.words import gen, mul, reduce
 
 
 @pytest.fixture
@@ -24,7 +24,16 @@ def naive_reduce(raw):
                 del letters[i : i + 2]
                 changed = True
                 break
-    return Word(tuple(letters))
+    return tuple(letters)
+
+
+def is_reduced(w):
+    """A word is a tuple of nonzero ints with no adjacent x, -x."""
+    return (
+        type(w) is tuple
+        and all(type(x) is int and x != 0 for x in w)
+        and all(x != -y for x, y in zip(w, w[1:]))
+    )
 
 
 def random_raw(rng, rank, length):
@@ -39,7 +48,7 @@ def random_word(rng, rank, max_len):
 def random_a3_even_word(rng, max_len):
     """A random rank-3 word with even a3-exponent."""
     w = random_word(rng, 3, max_len)
-    if (w.letters.count(3) + w.letters.count(-3)) % 2 == 1:
+    if (w.count(3) + w.count(-3)) % 2 == 1:
         w = mul(w, gen(3, rng.choice((1, -1))))
     return w
 

@@ -219,7 +219,7 @@ def test_criterion_8_word_algebra(rng):
     for _ in range(1000):
         raw = random_raw(rng, 4, rng.randint(0, 30))
         w = fw.reduce(4, raw)
-        if fw.reduce(4, w.letters) != w or w != naive_reduce(raw):
+        if fw.reduce(4, w) != w or w != naive_reduce(raw):
             ok_idempotent = False
             break
 

@@ -4,7 +4,6 @@ from autgeom import automorphisms as aut
 from autgeom import words as fw
 from autgeom.automorphisms import (
     AutExpr,
-    AutExprParseError,
     commutator,
     conjugate_expr,
     inversion,
@@ -13,7 +12,7 @@ from autgeom.automorphisms import (
 )
 from autgeom.reports import all_pass
 
-from conftest import random_word, swap
+from conftest import is_reduced, random_word, swap
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
 
@@ -58,6 +57,7 @@ class TestEndoOf:
     def test_syntactic_inverse_is_sound(self, rng):
         for _ in range(50):
             x = random_expr(rng, max_len=10)
+            assert all(map(is_reduced, aut.endo_of(x).images))
             assert aut.equal(aut.endo_of(x * x.inverse()), aut.identity_endo(3))
 
 
@@ -271,12 +271,11 @@ class TestExprGrammar:
         )
 
     def test_parse_error_position(self):
-        with pytest.raises(AutExprParseError) as err:
+        with pytest.raises(ValueError, match="^char 4: bad token 'X9'$"):
             aut.parse_autexpr("L21 X9")
-        assert err.value.position == 4
 
     def test_bad_indices(self):
-        with pytest.raises(AutExprParseError):
+        with pytest.raises(ValueError, match="^char 0: indices must differ$"):
             aut.parse_autexpr("L11")
-        with pytest.raises(AutExprParseError):
+        with pytest.raises(ValueError, match="^char 0: index 4 out of range"):
             aut.parse_autexpr("L14")  # out of range for rank 3

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from autgeom import automorphisms as aut
 from autgeom import flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
 from autgeom.reports import MAX_LITERAL_SIZE, fraction_str
@@ -287,10 +288,10 @@ PINNED_ALGEBRA = [
      "21dddec78bbe4f937b0f9be723f3da15c9680b9729358e6c02e373a20a443c98"),
     (["sanov", "--power", "-1", "--max-len", "6"], 1,
      "86cf419a8f08dd4a6983c24408cfc076cd573aa2f63cce86afa48d340bd296ce"),
-    # Error reports whose messages come from the range checks on input
-    # letters and generator indices.
+    # Error reports whose messages come from the range checks on n (made
+    # before the word is parsed), input letters and generator indices.
     (["gpq", "--n", "2", "--p", "1", "--q", "2", "--w", "1"], 2,
-     "6c8ed624709691255567dff5a76cb6ea7ba4f6bea3e0e934b9d371f5544ccf47"),
+     "09a81726b071b0e29d1a491575ba450b462395d5f2131be8411a2fed7af51437"),
     (["gpq", "--n", "5", "--p", "1", "--q", "2", "--w", "a4"], 2,
      "18c8bb9bf5caacc32ac064320a303da1377ac5c840d74946f85c40915d5593cf"),
     (["gl-rep", "L45"], 2,
@@ -460,6 +461,13 @@ def _limit_address_space():
         ["voronoi", "--gens", "1e1000000,0,0;0,1,0;0,0,1"],
         ["voronoi", "--gens", "1,0,0;0,1,0;0,0,1", "--precision", "100000000",
          "--out", "{tmp}/p.off"],
+        # Integers whose report would need more than the 4,300 digits
+        # CPython converts to a string.
+        ["lemma-pq", "--tau", "1", "--p", "9" * 2200, "--q", "1"],
+        ["nielsen-flat", "--scale", "9" * 1500],
+        ["lk-basis", "--k", "9" * 3000],
+        ["gpq", "--n", "1", "--p", "1", "--q", "2", "--w", "a1"],
+        ["gpq", "--n", "100000000", "--p", "1", "--q", "2", "--w", "a1"],
     ],
 )
 def test_oversize_request_is_two_at_once(argv, tmp_path):
@@ -474,7 +482,34 @@ def test_oversize_request_is_two_at_once(argv, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert proc.returncode == USAGE_ERROR
     assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stderr)["passed"] is False
+    report = json.loads(proc.stderr)
+    assert report["passed"] is False
+    # autgeom's own message, not CPython's refusal to convert an integer.
+    assert "Exceeds the limit" not in report["payload"]["error"]
+
+
+NINES_AT_CAP = "9" * flats.MAX_MULTIPLIER_DIGITS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # The eliminant p q (p - q) = -2 p^3 has 4,201 digits.
+        ["lemma-pq", "--tau", "1", "--p", NINES_AT_CAP, "--q", "-" + NINES_AT_CAP],
+        # The covolume 2 s^3 has 4,201 digits.
+        ["nielsen-flat", "--scale", "9" * flats.MAX_SCALE_DIGITS],
+        ["gpq", "--n", str(aut.MAX_GPQ_N), "--p", "1", "--q", "2", "--w", "a1"],
+    ],
+)
+def test_request_at_the_cap_renders(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "autgeom", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def _count_calls(monkeypatch, names):

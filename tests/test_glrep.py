@@ -7,7 +7,7 @@ from autgeom import glrep
 from autgeom import words as fw
 from autgeom.automorphisms import inversion, nielsen_left, nielsen_right
 
-from conftest import random_a3_even_word, swap
+from conftest import is_reduced, random_a3_even_word, swap
 from test_words import RefLetter, ref_letters, ref_syms
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
@@ -121,7 +121,8 @@ class TestRewriteAgainstReference:
         for _ in range(2000):
             w = random_a3_even_word(rng, rng.choice((0, 4, 40)))
             got = glrep.rewrite(w)
-            assert got.letters == ref_syms(reference_rewrite(ref_letters(w.letters))), w
+            assert got == ref_syms(reference_rewrite(ref_letters(w))), w
+            assert is_reduced(got)
 
     def test_images_of_the_basis(self, rng):
         # Long words with heavy a3 traffic: images of the subgroup basis
@@ -131,7 +132,8 @@ class TestRewriteAgainstReference:
             for x in glrep.BASIS:
                 w = aut.apply(e, x)
                 got = glrep.rewrite(w)
-                assert got.letters == ref_syms(reference_rewrite(ref_letters(w.letters)))
+                assert got == ref_syms(reference_rewrite(ref_letters(w)))
+                assert is_reduced(got)
 
     def test_corrupt_table_fails_self_check(self, monkeypatch):
         # A scan that emits x5 for a1 from the a3 coset expands to the
@@ -288,7 +290,8 @@ class TestLkBasis:
         # The basis has k(k-1) letters: 99,540 at k = 316, 100,172 at 317.
         words = glrep.lk_basis(316)
         assert sum(map(len, words)) == 316 * 315 <= fw.MAX_WORD_LETTERS
-        with pytest.raises(ValueError, match="100172 letters"):
+        assert all(map(is_reduced, words))
+        with pytest.raises(ValueError, match=r"need k\(k - 1\) <= 100000 letters"):
             glrep.lk_basis(317)
 
 
