@@ -212,19 +212,38 @@ def _elem_endo(elem: ElemAut, exp: int) -> Endo:
     return Endo(tuple(images))
 
 
+# Each composition in endo_of writes every image out anew, so n factors
+# that each add a letter write about n^2/2 letters: 100,000 L21 factors
+# would write 5e9 of them (about 45 s).  endo_of sums the length bounds
+# it checks before each composition and stops at a hundred times the
+# letter cap.  Refusing 100,000 L21 factors then takes about 0.2 s on
+# CPython 3.11 (2-CPU x86-64), and the cap is seventy times the 139,135
+# letters that the busiest benchmark request (`gl-rep "P12 L21 R12 P12"
+# --power 10`) writes.
+MAX_ENDO_WORK = 100 * MAX_WORD_LETTERS
+
+
 def endo_of(x: AutExpr) -> Endo:
     """Realize a formal product as generator-image data.
 
     Before each factor is composed in, the lengths of the current images
-    bound the new ones; a bound above MAX_WORD_LETTERS raises ValueError.
+    bound the new ones; a bound above MAX_WORD_LETTERS raises ValueError,
+    and so does a sum of the bounds over all factors so far above
+    MAX_ENDO_WORK.
     """
     out = identity_endo(x.rank)
+    work = 0
     for elem, exp in x.factors:
         step = _elem_endo(elem, exp)
         lengths = [len(img) for img in out.images]
-        if any(sum(lengths[abs(s) - 1] for s in img) > MAX_WORD_LETTERS
-               for img in step.images):
+        bounds = [sum(lengths[abs(s) - 1] for s in img) for img in step.images]
+        if max(bounds) > MAX_WORD_LETTERS:
             raise ValueError(f"images would exceed {MAX_WORD_LETTERS} letters")
+        work += sum(bounds)
+        if work > MAX_ENDO_WORK:
+            raise ValueError(
+                f"composing the factors would write over {MAX_ENDO_WORK} letters"
+            )
         out = compose(out, step)
     return out
 
@@ -632,22 +651,27 @@ _EXPR_TOKEN = re.compile(r"([LRP])(\d)(\d)(?:\^(-?\d+))?\Z|E(\d)(?:\^(-?\d+))?\Z
 
 def parse_autexpr(text: str, rank: int = 3) -> AutExpr:
     factors: list[tuple[ElemAut, int]] = []
+    # A long expression repeats a few tokens, so each is parsed once.
+    parsed: dict[str, tuple[ElemAut, int]] = {}
     for m in re.finditer(r"\S+", text):
         tok = m.group(0)
         if tok == "1":
             continue
-        mt = _EXPR_TOKEN.match(tok)
-        if mt is None:
-            raise ValueError(f"char {m.start()}: bad token {tok!r}")
-        try:
-            if mt.group(5) is not None:
-                elem = ElemAut("E", int(mt.group(5)), None, rank)
-                exp = 1 if mt.group(6) is None else int(mt.group(6))
-            else:
-                elem = ElemAut(mt.group(1), int(mt.group(2)), int(mt.group(3)), rank)
-                exp = 1 if mt.group(4) is None else int(mt.group(4))
-        except ValueError as exc:
-            raise ValueError(f"char {m.start()}: {exc}") from None
-        if exp != 0:
-            factors.append((elem, exp))
+        factor = parsed.get(tok)
+        if factor is None:
+            mt = _EXPR_TOKEN.match(tok)
+            if mt is None:
+                raise ValueError(f"char {m.start()}: bad token {tok!r}")
+            try:
+                if mt.group(5) is not None:
+                    elem = ElemAut("E", int(mt.group(5)), None, rank)
+                    exp = 1 if mt.group(6) is None else int(mt.group(6))
+                else:
+                    elem = ElemAut(mt.group(1), int(mt.group(2)), int(mt.group(3)), rank)
+                    exp = 1 if mt.group(4) is None else int(mt.group(4))
+            except ValueError as exc:
+                raise ValueError(f"char {m.start()}: {exc}") from None
+            factor = parsed[tok] = (elem, exp)
+        if factor[1] != 0:
+            factors.append(factor)
     return AutExpr(rank, tuple(factors))

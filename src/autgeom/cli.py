@@ -126,8 +126,23 @@ def cmd_inner_gpq(args: argparse.Namespace) -> Report:
 
 
 def cmd_gl_rep(args: argparse.Namespace) -> Report:
-    endo = aut.endo_of(aut.parse_autexpr(args.expr, rank=3) ** args.power)
-    m5 = glrep.ab5(endo)
+    """The cover action ab5 and its eigenplane restriction mu of X^p.
+
+    The images of X^p are built for the witness and the letter caps, but
+    when the unit U = X^(sign p) stabilizes the subgroup, ab5(X^p) is
+    taken as ab5(U)^|p| by squaring: only the short images of U are
+    rewritten.  Otherwise (P13 does not stabilize, P13^2 does) ab5
+    rewrites the images of X^p, and refuses them if X^p does not
+    stabilize either.  For p = 0 the unit is X^0 itself, so no image of
+    X is built.
+    """
+    expr = aut.parse_autexpr(args.expr, rank=3)
+    endo = aut.endo_of(expr ** args.power)
+    unit = aut.endo_of(expr ** (1 if args.power > 0 else -1)) if args.power else endo
+    if glrep.stabilizes(unit):
+        m5 = glrep.mat_power(glrep.ab5(unit), abs(args.power))
+    else:
+        m5 = glrep.ab5(endo)
     m2 = glrep.restrict_to_eigenplane(m5)
     payload = {
         "expr": args.expr,
@@ -498,7 +513,13 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
     the report echoes the parsed arguments and has no checks, so it does
     not pass; its ``payload["error"]`` carries the message.
     """
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        # argparse strips the "--" of "--opt=--" and stores what is left,
+        # an empty list, without converting it.
+        if value == []:
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
         report = args.func(args)
     except (ValueError, OSError) as exc:

@@ -33,6 +33,7 @@ __all__ = [
     "rewrite",
     "expand",
     "ab5",
+    "mat_power",
     "sigma_star",
     "minus_eigenbasis",
     "restrict_to_eigenplane",
@@ -119,12 +120,34 @@ def ab5(e: Endo) -> IntMat:
     """Action of a stabilizing automorphism on the subgroup abelianization.
 
     Column i is the exponent vector of rewrite(e(x_i)); the matrix acts
-    on column vectors, so ab5 is multiplicative under composition.
+    on column vectors, so ab5 is multiplicative under composition, and
+    the action of a power e^p is ab5(e)^p, which mat_power takes by
+    squaring without rewriting the long images of e^p.
     """
     if not stabilizes(e):
         raise ValueError("automorphism does not stabilize the even-a3 subgroup")
     columns = [ab_vector(rewrite(apply(e, x)), COVER_RANK) for x in BASIS]
     return [[columns[j][i] for j in range(COVER_RANK)] for i in range(COVER_RANK)]
+
+
+def mat_power(m: IntMat, k: int) -> IntMat:
+    """m^k for a square integer matrix m and k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    n = len(m)
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    while k:
+        if k & 1:
+            result = _mat_mul(result, m)
+        k >>= 1
+        if k:
+            m = _mat_mul(m, m)
+    return result
+
+
+def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def sigma_star() -> IntMat:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from autgeom import automorphisms as aut
@@ -85,6 +87,18 @@ class TestImageCap:
         for k in (12, 40):
             with pytest.raises(ValueError, match="exceed"):
                 aut.endo_of(x ** k)
+
+    def test_work_cap(self):
+        # The k-th of n L21 factors bounds the images by k + 3 letters,
+        # so n factors write n(n + 1)/2 + 3n: 8,014,000 at n = 4,000 and
+        # 12,515,000 at n = 5,000, around MAX_ENDO_WORK = 10,000,000.
+        assert aut.MAX_ENDO_WORK == 100 * fw.MAX_WORD_LETTERS
+        assert len(aut.endo_of(aut.parse_autexpr("L21 " * 4000)).images[1]) == 4001
+        for text in ("L21 " * 5000, "L21 " * 100_000, "L21 L31 " * 10_000):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^composing the factors would write"):
+                aut.endo_of(aut.parse_autexpr(text))
+            assert time.perf_counter() - start < 2.0
 
 
 class TestApplyComposeEqual:
@@ -273,6 +287,12 @@ class TestExprGrammar:
     def test_parse_error_position(self):
         with pytest.raises(ValueError, match="^char 4: bad token 'X9'$"):
             aut.parse_autexpr("L21 X9")
+
+    def test_repeated_tokens(self):
+        x = aut.parse_autexpr("L21 E3^0 L21 R13^-2 L21 E3^0")
+        assert x.token_text() == "L21 L21 R13^-2 L21"
+        with pytest.raises(ValueError, match="^char 8: indices must differ$"):
+            aut.parse_autexpr("L21 L21 L11 L11")
 
     def test_bad_indices(self):
         with pytest.raises(ValueError, match="^char 0: indices must differ$"):

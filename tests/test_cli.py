@@ -468,6 +468,11 @@ def _limit_address_space():
         ["lk-basis", "--k", "9" * 3000],
         ["gpq", "--n", "1", "--p", "1", "--q", "2", "--w", "a1"],
         ["gpq", "--n", "100000000", "--p", "1", "--q", "2", "--w", "a1"],
+        # Images that stay short but take quadratic work to compose: the
+        # largest run of L21 factors that fits in one argument (Linux caps
+        # one at 131,072 bytes); 100,000 factors are run in-process in
+        # test_contract.py.
+        ["gl-rep", "L21 " * 32_000],
     ],
 )
 def test_oversize_request_is_two_at_once(argv, tmp_path):

@@ -7,7 +7,7 @@ from autgeom import glrep
 from autgeom import words as fw
 from autgeom.automorphisms import inversion, nielsen_left, nielsen_right
 
-from conftest import is_reduced, random_a3_even_word, swap
+from conftest import is_reduced, random_a3_even_word, run_cli, swap
 from test_words import RefLetter, ref_letters, ref_syms
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
@@ -179,6 +179,95 @@ class TestAb5:
             e2 = random_stabilizing_endo(rng)
             lhs = glrep.ab5(aut.compose(e1, e2))
             assert mat_mul(glrep.ab5(e1), glrep.ab5(e2)) == lhs
+
+
+class TestMatPower:
+    def test_matches_repeated_products(self, rng):
+        for _ in range(10):
+            m = glrep.ab5(random_stabilizing_endo(rng))
+            acc = IDENTITY5
+            for k in range(12):
+                assert glrep.mat_power(m, k) == acc
+                acc = mat_mul(acc, m)
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="k >= 0"):
+            glrep.mat_power(IDENTITY5, -1)
+
+
+# Tokens for random gl-rep expressions: the stabilizing elementary maps,
+# plus two (P13, L13) whose square stabilizes although they do not.
+GL_TOKENS = ["L12", "L21", "L31", "L32", "R12", "R21", "R31", "R32",
+             "E1", "E2", "E3", "P12"]
+
+
+def word_path_report(text, p):
+    """gl-rep by the word path: ab5 rewrites the images of X^p.  Returns
+    (0, ab5, mu, images) or (2, error message)."""
+    try:
+        endo = aut.endo_of(aut.parse_autexpr(text) ** p)
+        m5 = glrep.ab5(endo)
+    except ValueError as exc:
+        return 2, str(exc)
+    images = {f"a{i + 1}": fw.format_word(w) for i, w in enumerate(endo.images)}
+    return 0, m5, glrep.restrict_to_eigenplane(m5), images
+
+
+def gl_rep_report(text, p):
+    code, report = run_cli(["gl-rep", text, "--power", str(p)])
+    if code != 0:
+        return code, report.payload["error"]
+    (stab, _) = report.checks
+    return code, report.payload["ab5"], report.payload["mu"], stab.witness["images"]
+
+
+class TestGlRepPowers:
+    """gl-rep takes ab5(X^p) as ab5(X^(sign p))^|p|; the word path is the
+    reference."""
+
+    def test_random_expressions(self, rng):
+        for trial in range(60):
+            tokens = GL_TOKENS + ["P13", "L13"] * (trial % 3 == 0)
+            text = " ".join(
+                f"{rng.choice(tokens)}^{rng.choice((-2, -1, 1, 2, 3))}"
+                for _ in range(rng.randint(1, 4))
+            )
+            p = rng.randint(-12, 12)
+            assert gl_rep_report(text, p) == word_path_report(text, p), (text, p)
+
+    @pytest.mark.parametrize(
+        "text,p",
+        [
+            ("L21", 50_000),
+            ("R12^-3", 20_000),
+            ("P12 L21 R12 P12", 11),
+            ("L21 R12", -11),
+            ("P13", 2),
+            ("L13", 2),
+            ("L13", -2),
+            ("L21 R12", 0),
+        ],
+    )
+    def test_cases(self, text, p):
+        report = gl_rep_report(text, p)
+        assert report[0] == 0
+        assert report == word_path_report(text, p)
+
+    @pytest.mark.parametrize(
+        "text,p", [("P13", 3), ("L13 L31", 2), ("L13", 1), ("L21", 100_000)]
+    )
+    def test_refusals(self, text, p):
+        report = gl_rep_report(text, p)
+        assert report[0] == 2
+        assert report == word_path_report(text, p)
+
+    def test_power_zero_builds_no_image_of_x(self):
+        # X alone is over the letter cap; X^0 is the identity.
+        text = "L12 L21 " * 40
+        assert gl_rep_report(text, 1) == (2, "images would exceed 100000 letters")
+        code, m5, m2, images = gl_rep_report(text, 0)
+        assert (code, m5, m2) == (0, IDENTITY5, [[1, 0], [0, 1]])
+        assert images == {"a1": "a1", "a2": "a2", "a3": "a3"}
 
 
 class TestEigenplane:
