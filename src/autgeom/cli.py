@@ -136,9 +136,11 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
     stabilize either.  For p = 0 the unit is X^0 itself, so no image of
     X is built.
     """
-    expr = aut.parse_autexpr(args.expr, rank=3)
-    endo = aut.endo_of(expr ** args.power)
-    unit = aut.endo_of(expr ** (1 if args.power > 0 else -1)) if args.power else endo
+    expr = aut.parse_autexpr(args.expr)
+    endo = aut.endo_of(aut.expr_power(expr, args.power))
+    unit = endo
+    if args.power:
+        unit = aut.endo_of(aut.expr_power(expr, 1 if args.power > 0 else -1))
     if glrep.stabilizes(unit):
         m5 = glrep.mat_power(glrep.ab5(unit), abs(args.power))
     else:
@@ -193,8 +195,8 @@ def cmd_lk_basis(args: argparse.Namespace) -> Report:
 def cmd_sanov(args: argparse.Namespace) -> Report:
     if args.power == 0:
         raise ValueError("power must be nonzero")
-    m1 = glrep.mu(aut.endo_of(aut.nielsen_left(1, 2) ** args.power))
-    m2 = glrep.mu(aut.endo_of(aut.nielsen_left(2, 1) ** args.power))
+    m1 = glrep.mu(aut.endo_of(aut.expr_power(aut.nielsen_left(1, 2), args.power)))
+    m2 = glrep.mu(aut.endo_of(aut.expr_power(aut.nielsen_left(2, 1), args.power)))
     free = glrep.no_short_relation(m1, m2, args.max_len)
     checks = [
         Check(
@@ -218,6 +220,8 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
                  out: str | None, precision: int,
                  extra_checks: list[Check] | None = None,
                  extra_payload: dict | None = None) -> Report:
+    # --precision is refused whether or not --out asks for the OFF file.
+    latgeom.check_precision(precision)
     # Gate 2 of voronoi_cell raises unless the cell's volume is the
     # covolume, so the report states the volume without measuring again.
     volume = fraction_str(latgeom.covolume(lattice))

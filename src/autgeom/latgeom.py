@@ -47,6 +47,7 @@ __all__ = [
     "classify",
     "octo_check",
     "export_off",
+    "check_precision",
     "MAX_PRECISION",
 ]
 
@@ -499,6 +500,14 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> OctoReport:
 MAX_PRECISION = 1000
 
 
+def check_precision(precision: int) -> None:
+    """Refuse an OFF precision outside 0..MAX_PRECISION with ValueError."""
+    if precision < 0:
+        raise ValueError(f"precision must be >= 0, got {precision}")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be <= {MAX_PRECISION}, got {precision}")
+
+
 def _decimal_str(x: Fraction, digits: int) -> str:
     """Exact decimal rendering with the given number of fraction digits."""
     q = 10 ** digits
@@ -525,10 +534,7 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
     pair along with the face cycles and the defining halfspaces (normal
     a and offset |a|^2 / 2 of x.a <= |a|^2 / 2).
     """
-    if precision < 0:
-        raise ValueError(f"precision must be >= 0, got {precision}")
-    if precision > MAX_PRECISION:
-        raise ValueError(f"precision must be <= {MAX_PRECISION}, got {precision}")
+    check_precision(precision)
     den = poly.den
     vertices = [[Fraction(x, den) for x in p] for p in poly.vertices]
     n_v, n_e, n_f = poly.f_vector()

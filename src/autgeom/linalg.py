@@ -116,8 +116,8 @@ def project_onto_span(basis: Sequence[Sequence], t: Sequence) -> Vec:
     """Orthogonal projection of t onto the span of the basis vectors.
 
     Uses the normal equations, with the Gram matrix summed column by
-    column over the basis vectors' nonzero entries; the basis must be
-    linearly independent.  An empty basis projects everything to zero.
+    column over the basis vectors' nonzero entries; the basis need not
+    be linearly independent.  An empty basis projects everything to zero.
     """
     out = [Fraction(0)] * len(t)
     if not basis:

@@ -60,9 +60,9 @@ def run_cli(argv):
     return run(argv)
 
 
-def swap(i, j, rank=3):
+def swap(i, j):
     """The automorphism P_ij exchanging a_i and a_j."""
-    return parse_autexpr(f"P{i}{j}", rank)
+    return parse_autexpr(f"P{i}{j}")
 
 
 def octo_flags(rep):

@@ -82,8 +82,8 @@ def test_criterion_2_gpq_embeddings(rng):
 
 def test_criterion_3_representation(rng):
     ok_elementary = all(
-        glrep.mu(aut.endo_of(L(1, 2) ** p)) == [[1, 0], [p, 1]]
-        and glrep.mu(aut.endo_of(L(2, 1) ** p)) == [[1, p], [0, 1]]
+        glrep.mu(aut.endo_of(aut.expr_power(L(1, 2), p))) == [[1, 0], [p, 1]]
+        and glrep.mu(aut.endo_of(aut.expr_power(L(2, 1), p))) == [[1, p], [0, 1]]
         for p in range(1, 6)
     )
     ok_mult = all(

@@ -197,6 +197,30 @@ class TestInputCaps:
         assert f"precision must be <= {latgeom.MAX_PRECISION}" in report.payload["error"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,error", [
+        (["voronoi", "--gens", "1,0,0;0,1,0;0,0,1", "--precision=-3"],
+         "precision must be >= 0, got -3"),
+        (["nielsen-flat", "--scale", "1", "--precision=100000000"],
+         f"precision must be <= {latgeom.MAX_PRECISION}, got 100000000"),
+    ])
+    def test_precision_refused_without_out(self, argv, error):
+        code, report = run_cli(argv)
+        assert (code, report.payload["error"]) == (USAGE_ERROR, error)
+
+    @pytest.mark.parametrize("argv,error", [
+        # A bad lattice or scale is reported before a bad precision, and a
+        # bad precision before an unwritable --out.
+        (["voronoi", "--gens", "0,0,0", "--precision=-3"], "all generators are zero"),
+        (["nielsen-flat", "--scale", "0", "--precision=-3"],
+         "scale must be a positive integer, got 0"),
+        (["voronoi", "--gens", FCC_GENS, "--precision=-3"],
+         "precision must be >= 0, got -3"),
+    ])
+    def test_precision_error_precedence_with_out(self, argv, error, tmp_path):
+        out = str(tmp_path / "missing" / "c.off")
+        code, report = run_cli(argv + ["--out", out])
+        assert (code, report.payload["error"]) == (USAGE_ERROR, error)
+
 
 class TestPayloads:
     def test_gl_rep_matrices(self):

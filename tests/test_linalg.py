@@ -173,6 +173,9 @@ class TestProjection:
     def test_empty_basis(self):
         assert linalg.project_onto_span([], [1, 2]) == [F(0), F(0)]
 
+    def test_dependent_basis(self):
+        assert linalg.project_onto_span([[1, 0], [2, 0]], [1, 1]) == [1, 0]
+
     def test_idempotent_and_orthogonal(self):
         basis = [[1, 0, 1], [0, 2, 0]]
         t = [3, 5, 7]
