@@ -32,6 +32,7 @@ from .reports import Check
 from .words import (
     MAX_WORD_LETTERS,
     Word,
+    _LETTER_DIGITS,
     conj,
     cyclic_reduce,
     empty,
@@ -587,7 +588,9 @@ def identity_suite(mode: Mode = "aut") -> list[Check]:
 
 # ---------------------------------------------------------------------------
 # Text grammar: tokens like L21, R13^-2, E2, P12^3, separated by whitespace.
-# Single-digit indices, which covers rank 3.
+# Single-digit indices, which covers rank 3.  An exponent's leading zeros
+# are dropped, and one with more digits than MAX_WORD_LETTERS is refused
+# before int() would convert it.
 # ---------------------------------------------------------------------------
 
 _EXPR_TOKEN = re.compile(r"([LRP])(\d)(\d)(?:\^(-?\d+))?\Z|E(\d)(?:\^(-?\d+))?\Z")
@@ -606,12 +609,17 @@ def parse_autexpr(text: str) -> AutExpr:
             mt = _EXPR_TOKEN.match(tok)
             if mt is None:
                 raise ValueError(f"char {m.start()}: bad token {tok!r}")
+            signed = mt.group(6 if mt.group(5) else 4) or "1"
+            digits = signed.lstrip("-").lstrip("0") or "0"
+            if len(digits) > _LETTER_DIGITS:
+                raise ValueError(f"char {m.start()}: exponent of {len(digits)} digits "
+                                 f"is over {MAX_WORD_LETTERS}")
+            exp = -int(digits) if signed.startswith("-") else int(digits)
             try:
                 if mt.group(5) is not None:
-                    factor = _factor("E", int(mt.group(5)), 0, int(mt.group(6) or 1))
+                    factor = _factor("E", int(mt.group(5)), 0, exp)
                 else:
-                    factor = _factor(mt.group(1), int(mt.group(2)), int(mt.group(3)),
-                                     int(mt.group(4) or 1))
+                    factor = _factor(mt.group(1), int(mt.group(2)), int(mt.group(3)), exp)
             except ValueError as exc:
                 raise ValueError(f"char {m.start()}: {exc}") from None
             parsed[tok] = factor

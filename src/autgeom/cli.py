@@ -7,6 +7,8 @@ verification failed, 2 usage, parse, or precondition error (the
 library's ``ValueError``) or an unwritable ``--out`` path, 3 an internal
 gate or self-check failed (a ``RuntimeError``, named in the report).
 Error reports go to stderr, have no checks and carry ``"passed": false``.
+A process parses every request with one parser; subcommand ``x-y`` runs
+``cmd_x_y``, found by that name when the request runs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .words import ab_vector, format_word, parse_word
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+_parser: argparse.ArgumentParser | None = None  # see build_parser
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -402,6 +405,11 @@ def cmd_induce(args: argparse.Namespace) -> Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on the first call, then reused.
+    It holds no handlers; ``_dispatch`` finds them by subcommand name."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="autgeom",
         description="Exact verification of free-group automorphism identities "
@@ -421,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify-relations", help="run the full identity suite")
     p.add_argument("--mode", choices=["aut", "out"], default="aut")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_verify_relations)
 
     p = add_parser("gpq", help="check the three two-parameter relations "
                        "under the right-multiplier assignment")
@@ -429,30 +436,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--w", required=True, help="word in a1..a(n-2), e.g. 'a1 a2^-1'")
-    p.set_defaults(func=cmd_gpq)
 
     p = add_parser("inner-gpq", help="check the same relations under the "
                        "rank-3 inner assignment")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_inner_gpq)
 
     p = add_parser("gl-rep", help="abelianized cover action and 2x2 "
                        "representation of an automorphism expression")
     p.add_argument("expr", help="e.g. 'L12' or 'L21^2 R12'")
     p.add_argument("--power", type=int, default=1)
-    p.set_defaults(func=cmd_gl_rep)
 
     p = add_parser("lk-basis", help="free basis of the index-(k-1) "
                        "subgroup generated by conjugates of powers")
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_lk_basis)
 
     p = add_parser("sanov", help="search for short relations between the "
                        "two 2x2 representation matrices")
     p.add_argument("--power", type=int, default=2)
     p.add_argument("--max-len", type=int, default=8)
-    p.set_defaults(func=cmd_sanov)
 
     p = add_parser("voronoi", help="exact Voronoi cell of a rank-3 lattice")
     p.add_argument(
@@ -462,35 +464,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the cell as an OFF file plus JSON sidecar")
     p.add_argument("--precision", type=int, default=6)
-    p.set_defaults(func=cmd_voronoi)
 
     p = add_parser("check-octo", help="check the four-vector conditions")
     p.add_argument("--u1", required=True)
     p.add_argument("--u2", required=True)
     p.add_argument("--v1", required=True)
     p.add_argument("--v2", required=True)
-    p.set_defaults(func=cmd_check_octo)
 
     p = add_parser("nielsen-flat", help="canonical flat model for the "
                        "commuting Nielsen family, with Dirichlet report")
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--out", help="write the Dirichlet domain as an OFF file")
     p.add_argument("--precision", type=int, default=6)
-    p.set_defaults(func=cmd_nielsen_flat)
 
     p = add_parser("lemma-pq", help="certificate that equidistant "
                        "collinear translates force the zero vector")
     p.add_argument("--tau", required=True, help="rational vector, e.g. '1,0'")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=cmd_lemma_pq)
 
     p = add_parser("induce", help="cyclic induced action of the integers "
                        "through an index-d subgroup translating by ell")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--ell", required=True, help="rational translation length")
-    p.set_defaults(func=cmd_induce)
-
+    _parser = parser
     return parser
 
 
@@ -511,8 +508,10 @@ def _render_pretty(report: Report) -> str:
 def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
     """The one error boundary: parse argv, run the subcommand, map outcomes.
 
-    A ``ValueError`` (bad input the library refused) or an ``OSError``
-    (an unwritable ``--out``) gives exit code 2; a ``RuntimeError`` (an
+    Each request parses with the one parser of ``build_parser`` and runs
+    ``cmd_<subcommand>`` as the module binds it when the request runs.  A
+    ``ValueError`` (bad input the library refused) or an ``OSError`` (an
+    unwritable ``--out``) gives exit code 2; a ``RuntimeError`` (an
     internal gate or self-check failed) gives exit code 3.  Either way
     the report echoes the parsed arguments and has no checks, so it does
     not pass; its ``payload["error"]`` carries the message.
@@ -525,7 +524,7 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
         if value == []:
             parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     try:
-        report = args.func(args)
+        report = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
         code, error = USAGE_ERROR, str(exc)
     except RuntimeError as exc:
@@ -534,7 +533,7 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
         return args, (0 if report.passed else 1), report
     echoed = {
         key: value for key, value in vars(args).items()
-        if key not in ("func", "subcommand", "pretty")
+        if key not in ("subcommand", "pretty")
     }
     return args, code, Report(args.subcommand, echoed, (), {"error": error})
 

@@ -55,6 +55,9 @@ __all__ = [
 # refuses a repeated core longer than this before building it, and
 # automorphisms caps the images of its endomorphisms the same way.
 MAX_WORD_LETTERS = 100_000
+# An exponent with more significant digits than this is over the cap;
+# the text grammars refuse it before int() would convert it.
+_LETTER_DIGITS = len(str(MAX_WORD_LETTERS))
 
 
 # A freely reduced word: nonzero letters, no adjacent ``x, -x``.
@@ -203,6 +206,7 @@ def parse_word(text: str, rank: int) -> Word:
     """
     raw: list[int] = []
     letters = 0
+    index_digits = len(str(rank))
     for m in re.finditer(r"\S+", text):
         tok = m.group(0)
         if tok == "1":
@@ -210,14 +214,20 @@ def parse_word(text: str, rank: int) -> Word:
         mt = _TOKEN.match(tok)
         if mt is None:
             raise ValueError(f"char {m.start()}: bad token {tok!r}")
-        idx = int(mt.group(2))
-        exp = 1 if mt.group(3) is None else int(mt.group(3))
-        if mt.group(1) == "A":
-            exp = -exp
+        # Leading zeros are dropped and a value is converted only if it
+        # has no more digits than its cap, since CPython converts at most
+        # 4,300; a longer one is over the cap, so the stand-in 0 or
+        # MAX_WORD_LETTERS + 1 fails the same check.
+        index = mt.group(2).lstrip("0") or "0"
+        idx = int(index) if len(index) <= index_digits else 0
         if not 1 <= idx <= rank:
             raise ValueError(
-                f"char {m.start()}: generator a{idx} out of range for rank {rank}"
+                f"char {m.start()}: generator a{index} out of range for rank {rank}"
             )
+        exponent = (mt.group(3) or "1").lstrip("-").lstrip("0") or "0"
+        exp = int(exponent) if len(exponent) <= _LETTER_DIGITS else MAX_WORD_LETTERS + 1
+        if (mt.group(1) == "A") != (mt.group(3) or "").startswith("-"):
+            exp = -exp
         letters += abs(exp)
         if letters > MAX_WORD_LETTERS:
             raise ValueError(

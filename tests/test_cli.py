@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from autgeom import automorphisms as aut
-from autgeom import flats, latgeom, linalg
+from autgeom import cli, flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
-from autgeom.reports import MAX_LITERAL_SIZE, fraction_str
+from autgeom.reports import MAX_LITERAL_SIZE, Report, fraction_str
 
 from conftest import run_cli
 
@@ -23,6 +23,8 @@ GOLDEN = json.loads(
 GOLDEN_SCHEMA = GOLDEN["payload_keys"]
 
 FCC_GENS = "1,1,0;1,-1,0;1,0,1;1,0,-1"
+NINES = "9" * 5000
+GPQ = ["gpq", "--n", "5", "--p", "1", "--q", "2"]  # words of rank 3
 
 SMOKE_ARGS = {
     "verify-relations": ["verify-relations"],
@@ -221,6 +223,36 @@ class TestInputCaps:
         code, report = run_cli(argv + ["--out", out])
         assert (code, report.payload["error"]) == (USAGE_ERROR, error)
 
+    # An exponent with more significant digits than MAX_WORD_LETTERS
+    # (six), or a word's index with more than the rank, is refused before
+    # int() would meet CPython's limit of 4,300 digits; words keep the
+    # messages of the caps the value is over.
+    @pytest.mark.parametrize("argv,error", [
+        (["gl-rep", "L12^" + NINES], "char 0: exponent of 5000 digits is over 100000"),
+        (["gl-rep", "L21 E1^-" + NINES], "char 4: exponent of 5000 digits is over 100000"),
+        (["gl-rep", "L12^1000000"], "char 0: exponent of 7 digits is over 100000"),
+        (["gl-rep", "E1^1000000"], "char 0: exponent of 7 digits is over 100000"),
+        (["gl-rep", "L12^999999"], "L12^999999 makes an image over 100000 letters"),
+        (GPQ + ["--w", "a1^" + NINES], "char 0: word longer than 100000 letters"),
+        (GPQ + ["--w", "a2 A3^-" + NINES], "char 3: word longer than 100000 letters"),
+        (GPQ + ["--w", "a" + NINES],
+         f"char 0: generator a{NINES} out of range for rank 3"),
+    ])
+    def test_long_digit_strings_are_refused_before_int(self, argv, error):
+        code, report = run_cli(argv)
+        assert (code, report.payload["error"]) == (USAGE_ERROR, error)
+
+    @pytest.mark.parametrize("argv,same_as", [
+        (["gl-rep", "L12^0000001"], ["gl-rep", "L12"]),
+        (["gl-rep", "L21^-" + "0" * 5000 + "3 E1^999999"], ["gl-rep", "L21^-3 E1"]),
+        (GPQ + ["--w", "a0001^0000002 A" + "0" * 5000 + "3"], GPQ + ["--w", "a1^2 A3"]),
+    ])
+    def test_leading_zeros_do_not_count(self, argv, same_as):
+        code, report = run_cli(argv)
+        assert code == 0
+        _, expected = run_cli(same_as)
+        assert report.checks == expected.checks
+
 
 class TestPayloads:
     def test_gl_rep_matrices(self):
@@ -393,6 +425,73 @@ def test_geometry_output_pinned(argv, code, digest, tmp_path, monkeypatch):
         for name in ("cell.off", "cell.off.json"):
             h.update((tmp_path / name).read_bytes())
     assert (got, h.hexdigest()) == (code, digest)
+
+
+# Usage errors that end a request with SystemExit: an unknown flag that
+# argparse refuses, "--opt=--" that _dispatch refuses through
+# parser.error, and --help, which exits 0.
+USAGE_EXITS = [
+    (["gl-rep", "L12", "--bogus"], 2),
+    (["lk-basis", "--k=--"], 2),
+    (["--help"], 0),
+]
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("bad,exit_code", USAGE_EXITS)
+    def test_request_after_usage_error_matches_fresh_process(self, bad, exit_code,
+                                                             capsys):
+        argv = ["gl-rep", "L21 R12 E3", "--power", "-3"]
+        with pytest.raises(SystemExit) as err:
+            cli.run(bad)
+        assert err.value.code == exit_code
+        capsys.readouterr()
+        code, report = cli.run(argv)
+        fresh = subprocess.run([sys.executable, "-m", "autgeom", *argv],
+                               capture_output=True, text=True)
+        assert (code, json.dumps(report.to_dict(), indent=1) + "\n") == (
+            fresh.returncode, fresh.stdout)
+
+    @pytest.mark.parametrize("pinned", [
+        PINNED_ALGEBRA[0], PINNED_ALGEBRA[6], PINNED_ALGEBRA[-1], PINNED_GEOMETRY[0],
+    ])
+    def test_pinned_digests_after_usage_errors(self, pinned, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, code, digest = pinned
+        for bad, exit_code in USAGE_EXITS:
+            with pytest.raises(SystemExit) as err:
+                cli.run(bad)
+            assert err.value.code == exit_code
+            got, report = cli.run(argv)
+            h = hashlib.sha256(json.dumps(report.to_dict(), indent=1).encode())
+            if "--out" in argv:
+                for name in ("cell.off", "cell.off.json"):
+                    h.update((tmp_path / name).read_bytes())
+            assert (got, h.hexdigest()) == (code, digest)
+        capsys.readouterr()
+
+
+def test_handler_is_looked_up_when_the_request_runs(monkeypatch):
+    # bench/tracing.py rebinds cli.cmd_* to span-recording wrappers after
+    # the parser is built, and its per-layer metrics need their spans
+    # (automorphisms.endo_of_ms takes the endo_of spans under
+    # cli.cmd_gl_rep): a parser that stored the handler would keep
+    # calling the unwrapped function.
+    cli.build_parser()
+    calls = []
+
+    def stub(args):
+        calls.append((args.p, args.q))
+        return Report("inner-gpq", {"p": args.p, "q": args.q}, ())
+
+    monkeypatch.setattr(cli, "cmd_inner_gpq", stub)
+    code, report = cli.run(["inner-gpq", "--p", "3", "--q", "-2"])
+    assert calls == [(3, -2)]
+    assert report.command == "inner-gpq" and report.checks == ()
 
 
 class TestEndToEnd:

@@ -218,6 +218,13 @@ class TestTextGrammar:
         with pytest.raises(ValueError, match=f"^char {position}: word longer than"):
             fw.parse_word(f"a1^{cap // 2} A1^{cap // 2} a3", 3)
 
+    def test_index_digits_are_bounded_by_the_rank(self):
+        # An index is converted only if it has no more digits than the
+        # rank, whatever MAX_WORD_LETTERS is.
+        assert fw.parse_word("a0001000000", 1_000_000) == (1_000_000,)
+        with pytest.raises(ValueError, match="^char 0: generator a10000000 out of range"):
+            fw.parse_word("a10000000", 1_000_000)
+
     @given(words(3))
     def test_round_trip(self, w):
         parsed = fw.parse_word(fw.format_word(w), 3)
