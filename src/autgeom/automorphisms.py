@@ -59,6 +59,7 @@ __all__ = [
     "conjugate_expr",
     "identity_endo",
     "endo_of",
+    "endo_power",
     "apply",
     "compose",
     "equal",
@@ -190,14 +191,31 @@ def _elem_endo(kind: str, i: int, j: int, exp: int) -> Endo:
     return Endo(tuple(images))
 
 
+def _image_bounds(e1: Endo, e2: Endo) -> list[int]:
+    """Upper bounds on the image lengths of compose(e1, e2): each letter
+    of an image of e2 counts the length of its image under e1.  A bound
+    above MAX_WORD_LETTERS raises ValueError."""
+    lengths = [*map(len, e1.images)]
+    # Letter x indexes [0, l1, l2, ..., l2, l1] at x, from the end for
+    # x < 0: a lookup per letter in C, since endo_power's inner operand
+    # is long.
+    length_of = [0, *lengths, *reversed(lengths)].__getitem__
+    bounds = [sum(map(length_of, img)) for img in e2.images]
+    if max(bounds) > MAX_WORD_LETTERS:
+        raise ValueError(f"images would exceed {MAX_WORD_LETTERS} letters")
+    return bounds
+
+
 # Each composition in endo_of writes every image out anew, so n factors
 # that each add a letter write about n^2/2 letters: 100,000 L21 factors
 # would write 5e9 of them (about 45 s).  endo_of sums the length bounds
 # it checks before each composition and stops at a hundred times the
 # letter cap.  Refusing 100,000 L21 factors then takes about 0.2 s on
-# CPython 3.11 (2-CPU x86-64), and the cap is seventy times the 139,135
-# letters that the busiest benchmark request (`gl-rep "P12 L21 R12 P12"
-# --power 10`) writes.
+# CPython 3.11 (2-CPU x86-64).  gl-rep builds the images of a power with
+# endo_power, so the cap guards long factor lists, not powers: no
+# endo_of call of the benchmark requests sums more than 27 letters of
+# bounds (in `verify-relations`), where `gl-rep "P12 L21 R12 P12"
+# --power 10` summed 139,135 when it composed its 40 factors one by one.
 MAX_ENDO_WORK = 100 * MAX_WORD_LETTERS
 
 
@@ -213,16 +231,39 @@ def endo_of(x: AutExpr) -> Endo:
     work = 0
     for factor in x:
         step = _elem_endo(*factor)
-        lengths = [len(img) for img in out.images]
-        bounds = [sum(lengths[abs(s) - 1] for s in img) for img in step.images]
-        if max(bounds) > MAX_WORD_LETTERS:
-            raise ValueError(f"images would exceed {MAX_WORD_LETTERS} letters")
-        work += sum(bounds)
+        work += sum(_image_bounds(out, step))
         if work > MAX_ENDO_WORK:
             raise ValueError(
                 f"composing the factors would write over {MAX_ENDO_WORK} letters"
             )
         out = compose(out, step)
+    return out
+
+
+def endo_power(e: Endo, k: int) -> Endo:
+    """e^k for k >= 0, by repeated squaring with compose.
+
+    Composition is associative and reduced images are unique, so the
+    images are those of k copies of e composed one at a time, at the
+    cost of O(log k) compositions.  Before each one the image lengths
+    are bounded as in endo_of; a bound above MAX_WORD_LETTERS raises
+    ValueError.  The bound counts letters that cancel, so images that
+    cancel at their seams (as conjugates do) can be refused although
+    the power's images would fit.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    if k == 0:
+        return identity_endo(len(e.images))
+    out = e
+    # Left to right over the bits of k, so a multiplication composes
+    # with e itself, whose short images are the inner operand.
+    for bit in bin(k)[3:]:
+        _image_bounds(out, out)
+        out = compose(out, out)
+        if bit == "1":
+            _image_bounds(out, e)
+            out = compose(out, e)
     return out
 
 

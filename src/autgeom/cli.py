@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import automorphisms as aut
 from . import flats, glrep, latgeom
 from .reports import Check, Report, fraction_str, parse_fraction
-from .words import ab_vector, format_word, parse_word
+from .words import MAX_WORD_LETTERS, ab_vector, format_word, parse_word
 
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
@@ -131,19 +131,32 @@ def cmd_inner_gpq(args: argparse.Namespace) -> Report:
 def cmd_gl_rep(args: argparse.Namespace) -> Report:
     """The cover action ab5 and its eigenplane restriction mu of X^p.
 
-    The images of X^p are built for the witness and the letter caps, but
-    when the unit U = X^(sign p) stabilizes the subgroup, ab5(X^p) is
-    taken as ab5(U)^|p| by squaring: only the short images of U are
+    The unit U = X^(sign p) is built from its factors, and the images of
+    X^p by squaring U's images (a single-factor X^p is one factor, with
+    closed-form images).  Only where a square's length bound is over the
+    letter cap are the factors of X^p composed one at a time, as endo_of
+    does for any expression.  When U stabilizes the subgroup, ab5(X^p)
+    is taken as ab5(U)^|p| by squaring: only the short images of U are
     rewritten.  Otherwise (P13 does not stabilize, P13^2 does) ab5
     rewrites the images of X^p, and refuses them if X^p does not
     stabilize either.  For p = 0 the unit is X^0 itself, so no image of
     X is built.
     """
     expr = aut.parse_autexpr(args.expr)
-    endo = aut.endo_of(aut.expr_power(expr, args.power))
-    unit = endo
-    if args.power:
-        unit = aut.endo_of(aut.expr_power(expr, 1 if args.power > 0 else -1))
+    # expr_power refuses X^p of more than MAX_WORD_LETTERS factors.
+    power = aut.expr_power(expr, args.power)
+    unit_expr = aut.expr_power(expr, (args.power > 0) - (args.power < 0))
+    if len(expr) == 1:
+        endo = aut.endo_of(power)
+        unit = aut.endo_of(unit_expr)
+    else:
+        unit = aut.endo_of(unit_expr)
+        try:
+            endo = aut.endo_power(unit, abs(args.power))
+        except ValueError:
+            # A square's length bound counts letters that cancel; the
+            # factors composed one at a time decide, under endo_of's caps.
+            endo = aut.endo_of(power)
     if glrep.stabilizes(unit):
         m5 = glrep.mat_power(glrep.ab5(unit), abs(args.power))
     else:
@@ -198,8 +211,18 @@ def cmd_lk_basis(args: argparse.Namespace) -> Report:
 def cmd_sanov(args: argparse.Namespace) -> Report:
     if args.power == 0:
         raise ValueError("power must be nonzero")
-    m1 = glrep.mu(aut.endo_of(aut.expr_power(aut.nielsen_left(1, 2), args.power)))
-    m2 = glrep.mu(aut.endo_of(aut.expr_power(aut.nielsen_left(2, 1), args.power)))
+    # The images of L12^p and L21^p have |p| + 1 letters; the same cap as
+    # for any image keeps every matrix entry short.
+    if abs(args.power) >= MAX_WORD_LETTERS:
+        raise ValueError(
+            f"L12^{args.power} makes an image over {MAX_WORD_LETTERS} letters"
+        )
+    # mu(X^p) = mu(X^(sign p))^|p|, so no long image is built or rewritten.
+    sign = 1 if args.power > 0 else -1
+    m1, m2 = (
+        glrep.mat_power(glrep.mu(aut.endo_of(aut.expr_power(x, sign))), abs(args.power))
+        for x in (aut.nielsen_left(1, 2), aut.nielsen_left(2, 1))
+    )
     free = glrep.no_short_relation(m1, m2, args.max_len)
     checks = [
         Check(

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from autgeom import automorphisms as aut
+from autgeom import glrep
 from autgeom import words as fw
 from autgeom.automorphisms import (
     commutator,
@@ -96,6 +97,77 @@ class TestImageCap:
             with pytest.raises(ValueError, match="^composing the factors would write"):
                 aut.endo_of(aut.parse_autexpr(text))
             assert time.perf_counter() - start < 2.0
+
+
+class TestEndoPower:
+    """endo_power against endo_of(expr_power(x, p)), which composes the
+    factors of x^p one at a time."""
+
+    @staticmethod
+    def assert_matches_factor_path(x, p):
+        unit = aut.endo_of(expr_power(x, 1 if p > 0 else -1))
+        expected = aut.endo_of(expr_power(x, p))
+        assert aut.endo_power(unit, abs(p)) == expected, (format_expr(x), p)
+
+    def test_random_expressions(self, rng):
+        compared = stabilizing = zero = 0
+        for _ in range(150):
+            # At least two factors, so x^p is not one closed-form factor.
+            x = random_expr(rng, max_len=3) + random_expr(rng, max_len=3)
+            p = rng.randint(-12, 12)
+            try:
+                aut.endo_of(expr_power(x, p))
+                self.assert_matches_factor_path(x, p)
+            except ValueError:
+                continue  # over a cap of either path
+            compared += 1
+            stabilizing += glrep.stabilizes(aut.endo_of(x))
+            zero += p == 0
+        assert compared >= 100 and 0 < stabilizing < compared and zero > 0
+
+    @pytest.mark.parametrize(
+        "text,p",
+        [
+            ("P13", 2),  # does not stabilize the even-a3 subgroup; P13^2 does
+            ("P13 L21", 2),
+            ("L13 L31", 2),
+            ("L21 R12", 0),
+            ("L21 R12", -11),
+        ],
+    )
+    def test_cases(self, text, p):
+        self.assert_matches_factor_path(aut.parse_autexpr(text), p)
+
+    def test_cancelling_images_are_refused(self):
+        # The bound counts letters that cancel: the square of X^10 (images
+        # of 345 and 347 letters) is bounded by 120,081, although X^20
+        # has images of 1,485 and 1,487 letters.
+        x = aut.parse_autexpr("L13^-1 L31^-2 R13")
+        assert [len(w) for w in aut.endo_of(expr_power(x, 20)).images] == [1485, 1, 1487]
+        with pytest.raises(ValueError, match="^images would exceed 100000 letters$"):
+            aut.endo_power(aut.endo_of(x), 20)
+
+    def test_logarithmic_compositions(self, monkeypatch):
+        unit = aut.endo_of(aut.parse_autexpr("L21 R31"))
+        calls = []
+        real = aut.compose
+        monkeypatch.setattr(aut, "compose", lambda e1, e2: calls.append(1) or real(e1, e2))
+        out = aut.endo_power(unit, 40_000)
+        # 40,000 has 16 bits, 5 of them set: 15 squares and 4 products.
+        assert len(calls) == 19
+        assert out.images == (fw.gen(1), (1,) * 40_000 + (2,), (3,) + (1,) * 40_000)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="k >= 0"):
+            aut.endo_power(aut.identity_endo(3), -1)
+        # (L12 L21)^k has a longest image of F(2k + 2) letters.
+        x = aut.endo_of(L(1, 2) + L(2, 1))
+        assert max(map(len, aut.endo_power(x, 11).images)) == 46_368
+        for k in (12, 40, 10**9):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^images would exceed 100000 letters$"):
+                aut.endo_power(x, k)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestApplyComposeEqual:

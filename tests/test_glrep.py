@@ -246,6 +246,10 @@ class TestGlRepPowers:
             ("L13", 2),
             ("L13", -2),
             ("L21 R12", 0),
+            # The square of X^10 is bounded over the letter cap, so the
+            # factors of X^p are composed one at a time.
+            ("L13^-1 L31^-2 R13", 20),
+            ("L13^-1 L31^-2 R13", -80),
         ],
     )
     def test_cases(self, text, p):
@@ -261,6 +265,21 @@ class TestGlRepPowers:
         assert report[0] == 2
         assert report == word_path_report(text, p)
 
+    @pytest.mark.parametrize("p", [40_000, -40_000])
+    def test_long_polynomial_power(self, p):
+        # 80,000 factors: composed one at a time they would write over
+        # MAX_ENDO_WORK letters; squared, the two moved images have
+        # 40,001 letters each.  The reference ab5 rewrites those images,
+        # written out by hand.
+        code, m5, m2, images = gl_rep_report("L21 R31", p)
+        a1_p = fw.power(fw.gen(1), p)
+        assert (code, images) == (
+            0, {"a1": "a1", "a2": fw.format_word(a1_p + (2,)),
+                "a3": fw.format_word((3,) + a1_p)},
+        )
+        assert m5 == glrep.ab5(aut.Endo((fw.gen(1), a1_p + (2,), (3,) + a1_p)))
+        assert m2 == glrep.restrict_to_eigenplane(m5)
+
     def test_power_zero_builds_no_image_of_x(self):
         # X alone is over the letter cap; X^0 is the identity.
         text = "L12 L21 " * 40
@@ -268,6 +287,26 @@ class TestGlRepPowers:
         code, m5, m2, images = gl_rep_report(text, 0)
         assert (code, m5, m2) == (0, IDENTITY5, [[1, 0], [0, 1]])
         assert images == {"a1": "a1", "a2": "a2", "a3": "a3"}
+
+
+class TestSanovPowers:
+    """sanov takes mu(X^p) as mu(X^(sign p))^|p|; the word path, mu of the
+    images of X^p, is the reference."""
+
+    def test_matches_word_path(self):
+        for p in [*range(-20, 0), *range(1, 21), 99_999, -99_999]:
+            code, report = run_cli(["sanov", "--power", str(p), "--max-len", "2"])
+            assert code == 0, p
+            for key, x in (("mu_L12_power", L(1, 2)), ("mu_L21_power", L(2, 1))):
+                expected = glrep.mu(aut.endo_of(aut.expr_power(x, p)))
+                assert report.payload[key] == expected, (p, key)
+
+    @pytest.mark.parametrize("p", [100_000, -100_000, 2_000_000_000])
+    def test_refusal(self, p):
+        code, report = run_cli(["sanov", "--power", str(p)])
+        assert (code, report.payload["error"]) == (
+            2, f"L12^{p} makes an image over 100000 letters"
+        )
 
 
 class TestEigenplane:

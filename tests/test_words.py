@@ -1,10 +1,13 @@
 import random
+from itertools import groupby
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
+from autgeom import automorphisms as aut
 from autgeom import words as fw
+from autgeom.automorphisms import MAX_GPQ_N
 from conftest import is_reduced, naive_reduce, random_raw, random_word
 
 
@@ -232,6 +235,47 @@ class TestTextGrammar:
 
     def test_empty_renders_as_one(self):
         assert fw.format_word(fw.empty()) == "1"
+
+
+def groupby_format(w):
+    """An independent renderer: one token per itertools.groupby run."""
+    tokens = []
+    for x, run in groupby(w):
+        count = sum(1 for _ in run) * (1 if x > 0 else -1)
+        tokens.append(f"a{abs(x)}" if count == 1 else f"a{abs(x)}^{count}")
+    return " ".join(tokens) or "1"
+
+
+class TestFormatWord:
+    def test_against_groupby_renderer(self):
+        rng = random.Random(1102)
+        # Words on both sides of the length where tokens are shared.
+        seen = {"single": 0, "long run": 0, "empty": 0, "short": 0, "tabled": 0}
+        for _ in range(2000):
+            rank = rng.choice((1, 3, 50, MAX_GPQ_N))
+            raw = []
+            for _ in range(rng.randint(0, 24)):
+                x = rng.randint(1, rank) * rng.choice((1, -1))
+                raw += [x] * rng.choice((1, 1, 1, 2, 3, rng.randint(4, 500)))
+            w = fw.reduce(rank, raw)
+            text = fw.format_word(w)
+            assert text == groupby_format(w)
+            assert fw.parse_word(text, rank) == w
+            seen["single"] += any(len(list(g)) == 1 for _, g in groupby(w))
+            seen["long run"] += any(len(list(g)) > 100 for _, g in groupby(w))
+            seen["empty"] += not w
+            seen["short" if len(w) < fw._TABLE_FROM else "tabled"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_power_ten_images(self):
+        # The largest gl-rep images of the benchmark, mostly runs of one.
+        x = aut.expr_power(aut.parse_autexpr("P12 L21 R12 P12"), 10)
+        images = aut.endo_of(x).images
+        assert [len(w) for w in images] == [10_946, 17_711, 1]
+        for w in images:
+            text = fw.format_word(w)
+            assert text == groupby_format(w)
+            assert fw.parse_word(text, 3) == w
 
 
 def test_thousand_random_cases(rng):
