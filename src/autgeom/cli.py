@@ -389,9 +389,16 @@ def cmd_induce(args: argparse.Namespace) -> Report:
     iso = flats.cyclic_induced(args.d, ell)
     result = flats.trans_length_sq(iso)
     expected = ell * ell / args.d
+    # Once the rotation of the d-th power is the identity, its fixed
+    # space is the whole space and its squared length is exactly |t|^2.
+    # Any other power fails the check, with its translation length.
     power = iso.power(args.d)
-    diag = flats.trans_length_sq(power)
     identity = flats.AffineIsometry.identity(1, args.d)
+    diagonal = power.source == identity.source and power.signs == identity.signs
+    if diagonal:
+        power_length_sq = Fraction(sum(t * t for t in power.translation), power.den**2)
+    else:
+        power_length_sq = flats.trans_length_sq(power).length_sq
     checks = [
         Check(
             "induced-length",
@@ -405,10 +412,8 @@ def cmd_induce(args: argparse.Namespace) -> Report:
         Check(
             "power-is-diagonal",
             "the d-th power translates diagonally with squared length d * ell^2",
-            diag.length_sq == args.d * ell * ell
-            and power.source == identity.source
-            and power.signs == identity.signs,
-            {"power_length_sq": fraction_str(diag.length_sq)},
+            diagonal and power_length_sq == args.d * ell * ell,
+            {"power_length_sq": fraction_str(power_length_sq)},
         ),
     ]
     payload = {

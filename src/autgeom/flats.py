@@ -9,6 +9,11 @@ square root and all comparisons are exact.  Orthogonal parts are
 restricted to signed block permutations: these cover every isometry the
 Euclidean model needs (inductions permute factors, flats carry pure
 translations) while keeping the fixed-space projection exact and total.
+An isometry holds its translation as integers over one denominator, so
+composing, powering and inducing copy, negate and add integer slices,
+and translation lengths are solved for in integer numerators; Fractions
+are built only inside the fixed-space projection, whose Gram pivots are
+cycle lengths, and for the length and witness point returned.
 The flat model translates by integer vectors, summed as integers.
 """
 
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from . import linalg
@@ -64,13 +70,16 @@ class AffineIsometry:
     The space splits into ``len(source)`` blocks of ``block_dim``
     coordinates; output block i is ``signs[i]`` times input block
     ``source[i]``.  That structure makes O orthogonal by construction
-    and of finite order, so the isometry is always semisimple.
+    and of finite order, so the isometry is always semisimple.  The
+    translation t is ``translation[i] / den`` in lowest terms: integer
+    entries over one positive denominator, as a Lattice holds its rows.
     """
 
     block_dim: int
     source: tuple[int, ...]
     signs: tuple[int, ...]
-    translation: tuple[Fraction, ...]
+    translation: tuple[int, ...]
+    den: int
 
     def __post_init__(self) -> None:
         d = len(self.source)
@@ -80,6 +89,8 @@ class AffineIsometry:
             raise ValueError("signs must be +-1, one per block")
         if len(self.translation) != d * self.block_dim:
             raise ValueError("translation has wrong dimension")
+        if self.den < 1 or gcd(self.den, *self.translation) != 1:
+            raise ValueError("translation is not in lowest terms over a positive den")
 
     @property
     def blocks(self) -> int:
@@ -90,44 +101,35 @@ class AffineIsometry:
         return self.block_dim * len(self.source)
 
     @classmethod
-    def pure_translation(cls, vector: Sequence) -> "AffineIsometry":
-        v = _fracs(vector)
-        return cls(len(v), (0,), (1,), v)
-
-    @classmethod
     def identity(cls, block_dim: int, blocks: int) -> "AffineIsometry":
-        return cls(
-            block_dim,
-            tuple(range(blocks)),
-            (1,) * blocks,
-            (Fraction(0),) * (block_dim * blocks),
-        )
+        return cls(block_dim, tuple(range(blocks)), (1,) * blocks,
+                   (0,) * (block_dim * blocks), 1)
 
-    def _rotate(self, point: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim
+    def _rotate(self, point: Sequence) -> list:
+        """O applied to a point, block by block: each output block is a
+        copy or the negation of a slice of the point."""
         k = self.block_dim
-        for i in range(self.blocks):
-            src = self.source[i]
-            for j in range(k):
-                out[i * k + j] = self.signs[i] * point[src * k + j]
+        out = []
+        for src, sign in zip(self.source, self.signs):
+            block = point[src * k:src * k + k]
+            out += block if sign == 1 else [-x for x in block]
         return out
-
-    def apply(self, point: Sequence) -> tuple[Fraction, ...]:
-        rotated = self._rotate(_fracs(point))
-        return tuple(r + t for r, t in zip(rotated, self.translation))
 
     def compose(self, other: "AffineIsometry") -> "AffineIsometry":
         """self after other."""
         if self.block_dim != other.block_dim or self.blocks != other.blocks:
             raise ValueError("incompatible block structures")
-        source = tuple(other.source[self.source[i]] for i in range(self.blocks))
-        signs = tuple(
-            self.signs[i] * other.signs[self.source[i]] for i in range(self.blocks)
-        )
-        translation = tuple(
-            r + t for r, t in zip(self._rotate(other.translation), self.translation)
-        )
-        return AffineIsometry(self.block_dim, source, signs, translation)
+        source = tuple(other.source[i] for i in self.source)
+        signs = tuple(s * other.signs[i] for i, s in zip(self.source, self.signs))
+        rotated = self._rotate(other.translation)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        translation = [b * r + a * t for r, t in zip(rotated, self.translation)]
+        g = gcd(den, *translation)
+        if g > 1:
+            den //= g
+            translation = [t // g for t in translation]
+        return AffineIsometry(self.block_dim, source, signs, tuple(translation), den)
 
     def power(self, k: int) -> "AffineIsometry":
         """self composed with itself k times, by repeated squaring."""
@@ -158,10 +160,13 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
     witness solves (O - I) x = -(t - proj t), so g moves it by exactly
     proj t.  A zero length means g is elliptic and the witness is a
     fixed point.  O - I is built as integer rows straight from the block
-    permutation, with at most two nonzeros per row, so the sparse
-    elimination in ``linalg`` does row operations in time linear in the
-    dimension instead of cubic.  Raises RuntimeError if the witness
-    cannot be solved for or does not move by exactly proj t.
+    permutation, with at most two nonzeros per row; its pivots are units
+    except where a cycle's sign product is -1, so the sparse elimination
+    in ``linalg`` finds the fixed space in integers.  The witness is
+    solved for in integer numerators over q * g.den, where q is the
+    common denominator of the projection, and Fractions are built only
+    for the returned length and witness.  Raises RuntimeError if the
+    witness cannot be solved for or does not move by exactly proj t.
     """
     n = g.dim
     k = g.block_dim
@@ -173,15 +178,22 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
             row[i * k + j] -= 1
     fixed = linalg.kernel(a)
     proj = linalg.project_onto_span(fixed, g.translation)
-    residual = [-(t - p) for t, p in zip(g.translation, proj)]
-    witness = linalg.solve(a, residual)
+    # Over the common denominator q of the projection, proj t, t and the
+    # right-hand side are integer vectors over q * den.
+    q = lcm(*(p.denominator for p in proj))
+    proj = [p.numerator * (q // p.denominator) for p in proj]
+    t = [q * x for x in g.translation]
+    witness = linalg.solve(a, [p - x for x, p in zip(t, proj)])
     if witness is None:
         raise RuntimeError("fixed-space projection left an unsolvable residual")
-    moved = g.apply(witness)
-    length_sq = sum((m - w) ** 2 for m, w in zip(moved, witness))
-    if length_sq != _dot(proj, proj):
+    moved = [r + x - w for r, x, w in zip(g._rotate(witness), t, witness)]
+    if moved != proj:
         raise RuntimeError("witness displacement differs from the projected translation")
-    return TranslationLength(length_sq, tuple(witness))
+    den = q * g.den
+    return TranslationLength(
+        Fraction(sum(p * p for p in proj), den * den),
+        tuple(Fraction(w, den) for w in witness),
+    )
 
 
 def induced_action(
@@ -192,8 +204,10 @@ def induced_action(
     ``perm[i]`` says which coset the element sends coset i to, and
     ``base[i]`` is the isometry of the subgroup element it carries along
     that route; output block perm[i] of the product space receives
-    base[i] applied to input block i.  Inducing each element of a group
-    this way is functorial, which is what the tests exercise.
+    base[i] applied to input block i.  The base translations are lifted
+    to the least common multiple of their denominators, which keeps the
+    result in lowest terms.  Inducing each element of a group this way
+    is functorial, which is what the tests exercise.
     """
     d = len(perm)
     if sorted(perm) != list(range(d)):
@@ -206,21 +220,25 @@ def induced_action(
         if iso.block_dim != k or iso.blocks != m:
             raise ValueError("base isometries have inconsistent block structure")
 
+    den = lcm(*(iso.den for iso in base))
     source = [0] * (d * m)
     signs = [1] * (d * m)
-    translation = [Fraction(0)] * (d * m * k)
-    for i in range(d):
+    translation = [0] * (d * m * k)
+    for i, iso in enumerate(base):
         out = perm[i]
         for j in range(m):
-            source[out * m + j] = i * m + base[i].source[j]
-            signs[out * m + j] = base[i].signs[j]
-        for j in range(m * k):
-            translation[out * m * k + j] = base[i].translation[j]
-    return AffineIsometry(k, tuple(source), tuple(signs), tuple(translation))
+            source[out * m + j] = i * m + iso.source[j]
+            signs[out * m + j] = iso.signs[j]
+        scale = den // iso.den
+        translation[out * m * k:(out + 1) * m * k] = (
+            iso.translation if scale == 1 else [scale * x for x in iso.translation]
+        )
+    return AffineIsometry(k, tuple(source), tuple(signs), tuple(translation), den)
 
 
-# The most cosets cyclic_induced accepts: trans_length_sq still eliminates
-# on dense d x d rows, and `induce --d 1000` takes about 0.6 s and 34 MB.
+# The most cosets cyclic_induced accepts: trans_length_sq still builds
+# dense d x d rows of O - I for its integer elimination, and
+# `induce --d 1000` takes about 0.14 s and 25 MB.
 MAX_COSETS = 1000
 
 
@@ -236,8 +254,9 @@ def cyclic_induced(d: int, ell) -> AffineIsometry:
     if d > MAX_COSETS:
         raise ValueError(f"need d <= {MAX_COSETS}, got {d}")
     ell = Fraction(ell)
-    base = [AffineIsometry.pure_translation([Fraction(0)]) for _ in range(d - 1)]
-    base.append(AffineIsometry.pure_translation([ell]))
+    zero = AffineIsometry(1, (0,), (1,), (0,), 1)
+    base = [zero] * (d - 1)
+    base.append(AffineIsometry(1, (0,), (1,), (ell.numerator,), ell.denominator))
     perm = tuple((i + 1) % d for i in range(d))
     return induced_action(perm, base)
 

@@ -1,15 +1,20 @@
 """Small exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Fractions (ints are accepted on
-input).  One private sparse Gauss--Jordan elimination serves ``kernel``,
-``solve`` and ``project_onto_span``: rows are held as ``{column: value}``
-dicts of their nonzero entries, and a row operation touches only those
-entries.  The systems this package solves are mostly signed block
-permutations minus the identity, with at most two nonzeros per row, so
-elimination costs time in proportion to the nonzeros rather than to the
-cube of the dimension.  The reduced row echelon form is unique, so the
-pivots, kernel bases and particular solutions are those of the dense
-textbook elimination.  There is deliberately no floating point anywhere.
+Matrices are lists of row lists of ints or Fractions.  One private
+sparse Gauss--Jordan elimination serves ``kernel``, ``solve`` and
+``project_onto_span``: rows are held as ``{column: value}`` dicts of
+their nonzero entries, and a row operation touches only those entries.
+The systems this package solves are mostly signed block permutations
+minus the identity, with at most two nonzeros per row, so elimination
+costs time in proportion to the nonzeros rather than to the cube of the
+dimension.  Entries are not converted: a pivot of +-1 scales its row by
++-1, so integer entries stay integers under unit pivots, and any other
+pivot scales by its exact Fraction reciprocal.  Every pivot of O - I for
+a signed block permutation is +-1 except the closing pivot of a cycle
+whose sign product is -1, so the kernel of such a system is computed in
+integers.  The reduced row echelon form is unique, so the pivots, kernel
+bases and particular solutions have the values of the dense textbook
+elimination.  There is deliberately no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from fractions import Fraction
 from itertools import compress, count
 from typing import Sequence
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
-Row = dict[int, Fraction]
+Num = int | Fraction
+Vec = list[Num]
+Mat = list[list[Num]]
+Row = dict[int, Num]
 
 
 def _sparse(a: Sequence[Sequence]) -> list[Row]:
-    return [{j: Fraction(row[j]) for j in compress(count(), row)} for row in a]
+    return [{j: row[j] for j in compress(count(), row)} for row in a]
 
 
 def _gauss_jordan(rows: list[Row]) -> dict[int, Row]:
@@ -48,9 +54,14 @@ def _gauss_jordan(rows: list[Row]) -> dict[int, Row]:
             continue
         p = min(candidates, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        inv = 1 / prow[c]
-        for k in prow:
-            prow[k] *= inv
+        pivot = prow[c]
+        if pivot == -1:
+            for k in prow:
+                prow[k] = -prow[k]
+        elif pivot != 1:
+            inv = Fraction(1, pivot)
+            for k in prow:
+                prow[k] *= inv
         for i in list(holders[c]):
             if i == p:
                 continue
@@ -78,7 +89,7 @@ def solve(a: Mat, b: Sequence) -> Vec | None:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     sparse = _sparse(a)
-    rhs = [Fraction(b[i]) for i in range(rows)]
+    rhs = [b[i] for i in range(rows)]
     aug = [dict(row) for row in sparse]
     for row, v in zip(aug, rhs):
         if v:
@@ -86,7 +97,7 @@ def solve(a: Mat, b: Sequence) -> Vec | None:
     pivots = _gauss_jordan(aug)
     if cols in pivots:
         return None  # pivot in the constant column: inconsistent
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for c, row in pivots.items():
         if cols in row:
             x[c] = row[cols]
@@ -102,9 +113,9 @@ def kernel(a: Mat) -> list[Vec]:
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = _gauss_jordan(_sparse(a))
-    basis = {f: [Fraction(0)] * cols for f in range(cols) if f not in pivots}
+    basis = {f: [0] * cols for f in range(cols) if f not in pivots}
     for f, v in basis.items():
-        v[f] = Fraction(1)
+        v[f] = 1
     for c, row in pivots.items():
         for f, y in row.items():
             if f != c:
@@ -119,13 +130,12 @@ def project_onto_span(basis: Sequence[Sequence], t: Sequence) -> Vec:
     column over the basis vectors' nonzero entries; the basis need not
     be linearly independent.  An empty basis projects everything to zero.
     """
-    out = [Fraction(0)] * len(t)
+    out = [0] * len(t)
     if not basis:
         return out
-    tv = [Fraction(v) for v in t]
     us = _sparse(basis)
     n = len(us)
-    by_column: dict[int, list[tuple[int, Fraction]]] = {}
+    by_column: dict[int, list[tuple[int, Num]]] = {}
     for i, u in enumerate(us):
         for k, x in u.items():
             by_column.setdefault(k, []).append((i, x))
@@ -137,7 +147,7 @@ def project_onto_span(basis: Sequence[Sequence], t: Sequence) -> Vec:
                 row[j] = row.get(j, 0) + x * y
     normal = [{j: y for j, y in row.items() if y} for row in gram]
     for row, u in zip(normal, us):
-        rhs = sum(x * tv[k] for k, x in u.items())
+        rhs = sum(x * t[k] for k, x in u.items())
         if rhs:
             row[n] = rhs
     pivots = _gauss_jordan(normal)

@@ -130,6 +130,27 @@ class TestExitCodes:
         assert code == INTERNAL_ERROR
         assert report.payload["error"].startswith("internal failure: RuntimeError")
 
+    @pytest.mark.parametrize("power,length_sq", [
+        # The generator itself: squared length ell^2 / d.
+        (lambda self, k: self, "9/5"),
+        # The generator's rotation with ell on every block: squared
+        # length d * ell^2, as claimed, so only the rotation fails.
+        (lambda self, k: flats.AffineIsometry(
+            1, self.source, self.signs, (3,) * self.blocks, 1), "45"),
+    ])
+    def test_power_that_keeps_a_rotation_fails_the_check(self, power, length_sq,
+                                                         monkeypatch):
+        # A d-th power whose rotation is not the identity is not read as
+        # a pure translation: power-is-diagonal fails with its length.
+        monkeypatch.setattr(flats.AffineIsometry, "power", power)
+        code, report = run_cli(["induce", "--d", "5", "--ell", "3"])
+        assert code == 1
+        checks = {c.name: c for c in report.checks}
+        assert checks["induced-length"].passed
+        assert not checks["power-is-diagonal"].passed
+        assert checks["power-is-diagonal"].witness == {"power_length_sq": length_sq}
+        assert report.to_dict()["passed"] is False
+
     def test_error_report_echoes_arguments(self, tmp_path):
         out = str(tmp_path / "c.off")
         code, report = run_cli(
@@ -413,6 +434,47 @@ PINNED_GEOMETRY = [
      "027e334da42aa842b41ffdcb1b7cf430b478aa968aba3bf7e519e5c8058c5ed8"),
     (["check-octo", "--u1=1,0,0", "--u2=0,1,0", "--v1=1,0,0", "--v2=0,1,0"], 1,
      "9f14f39c28953ea72a93a0d710acc06e9cee646b7229d757287bbc37076b9a2c"),
+    # induce: integer, 7/3, -5/12 and zero ell, from one coset to the cap.
+    (["induce", "--d", "1", "--ell=5"], 0,
+     "c758e97ce998963c070c72f8bff7cd3f0cf80d70b58c99fd4e2e6c59f06958a8"),
+    (["induce", "--d", "1", "--ell=7/3"], 0,
+     "59ea60ff30604350975d7968d65c4097fda4929c005b0a6f8e5c8c21829eb014"),
+    (["induce", "--d", "1", "--ell=-5/12"], 0,
+     "204ead6c1a229bef57ab34de42fe8c4fc8ac7db599144a3ff221d9f93f9fd433"),
+    (["induce", "--d", "1", "--ell=0"], 0,
+     "b85975c0811734f0a079e905574a7c7b59980453442d4bdcda61d97bebd2a34b"),
+    (["induce", "--d", "2", "--ell=5"], 0,
+     "179dd30b589685314d5353d87f6ac267f0776986c694656d5acd9f2cc294ead3"),
+    (["induce", "--d", "2", "--ell=7/3"], 0,
+     "4db10d734759b9b085f0c0abde1e98517b434f738fbbc94027bac5b012906fce"),
+    (["induce", "--d", "2", "--ell=-5/12"], 0,
+     "934b533953f72d6a64e2440aa30f64273ac9fcded14c3a3ce1bb398afb8cb738"),
+    (["induce", "--d", "2", "--ell=0"], 0,
+     "b86450fe7e178302ba258471376e2c3fbd19d01b86d4bdb533613de2d6c2184d"),
+    (["induce", "--d", "34", "--ell=5"], 0,
+     "214e1970c8add00c5e7c26e92429db46a280e3261e3d26146bbc20acc61c21f4"),
+    (["induce", "--d", "34", "--ell=7/3"], 0,
+     "a007df0699fddd0668a89e1000dfb418d0da4d2e669ab77588abf7968a0a70fd"),
+    (["induce", "--d", "34", "--ell=-5/12"], 0,
+     "4fb42322883f6f3ac9dcfc20174755ea6e3cb6b31bd8d2e4bf5697fa2dfb5dfb"),
+    (["induce", "--d", "34", "--ell=0"], 0,
+     "84983dc206f4c3f38edd18566b597bd68d96fcfb8ee6b533b09e0c0b6f9344f2"),
+    (["induce", "--d", "48", "--ell=5"], 0,
+     "1c91bcc0d9edbdb3ba66b53ab441c73bb798761c3050b979ccc0c32f3d32bec4"),
+    (["induce", "--d", "48", "--ell=7/3"], 0,
+     "53588bde62bffa48798948b1327fa3d84cfbd105f66ecee729243c17cb44d00e"),
+    (["induce", "--d", "48", "--ell=-5/12"], 0,
+     "e0752607dbbd6439fec9428c6b5a3563b1a1894fd3e48c4c8c5bf4ffaebed6d2"),
+    (["induce", "--d", "48", "--ell=0"], 0,
+     "beb6a09e9bb30247306137abc98baba9f82b594a758067493853f30be8794f2b"),
+    (["induce", "--d", "1000", "--ell=5"], 0,
+     "eaed183f8d885ec1bb82059db8b1ae814b36551444caa46dd2e6ac73287a1d32"),
+    (["induce", "--d", "1000", "--ell=7/3"], 0,
+     "75a3a54a52b2ce4f841e45a3ac8646281d3ecb44fa6a285f6a34fe51695a7d1d"),
+    (["induce", "--d", "1000", "--ell=-5/12"], 0,
+     "a83004de0de622260c24fda4e49881f93cbc92b09a93a673feb1a9adc41f1ba4"),
+    (["induce", "--d", "1000", "--ell=0"], 0,
+     "0968931cc6c1f1b2ff9f349804184adbbb91d9d839b04a84f7daf10fac82bb85"),
 ]
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,8 +9,34 @@ from autgeom.flats import AffineIsometry
 from conftest import octo_flags
 
 
+def isometry(block_dim, source, signs, vector):
+    """The AffineIsometry translating by a rational vector: its entries
+    scaled to integers over their least common denominator."""
+    v = [Fraction(x) for x in vector]
+    den = lcm(*(x.denominator for x in v))
+    return AffineIsometry(block_dim, tuple(source), tuple(signs),
+                          tuple(int(x * den) for x in v), den)
+
+
+def pure_translation(vector):
+    return isometry(len(vector), (0,), (1,), vector)
+
+
+def translation_vector(iso):
+    return [Fraction(t, iso.den) for t in iso.translation]
+
+
+def apply(iso, point):
+    """g(x) = O x + t, coordinate by coordinate from the definition."""
+    k = iso.block_dim
+    return tuple(
+        iso.signs[i // k] * Fraction(point[iso.source[i // k] * k + i % k]) + t
+        for i, t in enumerate(translation_vector(iso))
+    )
+
+
 def displacement_sq(iso, point):
-    moved = iso.apply(point)
+    moved = apply(iso, point)
     return sum((m - p) ** 2 for m, p in zip(moved, [Fraction(x) for x in point]))
 
 
@@ -28,21 +55,31 @@ def random_fraction(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
+def random_isometry(rng, k, m):
+    """A signed block permutation of m blocks of k coordinates whose
+    translation has entries over a random denominator from 1 to 12."""
+    source = list(range(m))
+    rng.shuffle(source)
+    signs = [rng.choice((1, -1)) for _ in range(m)]
+    den = rng.randint(1, 12)
+    return isometry(k, source, signs,
+                    [Fraction(rng.randint(-12, 12), den) for _ in range(m * k)])
+
+
+def random_induction(rng):
+    """A random coset permutation and base isometries over different
+    denominators."""
+    k, m, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5)
+    perm = list(range(d))
+    rng.shuffle(perm)
+    return perm, [random_isometry(rng, k, m) for _ in range(d)]
+
+
 def random_signed_block_permutation(rng):
     """An induced action of random base isometries through a random
     coset permutation: a signed block permutation with rational
     translation."""
-    k, m, d = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5)
-    base = []
-    for _ in range(d):
-        source = list(range(m))
-        rng.shuffle(source)
-        signs = tuple(rng.choice((1, -1)) for _ in range(m))
-        translation = tuple(random_fraction(rng) for _ in range(m * k))
-        base.append(AffineIsometry(k, tuple(source), signs, translation))
-    perm = list(range(d))
-    rng.shuffle(perm)
-    return flats.induced_action(perm, base)
+    return flats.induced_action(*random_induction(rng))
 
 
 def cycle_oracle(g):
@@ -56,7 +93,8 @@ def cycle_oracle(g):
     contributing |S|^2 / L to the squared length.
     """
     k = g.block_dim
-    block = lambda i: g.translation[i * k:(i + 1) * k]
+    t = translation_vector(g)
+    block = lambda i: t[i * k:(i + 1) * k]
     shift = [Fraction(0)] * g.dim
     length_sq = Fraction(0)
     seen = set()
@@ -82,28 +120,26 @@ def cycle_oracle(g):
 
 class TestAffineIsometry:
     def test_pure_translation_length(self):
-        g = AffineIsometry.pure_translation([3, 4])
+        g = pure_translation([3, 4])
         r = flats.trans_length_sq(g)
         assert r.length_sq == 25
         assert displacement_sq(g, r.min_point) == 25
 
     def test_elliptic_rotation_has_fixed_point(self):
-        g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (Fraction(0),) * 3)
+        g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 0), 1)
         r = flats.trans_length_sq(g)
         assert r.length_sq == 0
-        assert g.apply(r.min_point) == r.min_point
+        assert apply(g, r.min_point) == r.min_point
 
     def test_cyclic_block_with_translation(self):
-        ell = Fraction(5)
-        g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (Fraction(0), Fraction(0), ell))
+        g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 5), 1)
         r = flats.trans_length_sq(g)
-        assert r.length_sq == ell * ell / 3
+        assert r.length_sq == Fraction(25, 3)
         assert displacement_sq(g, r.min_point) == r.length_sq
 
     def test_witness_is_in_min_set(self):
         # Any point moves at least as far as the witness does.
-        ell = Fraction(7, 2)
-        g = AffineIsometry(1, (1, 0), (1, 1), (ell, Fraction(0)))
+        g = AffineIsometry(1, (1, 0), (1, 1), (7, 0), 2)
         r = flats.trans_length_sq(g)
         for probe in ([0, 0], [1, 5], [Fraction(-3, 2), 2]):
             assert displacement_sq(g, probe) >= r.length_sq
@@ -111,34 +147,47 @@ class TestAffineIsometry:
     def test_signed_block_can_be_elliptic(self):
         # A sign flip has no fixed directions, so any translation along
         # it is absorbed: the isometry is elliptic.
-        g = AffineIsometry(1, (0,), (-1,), (Fraction(4),))
+        g = AffineIsometry(1, (0,), (-1,), (4,), 1)
         r = flats.trans_length_sq(g)
         assert r.length_sq == 0
-        assert g.apply(r.min_point) == r.min_point
+        assert apply(g, r.min_point) == r.min_point
 
     def test_power_scaling_for_translations(self):
-        g = AffineIsometry.pure_translation([2, 1])
+        g = pure_translation([2, 1])
         for m in (2, 3, 5):
             assert flats.trans_length_sq(g.power(m)).length_sq == m * m * 5
 
     def test_power_at_permutation_order(self):
-        ell = Fraction(3)
-        g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (Fraction(0), Fraction(0), ell))
+        g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 3), 1)
         cubed = g.power(3)
         assert orthogonal_matrix(cubed) == orthogonal_matrix(AffineIsometry.identity(1, 3))
         assert flats.trans_length_sq(cubed).length_sq == 9 * flats.trans_length_sq(g).length_sq
 
-    def test_compose_matches_apply(self):
-        g = AffineIsometry(1, (1, 0), (1, -1), (Fraction(1), Fraction(2)))
-        h = AffineIsometry(1, (0, 1), (-1, 1), (Fraction(0), Fraction(3)))
+    def test_compose_matches_apply(self, rng):
+        g = isometry(1, (1, 0), (1, -1), (Fraction(1, 3), 2))
+        h = isometry(1, (0, 1), (-1, 1), (0, Fraction(3, 4)))
         point = (Fraction(5), Fraction(-2))
-        assert g.compose(h).apply(point) == g.apply(h.apply(point))
+        assert apply(g.compose(h), point) == apply(g, apply(h, point))
+        # Mixed denominators, put in lowest terms by the constructor.
+        for _ in range(100):
+            k, m = rng.randint(1, 3), rng.randint(1, 4)
+            g, h = random_isometry(rng, k, m), random_isometry(rng, k, m)
+            point = [random_fraction(rng) for _ in range(k * m)]
+            gh = g.compose(h)
+            assert lcm(g.den, h.den) % gh.den == 0
+            assert apply(gh, point) == apply(g, apply(h, point))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AffineIsometry(1, (0, 0), (1, 1), (Fraction(0), Fraction(0)))
+            AffineIsometry(1, (0, 0), (1, 1), (0, 0), 1)
         with pytest.raises(ValueError):
-            AffineIsometry(1, (0, 1), (2, 1), (Fraction(0), Fraction(0)))
+            AffineIsometry(1, (0, 1), (2, 1), (0, 0), 1)
+        with pytest.raises(ValueError, match="lowest terms"):
+            AffineIsometry(1, (0, 1), (1, 1), (2, 4), 6)
+        with pytest.raises(ValueError, match="lowest terms"):
+            AffineIsometry(1, (0, 1), (1, 1), (0, 0), 2)
+        with pytest.raises(ValueError, match="lowest terms"):
+            AffineIsometry(1, (0, 1), (1, 1), (1, 0), 0)
 
     def test_orthogonal_part_preserves_inner_product(self, rng):
         for _ in range(20):
@@ -150,33 +199,52 @@ class TestAffineIsometry:
                 k,
                 tuple(perm),
                 tuple(rng.choice((1, -1)) for _ in range(d)),
-                tuple(Fraction(rng.randint(-3, 3)) for _ in range(d * k)),
+                tuple(rng.randint(-3, 3) for _ in range(d * k)),
+                1,
             )
             o = orthogonal_matrix(g)
             gram = [[sum(x * y for x, y in zip(r, s)) for s in o] for r in o]
             assert gram == [[int(i == j) for j in range(d * k)] for i in range(d * k)]
 
-
     def test_power_matches_repeated_composition(self, rng):
+        dens = set()
         for _ in range(20):
             g = random_signed_block_permutation(rng)
+            dens.add(g.den)
             naive = AffineIsometry.identity(g.block_dim, g.blocks)
             for k in range(10):
                 assert g.power(k) == naive
                 naive = naive.compose(g)
+        assert len(dens) > 5
 
 
 class TestTransLengthOracle:
     def test_random_signed_block_permutations(self, rng):
+        dens = set()
         for _ in range(150):
             g = random_signed_block_permutation(rng)
+            dens.add(g.den)
             length_sq, shift = cycle_oracle(g)
             r = flats.trans_length_sq(g)
             assert r.length_sq == length_sq
-            moved = g.apply(r.min_point)
+            moved = apply(g, r.min_point)
             assert [m - w for m, w in zip(moved, r.min_point)] == shift
             probe = [random_fraction(rng) for _ in range(g.dim)]
             assert displacement_sq(g, probe) >= length_sq
+        assert len(dens) > 10
+
+    def test_lift_keeps_every_base_translation(self, rng):
+        # Block perm[i] of the induced translation is base[i]'s, over
+        # the least common multiple of the base denominators.
+        for _ in range(100):
+            perm, base = random_induction(rng)
+            g = flats.induced_action(perm, base)
+            assert g.den == lcm(*(b.den for b in base))
+            t = translation_vector(g)
+            size = base[0].dim
+            for i, b in enumerate(base):
+                out = perm[i]
+                assert t[out * size:(out + 1) * size] == translation_vector(b)
 
     def test_oracle_shift_is_fixed_by_o(self, rng):
         # The oracle's displacement lies in the fixed space of O.
@@ -189,7 +257,7 @@ class TestTransLengthOracle:
 
 class TestInducedAction:
     def test_single_coset_passthrough(self):
-        base = AffineIsometry.pure_translation([Fraction(3)])
+        base = pure_translation([Fraction(3, 4)])
         assert flats.induced_action((0,), [base]) == base
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -205,13 +273,13 @@ class TestInducedAction:
         ell = Fraction(5, 3)
         iso = flats.cyclic_induced(3, ell)
         cubed = iso.power(3)
-        assert cubed.translation == (ell, ell, ell)
+        assert translation_vector(cubed) == [ell, ell, ell]
         assert flats.trans_length_sq(cubed).length_sq == 3 * ell * ell
 
     def test_functorial_on_words(self):
         # Inducing the square equals squaring the induced element.
-        e = AffineIsometry.pure_translation([Fraction(0)])
-        h = AffineIsometry.pure_translation([Fraction(2)])
+        e = pure_translation([0])
+        h = pure_translation([Fraction(2, 5)])
         g = flats.induced_action((1, 2, 0), [e, e, h])
         g2_direct = flats.induced_action((2, 0, 1), [e, h, h])
         assert g.compose(g) == g2_direct
@@ -222,8 +290,8 @@ class TestInducedAction:
             flats.cyclic_induced(flats.MAX_COSETS + 1, 1)
 
     def test_inconsistent_blocks_rejected(self):
-        a = AffineIsometry.pure_translation([Fraction(1)])
-        b = AffineIsometry.pure_translation([Fraction(1), Fraction(0)])
+        a = pure_translation([1])
+        b = pure_translation([1, 0])
         with pytest.raises(ValueError):
             flats.induced_action((0, 1), [a, b])
 

@@ -99,6 +99,11 @@ def random_matrix(rng):
     return m
 
 
+def exact(values):
+    """True when every entry is an int or a Fraction, never a float."""
+    return all(type(x) in (int, Fraction) for x in values)
+
+
 class TestSolveKernel:
     def test_unique_solution(self):
         a = frac_matrix([[2, 0], [0, 3]])
@@ -160,9 +165,62 @@ class TestAgainstDenseReference:
             assert linalg.project_onto_span(kern, t) == dense_projection(kern, t)
 
     def test_integer_input(self, rng):
+        # Pivots of 2 and 3, not only units, so that elimination has to
+        # scale by a Fraction; no float may appear in any result.
+        for _ in range(self.CASES):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            a = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(cols)]
+                 for _ in range(rows)]
+            fa = frac_matrix(a)
+            kern = linalg.kernel(a)
+            assert kern == dense_kernel(fa)
+            assert all(exact(v) for v in kern)
+            x = [rng.randint(-4, 4) for _ in range(cols)]
+            b = [dot(row, x) for row in a] if rng.random() < 0.5 else [
+                rng.randint(-4, 4) for _ in a]
+            sol = linalg.solve(a, b)
+            assert sol == dense_solve(fa, b)
+            assert sol is None or exact(sol)
+            t = [rng.randint(-5, 5) for _ in range(cols)]
+            proj = linalg.project_onto_span(kern, t)
+            assert proj == dense_projection(dense_kernel(fa), t)
+            assert exact(proj)
+
+
+class TestIntegerEntries:
+    def test_fixed_non_unit_pivots(self):
+        a = [[2, 1, 0], [0, 3, 1]]
+        assert linalg.kernel(a) == [[Fraction(1, 6), Fraction(-1, 3), 1]]
+        assert linalg.solve(a, [1, 1]) == [Fraction(1, 3), Fraction(1, 3), 0]
+        assert linalg.solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+
+    def test_unit_pivots_keep_integers(self, rng):
+        # O - I for a signed permutation whose cycles all have sign
+        # product +1: every pivot is +-1, so kernel and solution stay ints.
         for _ in range(50):
-            a = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(5)] for _ in range(4)]
-            assert linalg.kernel(a) == dense_kernel(frac_matrix(a))
+            n = rng.randint(1, 8)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            for start in range(n):
+                cycle, i = [start], perm[start]
+                while i != start:
+                    cycle.append(i)
+                    i = perm[i]
+                if min(cycle) == start and sum(signs[j] < 0 for j in cycle) % 2:
+                    signs[start] = -signs[start]
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                a[i][perm[i]] += signs[i]
+                a[i][i] -= 1
+            kern = linalg.kernel(a)
+            assert all(type(x) is int for v in kern for x in v)
+            assert kern == dense_kernel(frac_matrix(a))
+            x = [rng.randint(-4, 4) for _ in range(n)]
+            b = [sum(y * z for y, z in zip(row, x)) for row in a]
+            sol = linalg.solve(a, b)
+            assert all(type(y) is int for y in sol)
+            assert sol == dense_solve(frac_matrix(a), b)
 
 
 class TestProjection:
