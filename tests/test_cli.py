@@ -387,8 +387,8 @@ def test_algebra_output_pinned(argv, code, digest):
 # OFF file and its sidecar where the request writes them, for Voronoi
 # cells of the benchmark's five lattice types (each once rotated by the
 # quaternion (1, 1, 1, 0) and scaled by 3/7, and once with a redundant
-# fourth generator), the Nielsen flat, and a passing and a failing
-# four-vector check.  They were recorded with the Voronoi kernel that
+# fourth generator), the Nielsen flat, a passing and two failing
+# four-vector checks, and two equidistance certificates.  They were recorded with the Voronoi kernel that
 # read the cell off plane triples; a kernel change that alters a vertex,
 # a face cycle, a halfspace or their order shows up here.
 PINNED_GEOMETRY = [
@@ -475,6 +475,15 @@ PINNED_GEOMETRY = [
      "a83004de0de622260c24fda4e49881f93cbc92b09a93a673feb1a9adc41f1ba4"),
     (["induce", "--d", "1000", "--ell=0"], 0,
      "0968931cc6c1f1b2ff9f349804184adbbb91d9d839b04a84f7daf10fac82bb85"),
+    # All four vectors zero: every norm is 0 and the lattice rank is 0.
+    (["check-octo", "--u1=0,0,0", "--u2=0,0,0", "--v1=0,0,0", "--v2=0,0,0"], 1,
+     "9303278c4fb6144b0947617c4c46e831e31fab4888380ac0f284e28b6df47fda"),
+    (["nielsen-flat", "--scale", "1"], 0,
+     "0e270559c5d2b0b3be485bd34edc504f4e6356793b76eaf0b5df2a31ad53cab5"),
+    (["lemma-pq", "--tau", "1,0", "--p", "1", "--q", "2"], 0,
+     "64bfcd66d24979fc8c3ba8414301eb6350a154e4931cbd8d0bd658ad6a7e70fc"),
+    (["lemma-pq", "--tau=1/2,-3,0", "--p", "-4", "--q", "7"], 0,
+     "c9084aafb39490702295204ee417c5feb6e9e25c3141f6ed041c42040c387751"),
 ]
 
 
