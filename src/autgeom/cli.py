@@ -40,54 +40,6 @@ def _parse_vec3(text: str) -> latgeom.Vec3:
     return latgeom.Vec3(*coords)
 
 
-def _octo_payload(rep: latgeom.OctoReport) -> dict:
-    return {
-        "norms_sq": [fraction_str(n) for n in rep.norms_sq],
-        "common_norm_sq": None
-        if rep.common_norm_sq is None
-        else fraction_str(rep.common_norm_sq),
-        "lattice_rank": rep.lattice_rank,
-    }
-
-
-def _octo_checks(rep: latgeom.OctoReport) -> list[Check]:
-    witness = _octo_payload(rep)
-    return [
-        Check(
-            "equal-nonzero-norms",
-            "all four vectors share one nonzero squared norm",
-            rep.equal_nonzero_norms,
-            witness,
-        ),
-        Check("sum-condition", "u1 + u2 = v1 + v2", rep.sums_agree, witness),
-        Check(
-            "pair-orthogonality",
-            "u1 . u2 = 0 and v1 . v2 = 0",
-            rep.pairs_orthogonal,
-            witness,
-        ),
-        Check(
-            "difference-orthogonality",
-            "(u1 - u2) . (v1 - v2) = 0",
-            rep.differences_orthogonal,
-            witness,
-        ),
-    ]
-
-
-def _classification_payload(cls: latgeom.Classification) -> dict:
-    return {
-        "f_vector": list(cls.f_vector),
-        "is_rhombic_dodecahedron": cls.is_rhombic_dodecahedron,
-        "is_cube": cls.is_cube,
-        "diag_ratios_sq": [
-            None if s.diag_ratio_sq is None else fraction_str(s.diag_ratio_sq)
-            for s in cls.faces
-        ],
-        "rhombic_faces": sum(1 for s in cls.faces if s.is_rhombus),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations; each returns a Report.
 # ---------------------------------------------------------------------------
@@ -242,7 +194,7 @@ def cmd_sanov(args: argparse.Namespace) -> Report:
 
 
 def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
-                 cell: latgeom.Polytope, cls: latgeom.Classification,
+                 cell: latgeom.Polytope, cls: dict,
                  out: str | None, precision: int,
                  extra_checks: list[Check] | None = None,
                  extra_payload: dict | None = None) -> Report:
@@ -257,7 +209,7 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
                   for row in lattice.rows],
         "covolume": volume,
         "volume": volume,
-        "classification": _classification_payload(cls),
+        "classification": cls,
         "off_path": None,
         "sidecar_path": None,
     }
@@ -273,8 +225,8 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
         Check(
             "euler",
             "V - E + F = 2",
-            sum(cls.f_vector[::2]) - cls.f_vector[1] == 2,
-            {"f_vector": list(cls.f_vector)},
+            sum(cls["f_vector"][::2]) - cls["f_vector"][1] == 2,
+            {"f_vector": cls["f_vector"]},
         ),
     ]
     if extra_checks:
@@ -298,85 +250,30 @@ def cmd_voronoi(args: argparse.Namespace) -> Report:
 
 def cmd_check_octo(args: argparse.Namespace) -> Report:
     vectors = [_parse_vec3(t) for t in (args.u1, args.u2, args.v1, args.v2)]
-    rep = latgeom.octo_check(*vectors)
+    checks = latgeom.octo_check(*vectors)
     return Report(
         "check-octo",
         {"u1": args.u1, "u2": args.u2, "v1": args.v1, "v2": args.v2},
-        tuple(_octo_checks(rep)),
-        _octo_payload(rep),
+        tuple(checks),
+        checks[0].witness,
     )
 
 
 def cmd_nielsen_flat(args: argparse.Namespace) -> Report:
-    model = flats.nielsen_flat(args.scale)
-    extra_checks = [
-        Check(
-            "kernel-maps-to-zero",
-            "the exponent vector (-1, 1, -1, 1) acts as the zero translation",
-            model.kernel_is_zero,
-            {"exponents": list(model.kernel_exponents)},
-        ),
-        Check(
-            "equal-lengths",
-            "all four generators translate equally far",
-            len(set(model.lengths_sq)) == 1,
-            {"lengths_sq": [fraction_str(x) for x in model.lengths_sq]},
-        ),
-        Check(
-            "is-rhombic-dodecahedron",
-            "the Dirichlet domain is a rhombic dodecahedron",
-            model.classification.is_rhombic_dodecahedron,
-            {"f_vector": list(model.classification.f_vector)},
-        ),
-    ]
-    extra_checks.extend(_octo_checks(model.octo))
-    extra_payload = {
-        "vectors": {
-            name: [str(c) for c in vec]
-            for name, vec in zip(flats.NIELSEN_FLAT_GENERATORS, model.vectors)
-        },
-        "octo_quadruple": list(model.octo_quadruple),
-    }
-    return _cell_report(
-        "nielsen-flat",
-        {"scale": args.scale},
-        model.lattice,
-        model.cell,
-        model.classification,
-        args.out,
-        args.precision,
-        extra_checks,
-        extra_payload,
-    )
+    lattice, cell, cls, checks, payload = flats.nielsen_flat(args.scale)
+    return _cell_report("nielsen-flat", {"scale": args.scale}, lattice, cell, cls,
+                        args.out, args.precision, checks, payload)
 
 
 def cmd_lemma_pq(args: argparse.Namespace) -> Report:
     tau = _parse_vector(args.tau)
-    cert = flats.equidistant_forces_zero(tau, args.p, args.q)
-    sample = tuple(Fraction(1) for _ in tau)
-    combo_ok = cert.combination(sample) == cert.eliminant_coefficient * len(tau)
-    zero_ok = flats.equidistant_check(tau, args.p, args.q, [0] * len(tau))
-    checks = [
-        Check(
-            "eliminant-nonzero",
-            "p q (p - q) is nonzero, so the constraints force a = 0",
-            cert.eliminant_coefficient != 0,
-            {"eliminant": cert.eliminant_coefficient},
-        ),
-        Check(
-            "elimination-identity",
-            "q*(p-constraint) - p*(q-constraint) = p q (p - q) |a|^2",
-            combo_ok,
-            {"sample": [fraction_str(c) for c in sample]},
-        ),
-        Check("zero-passes", "a = 0 satisfies both constraints", zero_ok, None),
-    ]
+    checks = flats.equidistant_forces_zero(tau, args.p, args.q)
     payload = {
-        "tau": [fraction_str(c) for c in cert.tau],
-        "p": cert.p,
-        "q": cert.q,
-        "eliminant_coefficient": cert.eliminant_coefficient,
-        "conclusion": cert.conclusion,
+        "tau": [fraction_str(c) for c in tau],
+        "p": args.p,
+        "q": args.q,
+        "eliminant_coefficient": checks[0].witness["eliminant"],
+        "conclusion": "a = 0",
     }
     return Report(
         "lemma-pq", {"tau": args.tau, "p": args.p, "q": args.q},
@@ -387,7 +284,7 @@ def cmd_lemma_pq(args: argparse.Namespace) -> Report:
 def cmd_induce(args: argparse.Namespace) -> Report:
     ell = parse_fraction(args.ell)
     iso = flats.cyclic_induced(args.d, ell)
-    result = flats.trans_length_sq(iso)
+    length_sq, min_point = flats.trans_length_sq(iso)
     expected = ell * ell / args.d
     # Once the rotation of the d-th power is the identity, its fixed
     # space is the whole space and its squared length is exactly |t|^2.
@@ -398,14 +295,14 @@ def cmd_induce(args: argparse.Namespace) -> Report:
     if diagonal:
         power_length_sq = Fraction(sum(t * t for t in power.translation), power.den**2)
     else:
-        power_length_sq = flats.trans_length_sq(power).length_sq
+        power_length_sq = flats.trans_length_sq(power)[0]
     checks = [
         Check(
             "induced-length",
             "the induced generator has squared translation length ell^2 / d",
-            result.length_sq == expected,
+            length_sq == expected,
             {
-                "length_sq": fraction_str(result.length_sq),
+                "length_sq": fraction_str(length_sq),
                 "expected": fraction_str(expected),
             },
         ),
@@ -419,8 +316,8 @@ def cmd_induce(args: argparse.Namespace) -> Report:
     payload = {
         "d": args.d,
         "ell": fraction_str(ell),
-        "length_sq": fraction_str(result.length_sq),
-        "min_point": [fraction_str(c) for c in result.min_point],
+        "length_sq": fraction_str(length_sq),
+        "min_point": [fraction_str(c) for c in min_point],
     }
     return Report(
         "induce", {"d": args.d, "ell": args.ell}, tuple(checks), payload

@@ -12,9 +12,11 @@ translations) while keeping the fixed-space projection exact and total.
 An isometry holds its translation as integers over one denominator, so
 composing, powering and inducing copy, negate and add integer slices,
 and translation lengths are solved for in integer numerators; Fractions
-are built only inside the fixed-space projection, whose Gram pivots are
-cycle lengths, and for the length and witness point returned.
-The flat model translates by integer vectors, summed as integers.
+are built only for the fixed-space projection's coefficients, one per
+cycle and block coordinate, and for the length and witness point
+returned.  The flat model translates by integer vectors, summed as
+integers.  The equidistance certificate and the flat model return the
+Checks their reports print.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ from typing import Sequence
 
 from . import linalg
 from .latgeom import (
-    Classification,
     Lattice,
-    OctoReport,
     Polytope,
     classify,
     lattice_from,
@@ -36,19 +36,18 @@ from .latgeom import (
     vec3,
     voronoi_cell,
 )
+from .reports import Check
 
 __all__ = [
     "AffineIsometry",
-    "TranslationLength",
     "trans_length_sq",
     "induced_action",
     "cyclic_induced",
     "MAX_COSETS",
     "MAX_MULTIPLIER_DIGITS",
-    "EquidistanceCertificate",
+    "elimination_combination",
     "equidistant_forces_zero",
     "equidistant_check",
-    "NielsenFlatModel",
     "nielsen_flat",
     "MAX_SCALE_DIGITS",
     "NIELSEN_FLAT_GENERATORS",
@@ -146,13 +145,7 @@ class AffineIsometry:
         return out
 
 
-@dataclass(frozen=True)
-class TranslationLength:
-    length_sq: Fraction
-    min_point: tuple[Fraction, ...]
-
-
-def trans_length_sq(g: AffineIsometry) -> TranslationLength:
+def trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Squared translation length and a witness point where it is attained.
 
     The squared length is the squared norm of the projection of the
@@ -162,11 +155,19 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
     fixed point.  O - I is built as integer rows straight from the block
     permutation, with at most two nonzeros per row; its pivots are units
     except where a cycle's sign product is -1, so the sparse elimination
-    in ``linalg`` finds the fixed space in integers.  The witness is
-    solved for in integer numerators over q * g.den, where q is the
-    common denominator of the projection, and Fractions are built only
-    for the returned length and witness.  Raises RuntimeError if the
-    witness cannot be solved for or does not move by exactly proj t.
+    in ``linalg`` finds the fixed space in integers.
+
+    The kernel vectors of O - I have disjoint supports, one per cycle of
+    sign product +1 and block coordinate, so proj t is the sum of
+    (u.t)/(u.u) u over them.  A wrong projection cannot pass: it lies in
+    the span of the kernel, the fixed space, so t - proj t lies in the
+    image of O - I, the orthogonal complement of the fixed space, only
+    if proj t is the orthogonal projection, and otherwise ``solve``
+    finds no witness.  The witness is solved for in integer numerators
+    over q * g.den, where q is the common denominator of the projection,
+    and Fractions are built only for the coefficients (u.t)/(u.u) and
+    the returned length and witness.  Raises RuntimeError if the witness
+    cannot be solved for or does not move by exactly proj t.
     """
     n = g.dim
     k = g.block_dim
@@ -177,11 +178,17 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
             row[src * k + j] += sign
             row[i * k + j] -= 1
     fixed = linalg.kernel(a)
-    proj = linalg.project_onto_span(fixed, g.translation)
-    # Over the common denominator q of the projection, proj t, t and the
-    # right-hand side are integer vectors over q * den.
-    q = lcm(*(p.denominator for p in proj))
-    proj = [p.numerator * (q // p.denominator) for p in proj]
+    coeffs = [Fraction(sum(x * y for x, y in zip(u, g.translation)),
+                       sum(x * x for x in u)) for u in fixed]
+    # Over the common denominator q of the coefficients, proj t, t and
+    # the right-hand side are integer vectors over q * den.
+    q = lcm(*(c.denominator for c in coeffs))
+    proj = [0] * n
+    for u, c in zip(fixed, coeffs):
+        m = c.numerator * (q // c.denominator)
+        for i, x in enumerate(u):
+            if x:
+                proj[i] += m * x
     t = [q * x for x in g.translation]
     witness = linalg.solve(a, [p - x for x, p in zip(t, proj)])
     if witness is None:
@@ -190,7 +197,7 @@ def trans_length_sq(g: AffineIsometry) -> TranslationLength:
     if moved != proj:
         raise RuntimeError("witness displacement differs from the projected translation")
     den = q * g.den
-    return TranslationLength(
+    return (
         Fraction(sum(p * p for p in proj), den * den),
         tuple(Fraction(w, den) for w in witness),
     )
@@ -266,9 +273,8 @@ def cyclic_induced(d: int, ell) -> AffineIsometry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquidistanceCertificate:
-    """Proof object that three equidistant collinear translates collapse.
+def elimination_combination(tau: Sequence, p: int, q: int, a: Sequence) -> Fraction:
+    """q*(first constraint) - p*(second constraint), evaluated at a.
 
     If translations by tau, tau + p*a and tau + q*a all have the same
     length, expanding |tau + m a|^2 = |tau|^2 gives
@@ -276,33 +282,14 @@ class EquidistanceCertificate:
         2 m (tau . a) + m^2 |a|^2 = 0      for m = p and m = q.
 
     Multiplying by q and p respectively and subtracting eliminates
-    tau . a and leaves  p q (p - q) |a|^2 = 0,  so a nonzero eliminant
-    coefficient forces a = 0.  The certificate stores that coefficient;
-    the degenerate inputs that would void it are refused at
-    construction.
+    tau . a, so the combination always equals p q (p - q) |a|^2.
     """
-
-    tau: tuple[Fraction, ...]
-    p: int
-    q: int
-    eliminant_coefficient: int
-
-    @property
-    def conclusion(self) -> str:
-        return "a = 0"
-
-    def combination(self, a: Sequence) -> Fraction:
-        """q*(first constraint) - p*(second constraint), evaluated at a.
-
-        Always equals eliminant_coefficient * |a|^2; exposing it lets
-        callers re-verify the elimination identity on any vector.
-        """
-        av = _fracs(a)
-        ta = _dot(self.tau, av)
-        asq = _dot(av, av)
-        first = 2 * self.p * ta + self.p * self.p * asq
-        second = 2 * self.q * ta + self.q * self.q * asq
-        return self.q * first - self.p * second
+    tv, av = _fracs(tau), _fracs(a)
+    ta = _dot(tv, av)
+    asq = _dot(av, av)
+    first = 2 * p * ta + p * p * asq
+    second = 2 * q * ta + q * q * asq
+    return q * first - p * second
 
 
 # The most digits equidistant_forces_zero accepts in p and q.  The
@@ -313,8 +300,13 @@ MAX_MULTIPLIER_DIGITS = 1400
 _MULTIPLIER_BOUND = 10**MAX_MULTIPLIER_DIGITS
 
 
-def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> EquidistanceCertificate:
-    """Certificate that |tau + p a| = |tau + q a| = |tau| forces a = 0.
+def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> list[Check]:
+    """The certificate that |tau + p a| = |tau + q a| = |tau| forces a = 0.
+
+    The elimination of ``elimination_combination`` leaves
+    p q (p - q) |a|^2 = 0, so a nonzero eliminant forces a = 0.  The
+    checks state that eliminant, re-verify the elimination identity at
+    a = (1, ..., 1), and evaluate both constraints at a = 0.
 
     Refuses p = q and zero multipliers: with p = q the two constraints
     coincide and nonzero solutions exist, so no such certificate can be
@@ -330,7 +322,28 @@ def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> EquidistanceCertif
             "p = q is degenerate: the two constraints coincide and admit "
             "nonzero solutions"
         )
-    return EquidistanceCertificate(_fracs(tau), p, q, p * q * (p - q))
+    eliminant = p * q * (p - q)
+    sample = [1] * len(tau)
+    return [
+        Check(
+            "eliminant-nonzero",
+            "p q (p - q) is nonzero, so the constraints force a = 0",
+            eliminant != 0,
+            {"eliminant": eliminant},
+        ),
+        Check(
+            "elimination-identity",
+            "q*(p-constraint) - p*(q-constraint) = p q (p - q) |a|^2",
+            elimination_combination(tau, p, q, sample) == eliminant * len(tau),
+            {"sample": [str(c) for c in sample]},
+        ),
+        Check(
+            "zero-passes",
+            "a = 0 satisfies both constraints",
+            equidistant_check(tau, p, q, [0] * len(tau)),
+            None,
+        ),
+    ]
 
 
 def equidistant_check(tau: Sequence, p: int, q: int, a: Sequence) -> bool:
@@ -354,27 +367,6 @@ def equidistant_check(tau: Sequence, p: int, q: int, a: Sequence) -> bool:
 NIELSEN_FLAT_GENERATORS = ("L21", "R21", "L31", "R31")
 
 
-@dataclass(frozen=True)
-class NielsenFlatModel:
-    """The integer translation vectors of L21, R21, L31, R31 in the flat
-    model of the commuting family, with the lattice they generate and
-    its Dirichlet-domain report."""
-
-    scale: int
-    vectors: tuple[tuple[int, int, int], ...]
-    lattice: Lattice
-    cell: Polytope
-    classification: Classification
-    octo: OctoReport
-    octo_quadruple: tuple[str, str, str, str]
-    kernel_exponents: tuple[int, int, int, int]
-    kernel_is_zero: bool
-
-    @property
-    def lengths_sq(self) -> tuple[int, ...]:
-        return tuple(x * x + y * y + z * z for x, y, z in self.vectors)
-
-
 # The most digits nielsen_flat accepts in the scale s.  The largest
 # number in a cell report is the covolume 2 s^3, below 2 * 10^4200, so it
 # has at most 3 * 1,400 + 1 = 4,201 digits, under the 4,300 digits
@@ -383,7 +375,7 @@ MAX_SCALE_DIGITS = 1400
 _SCALE_BOUND = 10**MAX_SCALE_DIGITS
 
 
-def nielsen_flat(scale: int) -> NielsenFlatModel:
+def nielsen_flat(scale: int) -> tuple[Lattice, Polytope, dict, list[Check], dict]:
     """Build the canonical flat model at a given integer scale.
 
     The four generators L21, R21, L31, R31 translate 3-space by the
@@ -402,6 +394,10 @@ def nielsen_flat(scale: int) -> NielsenFlatModel:
     (-L21, R21, -R31, L31), for which the sum condition becomes exactly
     the kernel relation.  A scale of more than MAX_SCALE_DIGITS digits
     is refused before anything is built.
+
+    Returns the lattice, its cell, the cell's classification, the
+    model's checks (kernel, lengths, cell shape, then ``octo_check``'s
+    four) and its payload (the vectors and the quadruple).
     """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
@@ -409,22 +405,37 @@ def nielsen_flat(scale: int) -> NielsenFlatModel:
         raise ValueError(f"scale must have at most {MAX_SCALE_DIGITS} digits")
     s = scale
     vectors = ((-s, -s, 0), (s, -s, 0), (s, 0, -s), (-s, 0, -s))
-    kernel_exponents = (-1, 1, -1, 1)
-    kernel_vec = [
-        sum(n * v[k] for n, v in zip(kernel_exponents, vectors)) for k in range(3)
-    ]
+    exponents = (-1, 1, -1, 1)
+    kernel_vec = [sum(n * v[k] for n, v in zip(exponents, vectors)) for k in range(3)]
+    lengths_sq = [x * x + y * y + z * z for x, y, z in vectors]
     lattice = lattice_from([vec3(*v) for v in vectors])
     cell = voronoi_cell(lattice)
     classification = classify(cell)
-    octo = octo_check(vec3(s, s, 0), vec3(s, -s, 0), vec3(s, 0, s), vec3(s, 0, -s))
-    return NielsenFlatModel(
-        scale=scale,
-        vectors=vectors,
-        lattice=lattice,
-        cell=cell,
-        classification=classification,
-        octo=octo,
-        octo_quadruple=("-L21", "R21", "-R31", "L31"),
-        kernel_exponents=kernel_exponents,
-        kernel_is_zero=not any(kernel_vec),
-    )
+    checks = [
+        Check(
+            "kernel-maps-to-zero",
+            "the exponent vector (-1, 1, -1, 1) acts as the zero translation",
+            not any(kernel_vec),
+            {"exponents": list(exponents)},
+        ),
+        Check(
+            "equal-lengths",
+            "all four generators translate equally far",
+            len(set(lengths_sq)) == 1,
+            {"lengths_sq": [str(x) for x in lengths_sq]},
+        ),
+        Check(
+            "is-rhombic-dodecahedron",
+            "the Dirichlet domain is a rhombic dodecahedron",
+            classification["is_rhombic_dodecahedron"],
+            {"f_vector": classification["f_vector"]},
+        ),
+        *octo_check(vec3(s, s, 0), vec3(s, -s, 0), vec3(s, 0, s), vec3(s, 0, -s)),
+    ]
+    payload = {
+        "vectors": {
+            name: [str(c) for c in v] for name, v in zip(NIELSEN_FLAT_GENERATORS, vectors)
+        },
+        "octo_quadruple": ["-L21", "R21", "-R31", "L31"],
+    }
+    return lattice, cell, classification, checks, payload

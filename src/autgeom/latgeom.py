@@ -20,7 +20,9 @@ Fractions are built only for the values returned: the covolume, the
 volume, octo_check's squared norms, the diagonal ratios and the OFF
 export.  Lengths are handled as squared values so no square root is ever
 taken: a claimed diagonal ratio of 1:sqrt(2) appears as a squared ratio
-of exactly 2.
+of exactly 2.  ``classify`` and ``octo_check`` return what a report
+prints: the classification payload, and the four conditions as Checks
+whose rationals are rendered by ``fraction_str``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .reports import Check, fraction_str
+
 __all__ = [
     "Vec3",
     "Lattice",
     "Polytope",
-    "OctoReport",
-    "FaceShape",
-    "Classification",
     "vec3",
     "lattice_from",
     "covolume",
@@ -401,64 +402,44 @@ def voronoi_cell(lat: Lattice) -> Polytope:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FaceShape:
-    is_rhombus: bool
-    diag_ratio_sq: Fraction | None
-
-
-@dataclass(frozen=True)
-class Classification:
-    f_vector: tuple[int, int, int]
-    faces: tuple[FaceShape, ...]
-    is_rhombic_dodecahedron: bool
-    is_cube: bool
-
-
-def classify(poly: Polytope) -> Classification:
-    """f-vector and per-face shape data, with the two named verdicts.
+def classify(poly: Polytope) -> dict:
+    """The ``classification`` payload of a cell report: the f-vector,
+    the two named verdicts, each face's squared diagonal ratio (None
+    unless the face is a quadrilateral) and the number of rhombic faces.
 
     A rhombic dodecahedron must have f-vector (14, 24, 12) with twelve
     rhombic faces whose squared diagonal ratio is exactly 2; a cube has
     f-vector (8, 12, 6) with six square faces (rhombi with equal
     diagonals).
     """
-    shapes = []
+    ratios = []
+    rhombi = 0
     for cycle in poly.faces:
         pts = [poly.vertices[i] for i in cycle]
         edges = {_dist_sq(a, b) for a, b in zip(pts, pts[1:] + pts[:1])}
         if 0 in edges:
             raise ValueError("degenerate face with a zero-length edge")
-        rhombus = len(cycle) == 4 and len(edges) == 1
         ratio = None
         if len(cycle) == 4:
+            rhombi += len(edges) == 1
             d1 = _dist_sq(pts[2], pts[0])
             d2 = _dist_sq(pts[3], pts[1])
             ratio = Fraction(max(d1, d2), min(d1, d2))
-        shapes.append(FaceShape(rhombus, ratio))
+        ratios.append(ratio)
     fv = poly.f_vector()
-    all_rhombi = all(s.is_rhombus for s in shapes)
-    is_rd = fv == (14, 24, 12) and all_rhombi and all(
-        s.diag_ratio_sq == 2 for s in shapes
-    )
-    is_cube = fv == (8, 12, 6) and all_rhombi and all(
-        s.diag_ratio_sq == 1 for s in shapes
-    )
-    return Classification(fv, tuple(shapes), is_rd, is_cube)
+    all_rhombi = rhombi == len(ratios)
+    is_rd = fv == (14, 24, 12) and all_rhombi and all(r == 2 for r in ratios)
+    is_cube = fv == (8, 12, 6) and all_rhombi and all(r == 1 for r in ratios)
+    return {
+        "f_vector": list(fv),
+        "is_rhombic_dodecahedron": is_rd,
+        "is_cube": is_cube,
+        "diag_ratios_sq": [None if r is None else fraction_str(r) for r in ratios],
+        "rhombic_faces": rhombi,
+    }
 
 
-@dataclass(frozen=True)
-class OctoReport:
-    norms_sq: tuple[Fraction, Fraction, Fraction, Fraction]
-    common_norm_sq: Fraction | None
-    equal_nonzero_norms: bool
-    sums_agree: bool
-    pairs_orthogonal: bool
-    differences_orthogonal: bool
-    lattice_rank: int
-
-
-def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> OctoReport:
+def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> list[Check]:
     """The three four-vector conditions guaranteeing a rhombic-dodecahedral
     Dirichlet domain:
 
@@ -469,25 +450,47 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> OctoReport:
     together with the requirement that all four vectors share one
     nonzero squared norm (any common scale is accepted and reported;
     exact unit vectors are not representable rationally in general).
-    The rank of the generated lattice is included: when every condition
-    holds, the four vectors necessarily span all of 3-space.
+    The four checks share one witness: the squared norms, the common
+    one (None unless they agree and are nonzero) and the rank of the
+    generated lattice, which is 3 whenever every condition holds.
     """
     vectors = (u1, u2, v1, v2)
     (a1, a2, b1, b2), den = _int_rows(vectors)
     dots = [_dot(w, w) for w in (a1, a2, b1, b2)]
-    norms = tuple(Fraction(n, den * den) for n in dots)
+    norms = [fraction_str(Fraction(n, den * den)) for n in dots]
     equal_norms = len(set(dots)) == 1 and dots[0] != 0
-    rank = lattice_from(vectors).rank if any(dots) else 0
     cross_terms = _dot(a1, b1) - _dot(a1, b2) - _dot(a2, b1) + _dot(a2, b2)
-    return OctoReport(
-        norms_sq=norms,
-        common_norm_sq=norms[0] if equal_norms else None,
-        equal_nonzero_norms=equal_norms,
-        sums_agree=_add(a1, a2) == _add(b1, b2),
-        pairs_orthogonal=_dot(a1, a2) == 0 and _dot(b1, b2) == 0,
-        differences_orthogonal=cross_terms == 0,
-        lattice_rank=rank,
-    )
+    witness = {
+        "norms_sq": norms,
+        "common_norm_sq": norms[0] if equal_norms else None,
+        "lattice_rank": lattice_from(vectors).rank if any(dots) else 0,
+    }
+    return [
+        Check(
+            "equal-nonzero-norms",
+            "all four vectors share one nonzero squared norm",
+            equal_norms,
+            witness,
+        ),
+        Check(
+            "sum-condition",
+            "u1 + u2 = v1 + v2",
+            _add(a1, a2) == _add(b1, b2),
+            witness,
+        ),
+        Check(
+            "pair-orthogonality",
+            "u1 . u2 = 0 and v1 . v2 = 0",
+            _dot(a1, a2) == 0 and _dot(b1, b2) == 0,
+            witness,
+        ),
+        Check(
+            "difference-orthogonality",
+            "(u1 - u2) . (v1 - v2) = 0",
+            cross_terms == 0,
+            witness,
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Small exact linear algebra over the rationals.
 
 Matrices are lists of row lists of ints or Fractions.  One private
-sparse Gauss--Jordan elimination serves ``kernel``, ``solve`` and
-``project_onto_span``: rows are held as ``{column: value}`` dicts of
-their nonzero entries, and a row operation touches only those entries.
+sparse Gauss--Jordan elimination serves ``kernel`` and ``solve``: rows
+are held as ``{column: value}`` dicts of their nonzero entries, and a
+row operation touches only those entries.
 The systems this package solves are mostly signed block permutations
 minus the identity, with at most two nonzeros per row, so elimination
 costs time in proportion to the nonzeros rather than to the cube of the
@@ -15,6 +15,7 @@ whose sign product is -1, so the kernel of such a system is computed in
 integers.  The reduced row echelon form is unique, so the pivots, kernel
 bases and particular solutions have the values of the dense textbook
 elimination.  There is deliberately no floating point anywhere.
+``flats.trans_length_sq`` is the one caller.
 """
 
 from __future__ import annotations
@@ -122,39 +123,3 @@ def kernel(a: Mat) -> list[Vec]:
                 basis[f][c] = -y
     return list(basis.values())
 
-
-def project_onto_span(basis: Sequence[Sequence], t: Sequence) -> Vec:
-    """Orthogonal projection of t onto the span of the basis vectors.
-
-    Uses the normal equations, with the Gram matrix summed column by
-    column over the basis vectors' nonzero entries; the basis need not
-    be linearly independent.  An empty basis projects everything to zero.
-    """
-    out = [0] * len(t)
-    if not basis:
-        return out
-    us = _sparse(basis)
-    n = len(us)
-    by_column: dict[int, list[tuple[int, Num]]] = {}
-    for i, u in enumerate(us):
-        for k, x in u.items():
-            by_column.setdefault(k, []).append((i, x))
-    gram: list[Row] = [{} for _ in us]
-    for entries in by_column.values():
-        for i, x in entries:
-            row = gram[i]
-            for j, y in entries:
-                row[j] = row.get(j, 0) + x * y
-    normal = [{j: y for j, y in row.items() if y} for row in gram]
-    for row, u in zip(normal, us):
-        rhs = sum(x * t[k] for k, x in u.items())
-        if rhs:
-            row[n] = rhs
-    pivots = _gauss_jordan(normal)
-    if n in pivots:
-        raise RuntimeError("the normal equations of the projection are inconsistent")
-    for c, row in pivots.items():
-        if n in row:
-            for k, x in us[c].items():
-                out[k] += row[n] * x
-    return out

@@ -65,14 +65,14 @@ def swap(i, j):
     return parse_autexpr(f"P{i}{j}")
 
 
-def octo_flags(rep):
-    """The four conditions an OctoReport checks, in report order."""
-    return (
-        rep.equal_nonzero_norms,
-        rep.sums_agree,
-        rep.pairs_orthogonal,
-        rep.differences_orthogonal,
-    )
+OCTO_CHECKS = ("equal-nonzero-norms", "sum-condition", "pair-orthogonality",
+               "difference-orthogonality")
+
+
+def octo_flags(checks):
+    """The verdicts of octo_check's four conditions, in report order."""
+    assert tuple(c.name for c in checks) == OCTO_CHECKS
+    return tuple(c.passed for c in checks)
 
 
 def rotation_from_quaternion(a, b, c, d):

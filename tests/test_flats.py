@@ -121,47 +121,47 @@ def cycle_oracle(g):
 class TestAffineIsometry:
     def test_pure_translation_length(self):
         g = pure_translation([3, 4])
-        r = flats.trans_length_sq(g)
-        assert r.length_sq == 25
-        assert displacement_sq(g, r.min_point) == 25
+        length_sq, point = flats.trans_length_sq(g)
+        assert length_sq == 25
+        assert displacement_sq(g, point) == 25
 
     def test_elliptic_rotation_has_fixed_point(self):
         g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 0), 1)
-        r = flats.trans_length_sq(g)
-        assert r.length_sq == 0
-        assert apply(g, r.min_point) == r.min_point
+        length_sq, point = flats.trans_length_sq(g)
+        assert length_sq == 0
+        assert apply(g, point) == point
 
     def test_cyclic_block_with_translation(self):
         g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 5), 1)
-        r = flats.trans_length_sq(g)
-        assert r.length_sq == Fraction(25, 3)
-        assert displacement_sq(g, r.min_point) == r.length_sq
+        length_sq, point = flats.trans_length_sq(g)
+        assert length_sq == Fraction(25, 3)
+        assert displacement_sq(g, point) == length_sq
 
     def test_witness_is_in_min_set(self):
         # Any point moves at least as far as the witness does.
         g = AffineIsometry(1, (1, 0), (1, 1), (7, 0), 2)
-        r = flats.trans_length_sq(g)
+        length_sq, _ = flats.trans_length_sq(g)
         for probe in ([0, 0], [1, 5], [Fraction(-3, 2), 2]):
-            assert displacement_sq(g, probe) >= r.length_sq
+            assert displacement_sq(g, probe) >= length_sq
 
     def test_signed_block_can_be_elliptic(self):
         # A sign flip has no fixed directions, so any translation along
         # it is absorbed: the isometry is elliptic.
         g = AffineIsometry(1, (0,), (-1,), (4,), 1)
-        r = flats.trans_length_sq(g)
-        assert r.length_sq == 0
-        assert apply(g, r.min_point) == r.min_point
+        length_sq, point = flats.trans_length_sq(g)
+        assert length_sq == 0
+        assert apply(g, point) == point
 
     def test_power_scaling_for_translations(self):
         g = pure_translation([2, 1])
         for m in (2, 3, 5):
-            assert flats.trans_length_sq(g.power(m)).length_sq == m * m * 5
+            assert flats.trans_length_sq(g.power(m))[0] == m * m * 5
 
     def test_power_at_permutation_order(self):
         g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 3), 1)
         cubed = g.power(3)
         assert orthogonal_matrix(cubed) == orthogonal_matrix(AffineIsometry.identity(1, 3))
-        assert flats.trans_length_sq(cubed).length_sq == 9 * flats.trans_length_sq(g).length_sq
+        assert flats.trans_length_sq(cubed)[0] == 9 * flats.trans_length_sq(g)[0]
 
     def test_compose_matches_apply(self, rng):
         g = isometry(1, (1, 0), (1, -1), (Fraction(1, 3), 2))
@@ -225,10 +225,10 @@ class TestTransLengthOracle:
             g = random_signed_block_permutation(rng)
             dens.add(g.den)
             length_sq, shift = cycle_oracle(g)
-            r = flats.trans_length_sq(g)
-            assert r.length_sq == length_sq
-            moved = apply(g, r.min_point)
-            assert [m - w for m, w in zip(moved, r.min_point)] == shift
+            got, point = flats.trans_length_sq(g)
+            assert got == length_sq
+            moved = apply(g, point)
+            assert [m - w for m, w in zip(moved, point)] == shift
             probe = [random_fraction(rng) for _ in range(g.dim)]
             assert displacement_sq(g, probe) >= length_sq
         assert len(dens) > 10
@@ -255,6 +255,34 @@ class TestTransLengthOracle:
             assert [sum(x * y for x, y in zip(row, shift)) for row in o] == shift
 
 
+    def test_overlapping_kernel_basis_is_never_a_wrong_length(self, rng, monkeypatch):
+        # The projection sums (u.t)/(u.u) u, which is the orthogonal
+        # projection only for a basis of disjoint supports.  A basis of
+        # the same span whose vectors overlap must end in the right
+        # length or a RuntimeError, never in a wrong length.
+        kernel = flats.linalg.kernel
+
+        def overlapping(a):
+            basis = kernel(a)
+            if len(basis) > 1:
+                basis[0] = [x + y for x, y in zip(basis[0], basis[1])]
+            return basis
+
+        monkeypatch.setattr(flats.linalg, "kernel", overlapping)
+        outcomes = set()
+        for _ in range(150):
+            g = random_signed_block_permutation(rng)
+            length_sq, _ = cycle_oracle(g)
+            try:
+                got, _ = flats.trans_length_sq(g)
+            except RuntimeError:
+                outcomes.add("refused")
+            else:
+                assert got == length_sq
+                outcomes.add("right")
+        assert outcomes == {"refused", "right"}
+
+
 class TestInducedAction:
     def test_single_coset_passthrough(self):
         base = pure_translation([Fraction(3, 4)])
@@ -265,16 +293,16 @@ class TestInducedAction:
         for _ in range(5):
             ell = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             iso = flats.cyclic_induced(d, ell)
-            assert flats.trans_length_sq(iso).length_sq == ell * ell / d
+            assert flats.trans_length_sq(iso)[0] == ell * ell / d
             # Positive base length promotes to positive induced length.
-            assert flats.trans_length_sq(iso).length_sq > 0
+            assert flats.trans_length_sq(iso)[0] > 0
 
     def test_power_is_diagonal_translation(self):
         ell = Fraction(5, 3)
         iso = flats.cyclic_induced(3, ell)
         cubed = iso.power(3)
         assert translation_vector(cubed) == [ell, ell, ell]
-        assert flats.trans_length_sq(cubed).length_sq == 3 * ell * ell
+        assert flats.trans_length_sq(cubed)[0] == 3 * ell * ell
 
     def test_functorial_on_words(self):
         # Inducing the square equals squaring the induced element.
@@ -298,9 +326,12 @@ class TestInducedAction:
 
 class TestEquidistance:
     def test_certificate_example(self):
-        cert = flats.equidistant_forces_zero([1, 0], 1, 2)
-        assert cert.eliminant_coefficient == -2
-        assert abs(cert.eliminant_coefficient) == 2
+        checks = flats.equidistant_forces_zero([1, 0], 1, 2)
+        assert [c.name for c in checks] == [
+            "eliminant-nonzero", "elimination-identity", "zero-passes"]
+        assert all(c.passed for c in checks)
+        assert checks[0].witness == {"eliminant": -2}
+        assert checks[1].witness == {"sample": ["1", "1"]}
 
     def test_combination_identity(self, rng):
         for _ in range(50):
@@ -309,10 +340,12 @@ class TestEquidistance:
             p, q = rng.randint(-5, 5), rng.randint(-5, 5)
             if p == 0 or q == 0 or p == q:
                 continue
-            cert = flats.equidistant_forces_zero(tau, p, q)
+            checks = flats.equidistant_forces_zero(tau, p, q)
+            assert all(c.passed for c in checks)
+            assert checks[0].witness == {"eliminant": p * q * (p - q)}
             a = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
             norm_sq = sum(x * x for x in a)
-            assert cert.combination(a) == cert.eliminant_coefficient * norm_sq
+            assert flats.elimination_combination(tau, p, q, a) == p * q * (p - q) * norm_sq
 
     def test_grid_search_finds_only_zero(self):
         tau = (Fraction(1), Fraction(0))
@@ -341,44 +374,52 @@ class TestEquidistance:
         assert flats.equidistant_check([1, 0], 1, 1, [-2, 0])
 
 
+def flat_vectors(payload):
+    return [tuple(int(c) for c in v) for v in payload["vectors"].values()]
+
+
 class TestNielsenFlat:
     def test_scale_one_is_fcc(self):
-        m = flats.nielsen_flat(1)
-        assert m.lattice.rank == 3
-        assert lg.covolume(m.lattice) == 2
-        assert m.classification.is_rhombic_dodecahedron
-        assert m.kernel_is_zero
-        assert all(octo_flags(m.octo))
-        assert set(m.lengths_sq) == {Fraction(2)}
+        lattice, _, cls, checks, _ = flats.nielsen_flat(1)
+        assert lattice.rank == 3
+        assert lg.covolume(lattice) == 2
+        assert cls["is_rhombic_dodecahedron"]
+        assert [c.name for c in checks[:3]] == [
+            "kernel-maps-to-zero", "equal-lengths", "is-rhombic-dodecahedron"]
+        assert all(c.passed for c in checks[:3])
+        assert all(octo_flags(checks[3:]))
+        assert checks[1].witness == {"lengths_sq": ["2"] * 4}
 
     def test_scale_two_homogeneous(self):
-        m = flats.nielsen_flat(2)
-        assert lg.polytope_volume(m.cell) == 16
-        assert m.classification.is_rhombic_dodecahedron
-        assert all(s.diag_ratio_sq == 2 for s in m.classification.faces)
-        assert set(m.lengths_sq) == {Fraction(8)}
+        _, cell, cls, checks, _ = flats.nielsen_flat(2)
+        assert lg.polytope_volume(cell) == 16
+        assert cls["is_rhombic_dodecahedron"]
+        assert cls["diag_ratios_sq"] == ["2"] * 12
+        assert checks[1].witness == {"lengths_sq": ["8"] * 4}
 
     def test_kernel_vector_is_stated_combination(self):
-        m = flats.nielsen_flat(3)
-        assert m.kernel_exponents == (-1, 1, -1, 1)
-        assert m.vectors == ((-3, -3, 0), (3, -3, 0), (3, 0, -3), (-3, 0, -3))
+        _, _, _, checks, payload = flats.nielsen_flat(3)
+        exponents = checks[0].witness["exponents"]
+        assert exponents == [-1, 1, -1, 1]
+        vectors = flat_vectors(payload)
+        assert list(payload["vectors"]) == list(flats.NIELSEN_FLAT_GENERATORS)
+        assert vectors == [(-3, -3, 0), (3, -3, 0), (3, 0, -3), (-3, 0, -3)]
         assert [
-            sum(n * v[k] for n, v in zip(m.kernel_exponents, m.vectors))
-            for k in range(3)
+            sum(n * v[k] for n, v in zip(exponents, vectors)) for k in range(3)
         ] == [0, 0, 0]
-        assert m.lengths_sq == (18, 18, 18, 18)
+        assert [sum(x * x for x in v) for v in vectors] == [18, 18, 18, 18]
 
     def test_octo_quadruple_signs(self):
-        m = flats.nielsen_flat(1)
-        assert m.octo_quadruple == ("-L21", "R21", "-R31", "L31")
-        vecs = dict(zip(flats.NIELSEN_FLAT_GENERATORS, m.vectors))
+        _, _, _, checks, payload = flats.nielsen_flat(1)
+        assert payload["octo_quadruple"] == ["-L21", "R21", "-R31", "L31"]
+        vecs = dict(zip(flats.NIELSEN_FLAT_GENERATORS, flat_vectors(payload)))
         quad = [
             lg.vec3(*(-c if name.startswith("-") else c for c in vecs[name.lstrip("-")]))
-            for name in m.octo_quadruple
+            for name in payload["octo_quadruple"]
         ]
-        rep = lg.octo_check(*quad)
-        assert all(octo_flags(rep))
-        assert rep == m.octo
+        octo = lg.octo_check(*quad)
+        assert all(octo_flags(octo))
+        assert octo == checks[3:]
 
     def test_invalid_scale(self):
         with pytest.raises(ValueError):

@@ -90,20 +90,30 @@ def fraction_covolume(lat):
 
 
 def fraction_octo_check(u1, u2, v1, v2):
+    """The four verdicts and the shared witness of the four-vector check."""
     norms = tuple(dot(v, v) for v in (u1, u2, v1, v2))
     equal_norms = len(set(norms)) == 1 and norms[0] != 0
     rank = 0
     if any(not is_zero(v) for v in (u1, u2, v1, v2)):
         rank = lg.lattice_from((u1, u2, v1, v2)).rank
-    return lg.OctoReport(
-        norms_sq=norms,
-        common_norm_sq=norms[0] if equal_norms else None,
-        equal_nonzero_norms=equal_norms,
-        sums_agree=add(u1, u2) == add(v1, v2),
-        pairs_orthogonal=(dot(u1, u2) == 0 and dot(v1, v2) == 0),
-        differences_orthogonal=dot(sub(u1, u2), sub(v1, v2)) == 0,
-        lattice_rank=rank,
+    flags = (
+        equal_norms,
+        add(u1, u2) == add(v1, v2),
+        dot(u1, u2) == 0 and dot(v1, v2) == 0,
+        dot(sub(u1, u2), sub(v1, v2)) == 0,
     )
+    witness = {
+        "norms_sq": [str(n) for n in norms],
+        "common_norm_sq": str(norms[0]) if equal_norms else None,
+        "lattice_rank": rank,
+    }
+    return flags, witness
+
+
+def octo_result(checks):
+    """octo_check's verdicts and the one witness its four checks share."""
+    assert all(c.witness == checks[0].witness for c in checks)
+    return octo_flags(checks), checks[0].witness
 
 
 def random_rotation(rng):
@@ -303,30 +313,33 @@ def fraction_volume(poly):
 
 
 def fraction_classify(poly):
-    """The classification of a cell, measured on its rational points."""
+    """The classification payload of a cell, measured on its rational points."""
     all_pts = points(poly)
-    shapes = []
+    ratios = []
+    rhombi = 0
     for cycle in poly.faces:
         pts = [all_pts[i] for i in cycle]
         edges = {dot(sub(b, a), sub(b, a)) for a, b in zip(pts, pts[1:] + pts[:1])}
         if 0 in edges:
             raise ValueError("degenerate face with a zero-length edge")
-        rhombus = len(cycle) == 4 and len(edges) == 1
+        rhombi += len(cycle) == 4 and len(edges) == 1
         ratio = None
         if len(cycle) == 4:
             d1 = dot(sub(pts[2], pts[0]), sub(pts[2], pts[0]))
             d2 = dot(sub(pts[3], pts[1]), sub(pts[3], pts[1]))
             ratio = max(d1, d2) / min(d1, d2)
-        shapes.append(lg.FaceShape(rhombus, ratio))
+        ratios.append(ratio)
     fv = poly.f_vector()
-    all_rhombi = all(s.is_rhombus for s in shapes)
-    is_rd = fv == (14, 24, 12) and all_rhombi and all(
-        s.diag_ratio_sq == 2 for s in shapes
-    )
-    is_cube = fv == (8, 12, 6) and all_rhombi and all(
-        s.diag_ratio_sq == 1 for s in shapes
-    )
-    return lg.Classification(fv, tuple(shapes), is_rd, is_cube)
+    all_rhombi = rhombi == len(poly.faces)
+    is_rd = fv == (14, 24, 12) and all_rhombi and all(r == 2 for r in ratios)
+    is_cube = fv == (8, 12, 6) and all_rhombi and all(r == 1 for r in ratios)
+    return {
+        "f_vector": list(fv),
+        "is_rhombic_dodecahedron": is_rd,
+        "is_cube": is_cube,
+        "diag_ratios_sq": [None if r is None else str(r) for r in ratios],
+        "rhombic_faces": rhombi,
+    }
 
 
 
@@ -408,30 +421,28 @@ class TestLatticeFrom:
 
 class TestOctoCheck:
     def test_canonical_quadruple(self):
-        rep = lg.octo_check(*FCC_GENS)
-        assert all(octo_flags(rep))
-        assert rep.common_norm_sq == 2
-        assert rep.lattice_rank == 3
+        flags, witness = octo_result(lg.octo_check(*FCC_GENS))
+        assert all(flags)
+        assert witness["common_norm_sq"] == "2"
+        assert witness["lattice_rank"] == 3
 
     def test_repeated_pair_fails_difference_condition(self):
-        rep = lg.octo_check(
+        flags, _ = octo_result(lg.octo_check(
             vec3(1, 0, 0), vec3(0, 1, 0), vec3(1, 0, 0), vec3(0, 1, 0)
-        )
-        assert rep.sums_agree and rep.pairs_orthogonal
-        assert not rep.differences_orthogonal
-        assert not all(octo_flags(rep))
+        ))
+        assert flags == (True, True, True, False)
 
     def test_scaled_quadruple_passes(self):
-        rep = lg.octo_check(*(scale(v, 2) for v in FCC_GENS))
-        assert all(octo_flags(rep))
-        assert rep.common_norm_sq == 8
+        flags, witness = octo_result(lg.octo_check(*(scale(v, 2) for v in FCC_GENS)))
+        assert all(flags)
+        assert witness["common_norm_sq"] == "8"
 
     def test_unequal_norms_reported(self):
-        rep = lg.octo_check(
+        flags, witness = octo_result(lg.octo_check(
             vec3(2, 2, 0), vec3(1, -1, 0), vec3(1, 0, 1), vec3(1, 0, -1)
-        )
-        assert not rep.equal_nonzero_norms
-        assert rep.common_norm_sq is None
+        ))
+        assert not flags[0]
+        assert witness["common_norm_sq"] is None
 
     @pytest.mark.parametrize("quad", [
         FCC_GENS,
@@ -444,41 +455,41 @@ class TestOctoCheck:
     ], ids=["fcc", "scaled", "rational-scale", "repeated-pair", "unequal-norms",
             "mixed-denominators", "zero"])
     def test_matches_fraction_reference(self, quad):
-        assert lg.octo_check(*quad) == fraction_octo_check(*quad)
+        assert octo_result(lg.octo_check(*quad)) == fraction_octo_check(*quad)
 
     def test_rotated_matches_fraction_reference(self, rng):
         for _ in range(20):
             rot = random_rotation(rng)
             factor = Fraction(rng.randint(1, 7), rng.randint(1, 7))
             quad = [scale(apply_matrix(rot, v), factor) for v in FCC_GENS]
-            rep = lg.octo_check(*quad)
-            assert rep == fraction_octo_check(*quad)
-            assert all(octo_flags(rep)) and rep.common_norm_sq == 2 * factor**2
+            flags, witness = octo_result(lg.octo_check(*quad))
+            assert (flags, witness) == fraction_octo_check(*quad)
+            assert all(flags) and witness["common_norm_sq"] == str(2 * factor**2)
 
 
 class TestVoronoiCell:
     def test_unit_cube(self):
         cell = lg.voronoi_cell(lg.lattice_from(CUBE_GENS))
         cls = lg.classify(cell)
-        assert cls.f_vector == (8, 12, 6)
+        assert cls["f_vector"] == [8, 12, 6]
         assert lg.polytope_volume(cell) == 1
-        assert cls.is_cube and not cls.is_rhombic_dodecahedron
+        assert cls["is_cube"] and not cls["is_rhombic_dodecahedron"]
         half = Fraction(1, 2)
         assert all(abs(c) == half for v in points(cell) for c in v.coords())
 
     def test_fcc_cell(self):
         cell = lg.voronoi_cell(lg.lattice_from(FCC_GENS))
         cls = lg.classify(cell)
-        assert cls.f_vector == (14, 24, 12)
+        assert cls["f_vector"] == [14, 24, 12]
         assert lg.polytope_volume(cell) == 2
-        assert cls.is_rhombic_dodecahedron
-        assert all(s.is_rhombus for s in cls.faces)
-        assert all(s.diag_ratio_sq == 2 for s in cls.faces)
+        assert cls["is_rhombic_dodecahedron"]
+        assert cls["rhombic_faces"] == 12
+        assert cls["diag_ratios_sq"] == ["2"] * 12
 
     def test_scaled_cube_detected(self):
         cell = lg.voronoi_cell(lg.lattice_from([scale(v, 2) for v in CUBE_GENS]))
         cls = lg.classify(cell)
-        assert cls.is_cube and not cls.is_rhombic_dodecahedron
+        assert cls["is_cube"] and not cls["is_rhombic_dodecahedron"]
         assert lg.polytope_volume(cell) == 8
 
     def test_rank_deficient_rejected(self):
@@ -538,10 +549,10 @@ class TestVoronoiCell:
         for _ in range(5):
             rot = random_rotation(rng)
             quad = [apply_matrix(rot, v) for v in FCC_GENS]
-            rep = lg.octo_check(*quad)
-            assert all(octo_flags(rep)) and rep.lattice_rank == 3
+            flags, witness = octo_result(lg.octo_check(*quad))
+            assert all(flags) and witness["lattice_rank"] == 3
             cls = lg.classify(lg.voronoi_cell(lg.lattice_from(quad)))
-            assert cls.is_rhombic_dodecahedron
+            assert cls["is_rhombic_dodecahedron"]
 
 
 class TestAgainstReference:
@@ -553,7 +564,7 @@ class TestAgainstReference:
             assert lat.den == lcm(*(c.denominator for v in b for c in v.coords()))
             assert lg.covolume(lat) == fraction_covolume(lat)
             quad = (*b, neg(add(add(b[0], b[1]), b[2])))
-            assert lg.octo_check(*quad) == fraction_octo_check(*quad)
+            assert octo_result(lg.octo_check(*quad)) == fraction_octo_check(*quad)
             cell = lg.voronoi_cell(lat)
             assert cell == reference_voronoi_cell(lat)
             assert lg.polytope_volume(cell) == fraction_volume(cell)

@@ -16,7 +16,7 @@ def frac_matrix(rows):
 
 
 # Dense reference: textbook Gauss-Jordan on full Fraction rows, the
-# oracle for the sparse elimination behind kernel, solve and projection.
+# oracle for the sparse elimination behind kernel and solve.
 
 
 def dense_rref(a):
@@ -63,15 +63,6 @@ def dense_solve(a, b):
     for r, c in enumerate(pivots):
         x[c] = m[r][cols]
     return x
-
-
-def dense_projection(basis, t):
-    if not basis:
-        return [F(0)] * len(t)
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
-    rhs = [sum(x * F(y) for x, y in zip(u, t)) for u in basis]
-    coeffs = dense_solve(gram, rhs)
-    return [sum(c * u[k] for c, u in zip(coeffs, basis)) for k in range(len(t))]
 
 
 def random_rational(rng):
@@ -153,17 +144,6 @@ class TestAgainstDenseReference:
             assert linalg.solve(a, b) == expected
         assert inconsistent > 0
 
-    def test_projection(self, rng):
-        for _ in range(self.CASES):
-            a = random_matrix(rng)
-            # The nonzero rows of an echelon form are independent.
-            m, pivots = dense_rref(a)
-            basis = m[: len(pivots)]
-            t = [random_rational(rng) for _ in a[0]]
-            assert linalg.project_onto_span(basis, t) == dense_projection(basis, t)
-            kern = dense_kernel(a)
-            assert linalg.project_onto_span(kern, t) == dense_projection(kern, t)
-
     def test_integer_input(self, rng):
         # Pivots of 2 and 3, not only units, so that elimination has to
         # scale by a Fraction; no float may appear in any result.
@@ -181,10 +161,6 @@ class TestAgainstDenseReference:
             sol = linalg.solve(a, b)
             assert sol == dense_solve(fa, b)
             assert sol is None or exact(sol)
-            t = [rng.randint(-5, 5) for _ in range(cols)]
-            proj = linalg.project_onto_span(kern, t)
-            assert proj == dense_projection(dense_kernel(fa), t)
-            assert exact(proj)
 
 
 class TestIntegerEntries:
@@ -222,24 +198,3 @@ class TestIntegerEntries:
             assert all(type(y) is int for y in sol)
             assert sol == dense_solve(frac_matrix(a), b)
 
-
-class TestProjection:
-    def test_onto_diagonal(self):
-        p = linalg.project_onto_span([[1, 1, 1]], [1, 0, 0])
-        assert p == [Fraction(1, 3)] * 3
-
-    def test_empty_basis(self):
-        assert linalg.project_onto_span([], [1, 2]) == [F(0), F(0)]
-
-    def test_dependent_basis(self):
-        assert linalg.project_onto_span([[1, 0], [2, 0]], [1, 1]) == [1, 0]
-
-    def test_idempotent_and_orthogonal(self):
-        basis = [[1, 0, 1], [0, 2, 0]]
-        t = [3, 5, 7]
-        p = linalg.project_onto_span(basis, t)
-        again = linalg.project_onto_span(basis, p)
-        assert again == p
-        residual = [F(a) - b for a, b in zip(t, p)]
-        for u in basis:
-            assert dot(u, residual) == 0
