@@ -19,7 +19,9 @@ inverts the next letter of the image, then extends by the rest of the
 image in one slice; ``mul`` counts the cancelling letters and joins two
 slices; ``power`` splits w = u * core * u^-1 once, since every seam
 between copies of w cancels exactly u^-1 * u.  Only :func:`reduce`,
-whose input is raw, scans letter by letter.
+whose input is raw, scans letter by letter.  :func:`parse_word` parses
+each distinct token once, and ``automorphisms.compose`` calls
+``substitute`` only on images that hold a letter the outer map moves.
 
 :func:`format_word` renders a word of 64 letters or more with no
 Python-level step per run: the run starts, letters and lengths come from
@@ -210,38 +212,41 @@ def parse_word(text: str, rank: int) -> Word:
     Uppercase ``A3`` is shorthand for ``a3^-1``; ``1`` denotes the empty
     word.  Indices must not exceed the rank, and the exponents' absolute
     values must not add up to more than MAX_WORD_LETTERS.  Raises
-    ValueError with the character position of the first bad token.
+    ValueError with the character position of the first bad token, or
+    of the one that crosses the cap.  Each distinct token is parsed once,
+    into its letter and run length; every occurrence counts to the cap.
     """
     raw: list[int] = []
     letters = 0
     index_digits = len(str(rank))
+    parsed: dict[str, tuple[int, int]] = {"1": (1, 0)}  # (letter, run length)
     for m in re.finditer(r"\S+", text):
         tok = m.group(0)
-        if tok == "1":
-            continue
-        mt = _TOKEN.match(tok)
-        if mt is None:
-            raise ValueError(f"char {m.start()}: bad token {tok!r}")
-        # Leading zeros are dropped and a value is converted only if it
-        # has no more digits than its cap, since CPython converts at most
-        # 4,300; a longer one is over the cap, so the stand-in 0 or
-        # MAX_WORD_LETTERS + 1 fails the same check.
-        index = mt.group(2).lstrip("0") or "0"
-        idx = int(index) if len(index) <= index_digits else 0
-        if not 1 <= idx <= rank:
-            raise ValueError(
-                f"char {m.start()}: generator a{index} out of range for rank {rank}"
-            )
-        exponent = (mt.group(3) or "1").lstrip("-").lstrip("0") or "0"
-        exp = int(exponent) if len(exponent) <= _LETTER_DIGITS else MAX_WORD_LETTERS + 1
-        if (mt.group(1) == "A") != (mt.group(3) or "").startswith("-"):
-            exp = -exp
-        letters += abs(exp)
+        run = parsed.get(tok)
+        if run is None:
+            mt = _TOKEN.match(tok)
+            if mt is None:
+                raise ValueError(f"char {m.start()}: bad token {tok!r}")
+            # Leading zeros are dropped and a value is converted only if
+            # it has no more digits than its cap, since CPython converts
+            # at most 4,300; a longer one is over the cap, so the
+            # stand-in 0 or MAX_WORD_LETTERS + 1 fails the same check.
+            index = mt.group(2).lstrip("0") or "0"
+            idx = int(index) if len(index) <= index_digits else 0
+            if not 1 <= idx <= rank:
+                raise ValueError(
+                    f"char {m.start()}: generator a{index} out of range for rank {rank}"
+                )
+            exponent = (mt.group(3) or "1").lstrip("-").lstrip("0") or "0"
+            k = int(exponent) if len(exponent) <= _LETTER_DIGITS else MAX_WORD_LETTERS + 1
+            negative = (mt.group(1) == "A") != (mt.group(3) or "").startswith("-")
+            run = parsed[tok] = (-idx if negative else idx, k)
+        letters += run[1]
         if letters > MAX_WORD_LETTERS:
             raise ValueError(
                 f"char {m.start()}: word longer than {MAX_WORD_LETTERS} letters"
             )
-        raw.extend([idx if exp > 0 else -idx] * abs(exp))
+        raw.extend([run[0]] * run[1])
     return reduce(rank, raw)
 
 

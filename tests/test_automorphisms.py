@@ -192,6 +192,77 @@ class TestApplyComposeEqual:
             assert aut.apply(aut.compose(e1, e2), w) == aut.apply(e1, aut.apply(e2, w))
 
 
+def substitute_all(e1, e2):
+    """compose written out: every image of e2 goes through substitute."""
+    return aut.Endo(tuple(fw.substitute(img, e1.images) for img in e2.images))
+
+
+def random_endo(rng, rank, fixed=0.0, empty=0.0, max_len=8):
+    """An endomorphism, not necessarily invertible: each image is a_i
+    with probability ``fixed``, else empty with probability ``empty``,
+    else a random reduced word."""
+    images = []
+    for i in range(1, rank + 1):
+        if rng.random() < fixed:
+            images.append(fw.gen(i))
+        elif rng.random() < empty:
+            images.append(fw.empty())
+        else:
+            images.append(random_word(rng, rank, max_len))
+    return aut.Endo(tuple(images))
+
+
+class TestComposeSkipsFixedLetters:
+    """compose passes an image with no letter that e1 moves through
+    unchanged; it must agree with substituting every image."""
+
+    def check(self, rng, e1, e2):
+        rank = len(e1.images)
+        got = aut.compose(e1, e2)
+        assert got == substitute_all(e1, e2)
+        assert all(map(is_reduced, got.images))
+        w = random_word(rng, rank, 12)
+        assert aut.apply(got, w) == aut.apply(e1, aut.apply(e2, w))
+
+    def test_random_ranks(self, rng):
+        for rank in range(1, 10):
+            for _ in range(20):
+                self.check(rng, random_endo(rng, rank), random_endo(rng, rank))
+
+    def test_identity_heavy(self, rng):
+        for rank in range(1, 10):
+            for fixed in (0.5, 0.8, 1.0):
+                for _ in range(10):
+                    e1 = random_endo(rng, rank, fixed=fixed)
+                    self.check(rng, e1, random_endo(rng, rank, fixed=fixed))
+                    self.check(rng, e1, e1)
+
+    def test_empty_images(self, rng):
+        for rank in range(1, 10):
+            for _ in range(10):
+                e1 = random_endo(rng, rank, fixed=0.3, empty=0.5)
+                e2 = random_endo(rng, rank, fixed=0.3, empty=0.5)
+                self.check(rng, e1, e2)
+                self.check(rng, e2, e1)
+
+    def test_gpq_shaped(self, rng):
+        # As in gpq_check: right multipliers of the last generator by a
+        # word in the first rank - 3, against t with long images.
+        for rank in range(4, 10):
+            for _ in range(5):
+                u = random_word(rng, rank - 3, 10)
+                p, q = rng.choice((-3, -1, 2)), rng.choice((-2, 1, 3))
+                alpha = aut.right_multiplier(rank, rank, u)
+                beta = aut.right_multiplier(rank, rank, fw.gen(rank - 2))
+                t_images = [fw.gen(i) for i in range(1, rank + 1)]
+                t_images[rank - 3] = fw.mul(fw.gen(rank - 2), fw.power(u, p))
+                t_images[rank - 2] = fw.mul(fw.gen(rank - 1), fw.power(u, q))
+                t = aut.Endo(tuple(t_images))
+                for e1, e2 in itertools.permutations((alpha, beta, t), 2):
+                    self.check(rng, e1, e2)
+                self.check(rng, aut.compose(beta, alpha), t)
+
+
 class TestInner:
     def test_inner_empty_is_identity(self):
         assert aut.equal(aut.inner(fw.empty(), 3), aut.identity_endo(3))

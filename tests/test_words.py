@@ -221,6 +221,46 @@ class TestTextGrammar:
         with pytest.raises(ValueError, match=f"^char {position}: word longer than"):
             fw.parse_word(f"a1^{cap // 2} A1^{cap // 2} a3", 3)
 
+    def test_repeated_bad_token_reports_its_first_occurrence(self):
+        with pytest.raises(ValueError, match="^char 3: bad token 'b2'$"):
+            fw.parse_word("a1 b2 a1 b2", 3)
+        with pytest.raises(ValueError, match="^char 6: generator a4 out of range"):
+            fw.parse_word("a1 a2 a4 a1 a4", 3)
+
+    def test_cap_crossed_by_a_repeated_token(self):
+        # The third token was parsed at char 0; the cap is crossed here.
+        with pytest.raises(ValueError, match="^char 12: word longer than 100000 letters$"):
+            fw.parse_word("a1^60000 a2 a1^60000", 2)
+        cap = fw.MAX_WORD_LETTERS
+        assert len(fw.parse_word(" ".join(["a1 a2"] * (cap // 2)), 2)) == cap
+        position = len("a1 a2 " * (cap // 2))
+        with pytest.raises(ValueError, match=f"^char {position}: word longer than"):
+            fw.parse_word("a1 a2 " * (cap // 2) + "a2", 2)
+
+    def test_against_split_tokenizer(self, rng):
+        def split_parse(text, rank):
+            raw = []
+            for tok in text.split():
+                if tok == "1":
+                    continue
+                head, _, exponent = tok.partition("^")
+                k = int(exponent or "1") * (-1 if head[0] == "A" else 1)
+                raw += [int(head[1:]) if k > 0 else -int(head[1:])] * abs(k)
+            return naive_reduce(raw)
+
+        spaces = (" ", "  ", "\t", "\n", " \n ")
+        for _ in range(300):
+            rank = rng.randint(1, 12)
+            pool = ["1"]
+            for _ in range(rng.randint(1, 6)):
+                head = rng.choice("aA") + "0" * rng.randint(0, 1) + str(rng.randint(1, rank))
+                exponent = rng.choice(("", "^0", "^1", "^-1", "^3", "^-2", "^007", "^-012"))
+                pool.append(head + exponent)
+            tokens = [rng.choice(pool) for _ in range(rng.randint(0, 40))]
+            text = rng.choice(("", " ")) + "".join(
+                tok + rng.choice(spaces) for tok in tokens)
+            assert fw.parse_word(text, rank) == split_parse(text, rank)
+
     def test_index_digits_are_bounded_by_the_rank(self):
         # An index is converted only if it has no more digits than the
         # rank, whatever MAX_WORD_LETTERS is.
