@@ -24,9 +24,8 @@ the sign that was actually obtained, never silently accepted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .reports import Check
 from .words import (
@@ -155,8 +154,7 @@ def conjugate_expr(x: AutExpr, by: AutExpr) -> AutExpr:
     return by + x + inverse(by)
 
 
-@dataclass(frozen=True)
-class Endo:
+class Endo(NamedTuple):
     """An endomorphism given by the reduced images of the basis."""
 
     images: tuple[Word, ...]

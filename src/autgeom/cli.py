@@ -62,6 +62,7 @@ def cmd_verify_relations(args: argparse.Namespace) -> Report:
         "verify-relations",
         {"mode": args.mode, "inject_fault": args.inject_fault},
         tuple(checks),
+        {},
     )
 
 
@@ -72,12 +73,13 @@ def cmd_gpq(args: argparse.Namespace) -> Report:
         "gpq",
         {"n": args.n, "p": args.p, "q": args.q, "w": args.w},
         tuple(checks),
+        {},
     )
 
 
 def cmd_inner_gpq(args: argparse.Namespace) -> Report:
     checks = aut.inner_gpq_check(args.p, args.q)
-    return Report("inner-gpq", {"p": args.p, "q": args.q}, tuple(checks))
+    return Report("inner-gpq", {"p": args.p, "q": args.q}, tuple(checks), {})
 
 
 def cmd_gl_rep(args: argparse.Namespace) -> Report:

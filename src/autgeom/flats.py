@@ -9,9 +9,10 @@ square root and all comparisons are exact.  Orthogonal parts are
 restricted to signed block permutations: these cover every isometry the
 Euclidean model needs (inductions permute factors, flats carry pure
 translations) while keeping the fixed-space projection exact and total.
-An isometry holds its translation as integers over one denominator, so
-composing, powering and inducing copy, negate and add integer slices,
-and translation lengths are solved for in integer numerators; Fractions
+An isometry is a named tuple, checked when it is built, that holds its
+translation as integers over one denominator, so composing, powering
+and inducing copy, negate and add integer slices, and translation
+lengths are solved for in integer numerators; Fractions
 are built only for the fixed-space projection's coefficients, one per
 cycle and block coordinate, and for the length and witness point
 returned.  The flat model translates by integer vectors, summed as
@@ -21,7 +22,7 @@ Checks their reports print.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -62,8 +63,7 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum(x * y for x, y in zip(u, v))
 
 
-@dataclass(frozen=True)
-class AffineIsometry:
+class AffineIsometry(namedtuple("AffineIsometry", "block_dim source signs translation den")):
     """x -> O x + t with O a signed block permutation.
 
     The space splits into ``len(source)`` blocks of ``block_dim``
@@ -72,24 +72,24 @@ class AffineIsometry:
     and of finite order, so the isometry is always semisimple.  The
     translation t is ``translation[i] / den`` in lowest terms: integer
     entries over one positive denominator, as a Lattice holds its rows.
+    A named tuple whose constructor refuses any other data; ``_make``
+    and ``_replace`` bypass that check, so nothing here calls them.
     """
 
-    block_dim: int
-    source: tuple[int, ...]
-    signs: tuple[int, ...]
-    translation: tuple[int, ...]
-    den: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        d = len(self.source)
-        if sorted(self.source) != list(range(d)):
+    def __new__(cls, block_dim: int, source: tuple[int, ...], signs: tuple[int, ...],
+                translation: tuple[int, ...], den: int) -> "AffineIsometry":
+        d = len(source)
+        if sorted(source) != list(range(d)):
             raise ValueError("source is not a permutation of the blocks")
-        if len(self.signs) != d or any(s not in (1, -1) for s in self.signs):
+        if len(signs) != d or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +-1, one per block")
-        if len(self.translation) != d * self.block_dim:
+        if len(translation) != d * block_dim:
             raise ValueError("translation has wrong dimension")
-        if self.den < 1 or gcd(self.den, *self.translation) != 1:
+        if den < 1 or gcd(den, *translation) != 1:
             raise ValueError("translation is not in lowest terms over a positive den")
+        return super().__new__(cls, block_dim, source, signs, translation, den)
 
     @property
     def blocks(self) -> int:

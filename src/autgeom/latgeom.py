@@ -13,9 +13,10 @@ cell volume equals the covolume of the lattice (the tiling condition).
 Two more check that the faces lie on their bisector planes and satisfy
 Euler's formula.
 
-Generators come in as Vec3 records of Fractions and are scaled once to
-integer rows over their least common denominator; a Lattice holds its
-echelon rows and a Polytope its points, each over one denominator.
+Generators come in as Vec3 named tuples of Fractions and are scaled
+once to integer rows over their least common denominator; a Lattice
+holds its echelon rows and a Polytope its points, each a named tuple
+over one denominator.
 Fractions are built only for the values returned: the covolume, the
 volume, octo_check's squared norms, the diagonal ratios and the OFF
 export.  Lengths are handled as squared values so no square root is ever
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .reports import Check, fraction_str
 
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vec3:
+class Vec3(NamedTuple):
     """An input vector with exact rational coordinates."""
 
     x: Fraction
@@ -70,8 +69,7 @@ def vec3(x, y, z) -> Vec3:
     return Vec3(Fraction(x), Fraction(y), Fraction(z))
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(NamedTuple):
     """A Z-module in rational 3-space: basis vector i is ``rows[i] / den``,
     where the rows are the canonical echelon form of the module scaled
     by ``den``, the least common denominator of the basis entries."""
@@ -194,8 +192,7 @@ def covolume(lat: Lattice) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     """A Voronoi cell as integer points over one denominator.
 
     Vertex i is the point ``vertices[i] / den``.  ``faces[k]`` is the

@@ -1,11 +1,14 @@
-"""Machine-readable check reports shared by the library and the CLI."""
+"""Machine-readable check reports shared by the library and the CLI.
+
+``Check`` and ``Report`` are named tuples: immutable, and compared and
+hashed by value.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 __all__ = [
     "Check",
@@ -17,8 +20,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named verification with a human-readable claim and a verdict."""
 
     name: str
@@ -39,14 +41,17 @@ def all_pass(checks: Iterable[Check]) -> bool:
     return all(c.passed for c in checks)
 
 
-@dataclass(frozen=True)
-class Report:
-    """Aggregate result of one command: echo, checks, and extra payload."""
+class Report(NamedTuple):
+    """Aggregate result of one command: echo, checks, and extra payload.
+
+    No field has a default: a default dict would be one object shared
+    by every report.
+    """
 
     command: str
-    args: dict = field(default_factory=dict)
-    checks: tuple[Check, ...] = ()
-    payload: dict = field(default_factory=dict)
+    args: dict
+    checks: tuple[Check, ...]
+    payload: dict
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import resource
 import subprocess
@@ -557,7 +558,7 @@ def test_handler_is_looked_up_when_the_request_runs(monkeypatch):
 
     def stub(args):
         calls.append((args.p, args.q))
-        return Report("inner-gpq", {"p": args.p, "q": args.q}, ())
+        return Report("inner-gpq", {"p": args.p, "q": args.q}, (), {})
 
     monkeypatch.setattr(cli, "cmd_inner_gpq", stub)
     code, report = cli.run(["inner-gpq", "--p", "3", "--q", "-2"])
@@ -566,6 +567,23 @@ def test_handler_is_looked_up_when_the_request_runs(monkeypatch):
 
 
 class TestEndToEnd:
+    def test_import_loads_no_dataclasses_machinery(self):
+        # Every check is one fresh process, so each module that
+        # ``import autgeom.cli`` pulls in is paid for on every request.
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; before = set(sys.modules); import autgeom.cli; "
+                "autgeom.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        added = set(proc.stdout.split())
+        assert "autgeom.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "autgeom", "sanov"],
