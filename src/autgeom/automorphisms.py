@@ -40,7 +40,6 @@ from .words import (
     inv,
     mul,
     power,
-    reduce,
     substitute,
 )
 
@@ -164,31 +163,6 @@ def identity_endo(rank: int) -> Endo:
     return Endo(tuple(gen(i) for i in range(1, rank + 1)))
 
 
-def _elem_endo(kind: str, i: int, j: int, exp: int) -> Endo:
-    """Closed form for an elementary automorphism raised to an exponent.
-
-    A Nielsen map to the power exp moves one image to |exp| + 1 letters;
-    more than MAX_WORD_LETTERS is refused with ValueError first.
-    """
-    images = [gen(t) for t in range(1, RANK + 1)]
-    if kind in ("L", "R"):
-        if abs(exp) >= MAX_WORD_LETTERS:
-            raise ValueError(
-                f"{format_expr(((kind, i, j, exp),))} makes an image over "
-                f"{MAX_WORD_LETTERS} letters"
-            )
-        run = [j if exp > 0 else -j] * abs(exp)
-        raw = run + [i] if kind == "L" else [i] + run
-        images[i - 1] = reduce(RANK, raw)
-    elif kind == "E":
-        if exp % 2 == 1:
-            images[i - 1] = gen(i, -1)
-    else:  # "P"
-        if exp % 2 == 1:
-            images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-    return Endo(tuple(images))
-
-
 def _image_bounds(e1: Endo, e2: Endo) -> list[int]:
     """Upper bounds on the image lengths of compose(e1, e2): each letter
     of an image of e2 counts the length of its image under e1.  A bound
@@ -204,38 +178,63 @@ def _image_bounds(e1: Endo, e2: Endo) -> list[int]:
     return bounds
 
 
-# Each composition in endo_of writes every image out anew, so n factors
-# that each add a letter write about n^2/2 letters: 100,000 L21 factors
-# would write 5e9 of them (about 45 s).  endo_of sums the length bounds
-# it checks before each composition and stops at a hundred times the
-# letter cap.  Refusing 100,000 L21 factors then takes about 0.2 s on
-# CPython 3.11 (2-CPU x86-64).  gl-rep builds the images of a power with
-# endo_power, so the cap guards long factor lists, not powers: no
-# endo_of call of the benchmark requests sums more than 27 letters of
-# bounds (in `verify-relations`), where `gl-rep "P12 L21 R12 P12"
-# --power 10` summed 139,135 when it composed its 40 factors one by one.
+# endo_of writes each moved image anew, so n factors that each add a
+# letter write about n^2/2 letters: 100,000 L21 factors would write 5e9.
+# endo_of sums the length bounds of the three images before each factor
+# and stops at a hundred times the letter cap: on CPython 3.11 (2-CPU
+# x86-64) 100,000 L21 factors are refused in about 0.07 s, and 4,000
+# (8,014,000 letters of bounds) give their images in about 0.06 s.
+# gl-rep builds powers with endo_power, so the cap guards long factor
+# lists: no endo_of call of the benchmark requests sums more than 27
+# letters of bounds (in `verify-relations`), where `gl-rep "P12 L21 R12
+# P12" --power 10` summed 139,135 when it took its 40 factors one by one.
 MAX_ENDO_WORK = 100 * MAX_WORD_LETTERS
 
 
 def endo_of(x: AutExpr) -> Endo:
     """Realize a formal product as generator-image data.
 
-    Before each factor is composed in, the lengths of the current images
-    bound the new ones; a bound above MAX_WORD_LETTERS raises ValueError,
-    and so does a sum of the bounds over all factors so far above
-    MAX_ENDO_WORK.
+    Each factor, left to right, rewrites the images in closed form:
+    Lij^e sets image i to img_j^e img_i, Rij^e to img_i img_j^e, an odd
+    E inverts image i and an odd P swaps images i and j.  ValueError is
+    raised, in this order, for a Nielsen factor with |e| at
+    MAX_WORD_LETTERS or above, for a bound len(img_i) + |e| len(img_j)
+    on its new image over that cap, and for a sum of the three images'
+    bounds over the factors so far above MAX_ENDO_WORK.
     """
-    out = identity_endo(RANK)
+    images = [gen(t) for t in range(1, RANK + 1)]
     work = 0
-    for factor in x:
-        step = _elem_endo(*factor)
-        work += sum(_image_bounds(out, step))
+    for kind, i, j, exp in x:
+        img = images[i - 1]
+        grow = 0
+        if kind in ("L", "R"):
+            if abs(exp) >= MAX_WORD_LETTERS:
+                raise ValueError(
+                    f"{format_expr(((kind, i, j, exp),))} makes an image over "
+                    f"{MAX_WORD_LETTERS} letters"
+                )
+            grow = abs(exp) * len(images[j - 1])
+            if len(img) + grow > MAX_WORD_LETTERS:
+                raise ValueError(f"images would exceed {MAX_WORD_LETTERS} letters")
+        work += sum(map(len, images)) + grow
         if work > MAX_ENDO_WORK:
             raise ValueError(
                 f"composing the factors would write over {MAX_ENDO_WORK} letters"
             )
-        out = compose(out, step)
-    return out
+        if kind in ("L", "R"):
+            run = images[j - 1]
+            # power first scans img_j for its cyclic split, which a +-1
+            # power does without.
+            if exp == -1:
+                run = inv(run)
+            elif exp != 1:
+                run = power(run, exp)
+            images[i - 1] = mul(run, img) if kind == "L" else mul(img, run)
+        elif exp % 2 and kind == "E":
+            images[i - 1] = inv(img)
+        elif exp % 2:  # "P"
+            images[i - 1], images[j - 1] = images[j - 1], img
+    return Endo(tuple(images))
 
 
 def endo_power(e: Endo, k: int) -> Endo:
@@ -243,8 +242,8 @@ def endo_power(e: Endo, k: int) -> Endo:
 
     Composition is associative and reduced images are unique, so the
     images are those of k copies of e composed one at a time, at the
-    cost of O(log k) compositions.  Before each one the image lengths
-    are bounded as in endo_of; a bound above MAX_WORD_LETTERS raises
+    cost of O(log k) compositions.  Before each one _image_bounds
+    bounds the image lengths; a bound above MAX_WORD_LETTERS raises
     ValueError.  The bound counts letters that cancel, so images that
     cancel at their seams (as conjugates do) can be refused although
     the power's images would fit.

@@ -88,13 +88,13 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
     The unit U = X^(sign p) is built from its factors, and the images of
     X^p by squaring U's images (a single-factor X^p is one factor, with
     closed-form images).  Only where a square's length bound is over the
-    letter cap are the factors of X^p composed one at a time, as endo_of
-    does for any expression.  When U stabilizes the subgroup, ab5(X^p)
-    is taken as ab5(U)^|p| by squaring: only the short images of U are
-    rewritten.  Otherwise (P13 does not stabilize, P13^2 does) ab5
-    rewrites the images of X^p, and refuses them if X^p does not
-    stabilize either.  For p = 0 the unit is X^0 itself, so no image of
-    X is built.
+    letter cap does endo_of apply the factors of X^p one at a time, in
+    closed form, as it does for any expression.  When U stabilizes the
+    subgroup, ab5(X^p) is taken as ab5(U)^|p| by squaring: only the
+    short images of U are rewritten.  Otherwise (P13 does not stabilize,
+    P13^2 does) ab5 rewrites the images of X^p, and refuses them if X^p
+    does not stabilize either.  For p = 0 the unit is X^0 itself, so no
+    image of X is built.
     """
     expr = aut.parse_autexpr(args.expr)
     # expr_power refuses X^p of more than MAX_WORD_LETTERS factors.
@@ -109,7 +109,7 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
             endo = aut.endo_power(unit, abs(args.power))
         except ValueError:
             # A square's length bound counts letters that cancel; the
-            # factors composed one at a time decide, under endo_of's caps.
+            # factors taken one at a time decide, under endo_of's caps.
             endo = aut.endo_of(power)
     if glrep.stabilizes(unit):
         m5 = glrep.mat_power(glrep.ab5(unit), abs(args.power))

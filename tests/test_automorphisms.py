@@ -18,7 +18,7 @@ from autgeom.automorphisms import (
 )
 from autgeom.reports import all_pass
 
-from conftest import is_reduced, random_word, swap
+from conftest import is_reduced, naive_reduce, random_word, swap
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
 
@@ -61,6 +61,57 @@ class TestEndoOf:
             assert aut.equal(aut.endo_of(x + inverse(x)), aut.identity_endo(3))
 
 
+def naive_images(x):
+    """The images of the factor list x by letter substitution on raw lists.
+
+    Under (f g)(w) = f(g(w)) the last factor acts first, so each basis
+    letter goes through the factors right to left; nothing is reduced
+    until naive_reduce runs on the end result.
+    """
+
+    def image(kind, i, j, exp, letter):
+        """The raw image of one letter under one factor."""
+        a = abs(letter)
+        if kind in "LR" and a == i:
+            run = [j if exp > 0 else -j] * abs(exp)
+            raw = run + [i] if kind == "L" else [i] + run
+        elif kind == "E" and a == i and exp % 2:
+            raw = [-i]
+        elif kind == "P" and a in (i, j) and exp % 2:
+            raw = [i + j - a]
+        else:
+            raw = [a]
+        return raw if letter > 0 else [-y for y in reversed(raw)]
+
+    images = []
+    for t in range(1, aut.RANK + 1):
+        raw = [t]
+        for factor in reversed(x):
+            raw = [y for letter in raw for y in image(*factor, letter)]
+        images.append(naive_reduce(raw))
+    return tuple(images)
+
+
+class TestEndoOfOracle:
+    def test_random_factor_lists(self, rng):
+        exps = (0, 1, -1, 2, -2, 3, -3)
+        seen = set()
+        for _ in range(300):
+            x = []
+            for _ in range(rng.randint(0, 5)):
+                kind, exp = rng.choice("LREP"), rng.choice(exps)
+                i, j = rng.sample(range(1, 4), 2)
+                x.append((kind, i, 0 if kind == "E" else j, exp))
+                seen.add((kind, exp))
+            x = tuple(x)
+            assert aut.endo_of(x).images == naive_images(x), format_expr(x)
+        assert seen == {(kind, exp) for kind in "LREP" for exp in exps}
+
+    def test_empty_expression(self):
+        assert aut.endo_of(()) == aut.identity_endo(3)
+        assert naive_images(()) == aut.identity_endo(3).images
+
+
 class TestImageCap:
     def test_elementary_image_cap_is_exact(self):
         n = fw.MAX_WORD_LETTERS
@@ -98,9 +149,33 @@ class TestImageCap:
                 aut.endo_of(aut.parse_autexpr(text))
             assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("x,error", [
+        (aut.parse_autexpr("L12^100000"), "L12^100000 makes an image over 100000 letters"),
+        (expr_power(L(1, 2) + L(2, 1), 12), "images would exceed 100000 letters"),
+        (aut.parse_autexpr("L21 " * 5000),
+         "composing the factors would write over 10000000 letters"),
+    ])
+    def test_refusal_messages(self, x, error):
+        with pytest.raises(ValueError) as exc:
+            aut.endo_of(x)
+        assert str(exc.value) == error
+
+    def test_bound_cap_is_checked_before_work_cap(self):
+        # 4,468 L21 factors sum 9,997,150 letters of bounds and leave
+        # a2 -> a1^4468 a2.  L12^22 then bounds a1 by 98,319 letters,
+        # within the letter cap, and its 102,789 letters of bounds cross
+        # the work cap; L12^23 crosses both at once, and the letter cap
+        # is named.
+        prefix = aut.parse_autexpr("L21 " * 4468)
+        assert len(aut.endo_of(prefix).images[1]) == 4469
+        with pytest.raises(ValueError, match="^composing the factors"):
+            aut.endo_of(prefix + expr_power(L(1, 2), 22))
+        with pytest.raises(ValueError, match="^images would exceed 100000 letters$"):
+            aut.endo_of(prefix + expr_power(L(1, 2), 23))
+
 
 class TestEndoPower:
-    """endo_power against endo_of(expr_power(x, p)), which composes the
+    """endo_power against endo_of(expr_power(x, p)), which takes the
     factors of x^p one at a time."""
 
     @staticmethod

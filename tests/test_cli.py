@@ -275,6 +275,21 @@ class TestInputCaps:
         _, expected = run_cli(same_as)
         assert report.checks == expected.checks
 
+    # endo_of's factor cap refuses the single factor L12^4000000; the
+    # squares of (L12 L21) and then its 80 factors one at a time are
+    # over the letter cap.
+    @pytest.mark.parametrize("expr,error", [
+        ("L12^100000", "L12^4000000 makes an image over 100000 letters"),
+        ("L12 L21", "images would exceed 100000 letters"),
+    ])
+    def test_endo_caps_keep_their_reports(self, expr, error):
+        code, report = run_cli(["gl-rep", expr, "--power", "40"])
+        assert code == USAGE_ERROR
+        assert json.dumps(report.to_dict()) == json.dumps({
+            "command": "gl-rep", "args": {"expr": expr, "power": 40},
+            "checks": [], "passed": False, "payload": {"error": error},
+        })
+
 
 class TestPayloads:
     def test_gl_rep_matrices(self):
