@@ -15,9 +15,12 @@ and inducing copy, negate and add integer slices, and translation
 lengths are solved for in integer numerators; Fractions
 are built only for the fixed-space projection's coefficients, one per
 cycle and block coordinate, and for the length and witness point
-returned.  The flat model translates by integer vectors, summed as
-integers.  The equidistance certificate and the flat model return the
-Checks their reports print.
+returned.  The equidistance constraints are evaluated on integer
+vectors over the common denominators of tau and a; the one Fraction
+they build is the value ``elimination_combination`` returns.  The flat
+model translates by integer vectors, summed as integers.  The
+equidistance certificate and the flat model return the Checks their
+reports print.
 """
 
 from __future__ import annotations
@@ -53,14 +56,6 @@ __all__ = [
     "MAX_SCALE_DIGITS",
     "NIELSEN_FLAT_GENERATORS",
 ]
-
-
-def _fracs(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
 
 
 class AffineIsometry(namedtuple("AffineIsometry", "block_dim source signs translation den")):
@@ -273,6 +268,13 @@ def cyclic_induced(d: int, ell) -> AffineIsometry:
 # ---------------------------------------------------------------------------
 
 
+def _common(values: Sequence) -> tuple[list[int], int]:
+    """Rational entries (ints or Fractions) as integers over their least
+    common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def elimination_combination(tau: Sequence, p: int, q: int, a: Sequence) -> Fraction:
     """q*(first constraint) - p*(second constraint), evaluated at a.
 
@@ -282,14 +284,20 @@ def elimination_combination(tau: Sequence, p: int, q: int, a: Sequence) -> Fract
         2 m (tau . a) + m^2 |a|^2 = 0      for m = p and m = q.
 
     Multiplying by q and p respectively and subtracting eliminates
-    tau . a, so the combination always equals p q (p - q) |a|^2.
+    tau . a, so the combination always equals p q (p - q) |a|^2.  It is
+    evaluated on the integer vectors T = d tau and A = e a, where d and
+    e are the common denominators: over d e^2 the first constraint is
+    2 p (T . A) e + p^2 |A|^2 d, and the second likewise with q.
+    Refuses tau and a of different dimensions.
     """
-    tv, av = _fracs(tau), _fracs(a)
-    ta = _dot(tv, av)
-    asq = _dot(av, av)
-    first = 2 * p * ta + p * p * asq
-    second = 2 * q * ta + q * q * asq
-    return q * first - p * second
+    (t, d), (av, e) = _common(tau), _common(a)
+    if len(t) != len(av):
+        raise ValueError("tau and a have different dimensions")
+    ta = sum(x * y for x, y in zip(t, av))
+    asq = sum(x * x for x in av)
+    first = 2 * p * ta * e + p * p * asq * d
+    second = 2 * q * ta * e + q * q * asq * d
+    return Fraction(q * first - p * second, d * e * e)
 
 
 # The most digits equidistant_forces_zero accepts in p and q.  The
@@ -347,15 +355,20 @@ def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> list[Check]:
 
 
 def equidistant_check(tau: Sequence, p: int, q: int, a: Sequence) -> bool:
-    """Evaluate both equidistance constraints at an explicit vector a."""
-    tv, av = _fracs(tau), _fracs(a)
-    if len(tv) != len(av):
-        raise ValueError("tau and a have different dimensions")
-    base = _dot(tv, tv)
+    """Evaluate both equidistance constraints at an explicit vector a.
 
-    def shifted(m: int) -> Fraction:
-        w = [t + m * x for t, x in zip(tv, av)]
-        return _dot(w, w)
+    With T = d tau and A = e a over the common denominators d and e,
+    |tau + m a| = |tau| reads |e T + m d A|^2 = |e T|^2 in integers.
+    """
+    (t, d), (av, e) = _common(tau), _common(a)
+    if len(t) != len(av):
+        raise ValueError("tau and a have different dimensions")
+    et = [e * x for x in t]
+    base = sum(x * x for x in et)
+
+    def shifted(m: int) -> int:
+        md = m * d
+        return sum((x + md * y) ** 2 for x, y in zip(et, av))
 
     return shifted(p) == base and shifted(q) == base
 

@@ -10,6 +10,8 @@ of 24 Delaunay simplices and its faces the 14 subset sums.  Two
 authoritative gates verify the result: every vertex minimizes its
 distance over a box of lattice points holding all face normals, and the
 cell volume equals the covolume of the lattice (the tiling condition).
+The first is checked over half of the box, one of each pair +-a, after
+an exact check that the vertex set is centrally symmetric.
 Two more check that the faces lie on their bisector planes and satisfy
 Euler's formula.
 
@@ -18,10 +20,11 @@ once to integer rows over their least common denominator; a Lattice
 holds its echelon rows and a Polytope its points, each a named tuple
 over one denominator.
 Fractions are built only for the values returned: the covolume, the
-volume, octo_check's squared norms, the diagonal ratios and the OFF
-export.  Lengths are handled as squared values so no square root is ever
-taken: a claimed diagonal ratio of 1:sqrt(2) appears as a squared ratio
-of exactly 2.  ``classify`` and ``octo_check`` return what a report
+volume, octo_check's squared norms and the diagonal ratios; the OFF
+export renders its decimals and exact pairs from the integers.  Lengths
+are handled as squared values so no square root is ever taken: a
+claimed diagonal ratio of 1:sqrt(2) appears as a squared ratio of
+exactly 2.  ``classify`` and ``octo_check`` return what a report
 prints: the classification payload, and the four conditions as Checks
 whose rationals are rendered by ``fraction_str``.
 """
@@ -84,7 +87,8 @@ class Lattice(NamedTuple):
 
 def _int_rows(vectors: Sequence[Vec3]) -> tuple[list[list[int]], int]:
     den = lcm(*(c.denominator for v in vectors for c in v.coords()))
-    return [[int(c * den) for c in v.coords()] for v in vectors], den
+    return [[c.numerator * (den // c.denominator) for c in v.coords()]
+            for v in vectors], den
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -105,6 +109,17 @@ def _add(u: Sequence[int], v: Sequence[int]) -> list[int]:
 
 def _dist_sq(u: Sequence[int], v: Sequence[int]) -> int:
     return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 + (u[2] - v[2]) ** 2
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """The rank of integer rows in 3-space, read off their minors: 3 if
+    some triple has a nonzero determinant, 2 if some pair has a nonzero
+    cross product, 1 if some row is nonzero, 0 otherwise."""
+    if any(_dot(r, _cross(s, t)) for r, s, t in itertools.combinations(rows, 3)):
+        return 3
+    if any(any(_cross(r, s)) for r, s in itertools.combinations(rows, 2)):
+        return 2
+    return int(any(map(any, rows)))
 
 
 def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -271,6 +286,34 @@ def polytope_volume(poly: Polytope) -> Fraction:
     return Fraction(total, 6 * poly.den ** 3)
 
 
+# The coefficient vectors c > (0, 0, 0), in lexicographic order, of the
+# [-2, 2]^3 box: one of each pair +-c of its 124 nonzero vectors.
+_HALF_BOX = tuple(c for c in itertools.product(range(-2, 3), repeat=3)
+                  if c > (0, 0, 0))
+
+
+def _minimal_distance_gate(vertices: Sequence[Sequence[int]],
+                           v: Sequence[Sequence[int]], common: int) -> None:
+    """Gate 1 of ``voronoi_cell``: every vertex y / common minimizes its
+    distance over the box, which is to say 2 y.a <= common |a|^2 for the
+    124 nonzero a = c0 v1 + c1 v2 + c2 v3 with c in [-2, 2]^3.
+
+    The test of (y, c) is the test of (-y, -c), so once the vertex set
+    is checked to be centrally symmetric the half box decides every
+    pair; 2 y.a is read off the doubled products of y with v1, v2, v3.
+    Raises RuntimeError if either check fails.
+    """
+    if {(-x, -y, -z) for x, y, z in vertices} != set(vertices):
+        raise RuntimeError("vertex set is not centrally symmetric")
+    products = [(2 * _dot(y, v[1]), 2 * _dot(y, v[2]), 2 * _dot(y, v[3]))
+                for y in vertices]
+    for c0, c1, c2 in _HALF_BOX:
+        a = [c0 * x + c1 * y + c2 * z for x, y, z in zip(v[1], v[2], v[3])]
+        limit = common * _dot(a, a)
+        if max([c0 * t0 + c1 * t1 + c2 * t2 for t0, t1, t2 in products]) > limit:
+            raise RuntimeError("vertex fails the minimal-distance gate")
+
+
 def voronoi_cell(lat: Lattice) -> Polytope:
     """The exact Voronoi cell {x : |x| <= |x - a| for all a in the lattice}.
 
@@ -292,7 +335,11 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     RuntimeError.  Gate 1: every vertex is at minimal squared distance
     from the origin among the 124 nonzero lattice points of the
     [-2, 2]^3 coefficient box over v1, v2, v3; the box holds all 14 v_S,
-    so every vertex satisfies every face halfspace.  The plane gate
+    so every vertex satisfies every face halfspace.  The gate first
+    checks exactly that the vertex set is centrally symmetric, then
+    tests every vertex against the 62 box points with coefficient
+    vector c > (0, 0, 0): the test of vertex y against a is the test of
+    -y against -a, so all 124 points are still decided.  The plane gate
     checks that each face's vertices lie on the bisector plane of its
     v_S, and the Euler gate that V - E + F = 2, so the polytope is the
     intersection of halfspaces x.v_S <= |v_S|^2/2 that bisect true
@@ -336,16 +383,7 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     vertices = sorted(set(scaled.values()))
     index = {y: i for i, y in enumerate(vertices)}
 
-    # Gate 1: every vertex minimizes its distance over the box, which is
-    # to say it satisfies every halfspace of the box vectors; y.a is read
-    # off the products of y with v1, v2, v3.
-    products = [[_dot(y, v[j]) for j in (1, 2, 3)] for y in vertices]
-    for c in itertools.product(range(-2, 3), repeat=3):
-        a = [c[0] * x + c[1] * y + c[2] * z for x, y, z in zip(v[1], v[2], v[3])]
-        limit = common * _dot(a, a)
-        for t in products:
-            if 2 * (c[0] * t[0] + c[1] * t[1] + c[2] * t[2]) > limit:
-                raise RuntimeError("vertex fails the minimal-distance gate")
+    _minimal_distance_gate(vertices, v, common)
 
     faces = []
     for size in (1, 2, 3):
@@ -449,7 +487,11 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> list[Check]:
     exact unit vectors are not representable rationally in general).
     The four checks share one witness: the squared norms, the common
     one (None unless they agree and are nonzero) and the rank of the
-    generated lattice, which is 3 whenever every condition holds.
+    generated lattice, which is 3 whenever every condition holds.  The
+    rank is read off the minors of the four vectors scaled to integers:
+    3 if three of them have a nonzero determinant, 2 if two have a
+    nonzero cross product, 1 if one is nonzero, else 0.  No lattice is
+    built.
     """
     vectors = (u1, u2, v1, v2)
     (a1, a2, b1, b2), den = _int_rows(vectors)
@@ -460,7 +502,7 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> list[Check]:
     witness = {
         "norms_sq": norms,
         "common_norm_sq": norms[0] if equal_norms else None,
-        "lattice_rank": lattice_from(vectors).rank if any(dots) else 0,
+        "lattice_rank": _rank((a1, a2, b1, b2)),
     }
     return [
         Check(
@@ -508,12 +550,12 @@ def check_precision(precision: int) -> None:
         raise ValueError(f"precision must be <= {MAX_PRECISION}, got {precision}")
 
 
-def _decimal_str(x: Fraction, digits: int) -> str:
-    """Exact decimal rendering with the given number of fraction digits."""
+def _decimal_str(x: int, den: int, digits: int) -> str:
+    """Exact decimal rendering of x / den, for den > 0, with the given
+    number of fraction digits, rounding halves away from zero."""
     q = 10 ** digits
-    scaled = abs(x.numerator) * q
-    t, r = divmod(scaled, x.denominator)
-    if 2 * r >= x.denominator:
+    t, r = divmod(abs(x) * q, den)
+    if 2 * r >= den:
         t += 1
     sign = "-" if x < 0 and t > 0 else ""
     if digits == 0:
@@ -521,8 +563,11 @@ def _decimal_str(x: Fraction, digits: int) -> str:
     return f"{sign}{t // q}.{t % q:0{digits}d}"
 
 
-def _pair(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
+def _pair(x: int, den: int) -> list[int]:
+    """x / den, for den > 0, as the [numerator, denominator] of its
+    lowest terms."""
+    g = gcd(x, den)
+    return [x // g, den // g]
 
 
 def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]:
@@ -536,11 +581,10 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
     """
     check_precision(precision)
     den = poly.den
-    vertices = [[Fraction(x, den) for x in p] for p in poly.vertices]
     n_v, n_e, n_f = poly.f_vector()
     lines = ["OFF", f"{n_v} {n_f} {n_e}"]
-    for v in vertices:
-        lines.append(" ".join(_decimal_str(c, precision) for c in v))
+    for p in poly.vertices:
+        lines.append(" ".join(_decimal_str(x, den, precision) for x in p))
     for cycle in poly.faces:
         lines.append(" ".join(str(n) for n in (len(cycle), *cycle)))
     with open(path, "w", encoding="ascii") as fh:
@@ -548,12 +592,12 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
 
     sidecar = path + ".json"
     data = {
-        "vertices": [[_pair(c) for c in v] for v in vertices],
+        "vertices": [[_pair(x, den) for x in p] for p in poly.vertices],
         "faces": [list(cycle) for cycle in poly.faces],
         "halfspaces": [
             {
-                "normal": [_pair(Fraction(x, den)) for x in n],
-                "offset": _pair(Fraction(_dot(n, n), 2 * den * den)),
+                "normal": [_pair(x, den) for x in n],
+                "offset": _pair(_dot(n, n), 2 * den * den),
             }
             for n in poly.normals
         ],

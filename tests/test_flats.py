@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import lcm
+from typing import Sequence
 
 import pytest
 
@@ -324,6 +325,49 @@ class TestInducedAction:
             flats.induced_action((0, 1), [a, b])
 
 
+# The Fraction evaluation of the equidistance constraints that the
+# integer one replaced, kept verbatim as the slow-path reference.
+
+
+def _fracs(values: Sequence) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v) for v in values)
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def fraction_elimination_combination(tau: Sequence, p: int, q: int,
+                                     a: Sequence) -> Fraction:
+    tv, av = _fracs(tau), _fracs(a)
+    ta = _dot(tv, av)
+    asq = _dot(av, av)
+    first = 2 * p * ta + p * p * asq
+    second = 2 * q * ta + q * q * asq
+    return q * first - p * second
+
+
+def fraction_equidistant_check(tau: Sequence, p: int, q: int,
+                               a: Sequence) -> bool:
+    tv, av = _fracs(tau), _fracs(a)
+    if len(tv) != len(av):
+        raise ValueError("tau and a have different dimensions")
+    base = _dot(tv, tv)
+
+    def shifted(m: int) -> Fraction:
+        w = [t + m * x for t, x in zip(tv, av)]
+        return _dot(w, w)
+
+    return shifted(p) == base and shifted(q) == base
+
+
+def random_rational_vector(rng, k):
+    """k entries, ints or Fractions over a random denominator up to 10^6."""
+    den = rng.choice((1, 2, 6, 35, 10**6))
+    return [rng.choice((int, Fraction))(rng.randint(-50, 50)) if den == 1
+            else Fraction(rng.randint(-50, 50), rng.randint(1, den)) for _ in range(k)]
+
+
 class TestEquidistance:
     def test_certificate_example(self):
         checks = flats.equidistant_forces_zero([1, 0], 1, 2)
@@ -346,6 +390,37 @@ class TestEquidistance:
             a = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
             norm_sq = sum(x * x for x in a)
             assert flats.elimination_combination(tau, p, q, a) == p * q * (p - q) * norm_sq
+
+    def test_integer_evaluation_matches_fraction_reference(self, rng):
+        outcomes = set()
+        for _ in range(400):
+            k = rng.randint(1, 4)
+            tau = random_rational_vector(rng, k)
+            p = rng.choice((0, rng.randint(-9, 9), rng.randint(-10**30, 10**30)))
+            q = rng.choice((0, p, rng.randint(-9, 9)))
+            shape = rng.randrange(3)
+            if shape == 0:
+                a = [0] * k
+            elif shape == 1 and p:
+                # With p = q, a = -2 tau / p meets both constraints.
+                a = [Fraction(-2 * t, p) for t in tau]
+            else:
+                a = random_rational_vector(rng, k)
+            combination = flats.elimination_combination(tau, p, q, a)
+            assert combination == fraction_elimination_combination(tau, p, q, a)
+            assert type(combination) is Fraction
+            verdict = flats.equidistant_check(tau, p, q, a)
+            assert verdict == fraction_equidistant_check(tau, p, q, a)
+            outcomes.add(verdict)
+        assert outcomes == {True, False}
+
+    def test_mismatched_dimensions_refused(self):
+        # Zipping would drop coordinates: (1, 2, 3) against (1) gave -2.
+        for tau, a in (([1, 2, 3], [1]), ([1], [1, 2, 3])):
+            with pytest.raises(ValueError, match="different dimensions"):
+                flats.elimination_combination(tau, 1, 2, a)
+            with pytest.raises(ValueError, match="different dimensions"):
+                flats.equidistant_check(tau, 1, 2, a)
 
     def test_grid_search_finds_only_zero(self):
         tau = (Fraction(1), Fraction(0))

@@ -110,6 +110,27 @@ def fraction_octo_check(u1, u2, v1, v2):
     return flags, witness
 
 
+def random_quadruple_of_rank(rng, rank):
+    """Four rational vectors that span a space of the given rank: random
+    rational combinations, some of them zero, of ``rank`` random vectors,
+    redrawn until the echelon form has that rank."""
+    def ratio():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+
+    while True:
+        span = [vec3(*(ratio() for _ in range(3))) for _ in range(rank)]
+        quad = []
+        for _ in range(4):
+            v = vec3(0, 0, 0)
+            for b in span:
+                if rng.randrange(3):
+                    v = add(v, scale(b, ratio()))
+            quad.append(v)
+        nonzero = any(not is_zero(v) for v in quad)
+        if (lg.lattice_from(quad).rank if nonzero else 0) == rank:
+            return quad
+
+
 def octo_result(checks):
     """octo_check's verdicts and the one witness its four checks share."""
     assert all(c.witness == checks[0].witness for c in checks)
@@ -149,6 +170,7 @@ def random_unimodular_gens(rng, gens):
 
 _dot, _cross = lg._dot, lg._cross
 ORIGINAL_RING = lg._ring
+ORIGINAL_SUPERBASE = lg._obtuse_superbase
 
 
 def _lll(rows: list[list[int]]) -> list[list[int]]:
@@ -466,6 +488,17 @@ class TestOctoCheck:
             assert (flags, witness) == fraction_octo_check(*quad)
             assert all(flags) and witness["common_norm_sq"] == str(2 * factor**2)
 
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
+    def test_minor_rank_matches_lattice_rank(self, rng, rank):
+        # The rank read off the minors of the integer rows against the
+        # rank of the echelon basis that lattice_from builds.
+        for _ in range(60):
+            quad = random_quadruple_of_rank(rng, rank)
+            assert lg._rank(lg._int_rows(quad)[0]) == rank
+            flags, witness = octo_result(lg.octo_check(*quad))
+            assert witness["lattice_rank"] == rank
+            assert (flags, witness) == fraction_octo_check(*quad)
+
 
 class TestVoronoiCell:
     def test_unit_cube(self):
@@ -602,6 +635,48 @@ def swapped_ring(letters):
 FACE_GATES = [(opposite_ring, "bisector plane"), (swapped_ring, "Euler gate failed")]
 
 
+def det3(rows):
+    return dot(rows[0], cross(rows[1], rows[2]))
+
+
+def box_vector(superbase, c):
+    return [c[0] * x + c[1] * y + c[2] * z for x, y, z in zip(*superbase[1:])]
+
+
+BOX = [c for c in itertools.product(range(-2, 3), repeat=3) if any(c)]
+
+
+def beyond_a_bisector(points, superbase):
+    """Whether some point X / D, with D > 0, lies beyond the bisector of
+    some of the 124 nonzero lattice vectors a of the [-2, 2]^3 box over
+    v1, v2, v3: the brute force of gate 1, 2 X.a > D |a|^2."""
+    for c in BOX:
+        a = box_vector(superbase, c)
+        limit = sum(x * x for x in a)
+        if any(2 * sum(x * y for x, y in zip(point, a)) > limit * d
+               for point, d in points):
+            return True
+    return False
+
+
+def circumcentres(superbase):
+    """The circumcentres X / D of the superbase's 24 simplices, each
+    solving 2 x.p_t = |p_t|^2 by Cramer's rule, with X integer and
+    D = 2 det > 0."""
+    v = [Vec3(*r) for r in superbase]
+    centres = []
+    for order in itertools.permutations(range(4)):
+        partial = list(itertools.accumulate((v[i] for i in order[:3]), add))
+        rhs = [dot(p, p) for p in partial]
+        columns = list(zip(*partial))
+        x = [det3([Vec3(*(rhs[t] if j == k else columns[j][t] for j in range(3)))
+                   for t in range(3)])
+             for k in range(3)]
+        d = 2 * det3(partial)
+        centres.append(([-c for c in x], -d) if d < 0 else (x, d))
+    return centres
+
+
 class TestGates:
     # The superbase (1,0,0), (5,1,0), (0,7,1) of the cube lattice, with
     # v0 = -(6,8,1), is not obtuse, so its circumcentres are not the
@@ -611,6 +686,61 @@ class TestGates:
     def test_minimal_distance_gate_fires(self, monkeypatch):
         monkeypatch.setattr(lg, "_obtuse_superbase", lambda rows: self.UNREDUCED)
         with pytest.raises(RuntimeError, match="minimal-distance gate"):
+            lg.voronoi_cell(lg.lattice_from(CUBE_GENS))
+
+    def test_half_box_gate_matches_full_box(self, rng, monkeypatch):
+        # Superbases changed by a few unimodular steps are seldom obtuse,
+        # and their circumcentres then leave the cell.  Gate 1 over the
+        # half box must fire exactly when the brute force over all 124
+        # box vectors finds a vertex beyond a bisector.
+        outcomes = set()
+        for _ in range(120):
+            lat = random_lattice(rng)
+            b = [list(r) for r in ORIGINAL_SUPERBASE(lat.rows)[1:]]
+            for _ in range(rng.randrange(3)):
+                i, j = rng.sample(range(3), 2)
+                c = rng.choice((-1, 1))
+                b[i] = [x + c * y for x, y in zip(b[i], b[j])]
+            superbase = [[-sum(col) for col in zip(*b)], *b]
+            monkeypatch.setattr(lg, "_obtuse_superbase", lambda rows, s=superbase: s)
+            try:
+                lg.voronoi_cell(lat)
+                fired = False
+            except RuntimeError as exc:
+                fired = "minimal-distance gate" in str(exc)
+            assert fired == beyond_a_bisector(circumcentres(superbase), superbase)
+            outcomes.add(fired)
+        assert outcomes == {True, False}
+
+    def test_half_box_gate_matches_full_box_on_point_pairs(self, rng):
+        # For a facet normal a, a pair +-y just beyond the midpoint of a
+        # fails the halfspace of a and, with n this large, of no other
+        # box vector; just short of the midpoint it fails none.  Every
+        # box vector is tried, so a gate that skipped one would pass a
+        # pair that the brute force fails.
+        n = 1000
+        outcomes = set()
+        for _ in range(5):
+            v = ORIGINAL_SUPERBASE(random_lattice(rng).rows)
+            for c in BOX:
+                for k in (n - 1, n + 1):
+                    y = tuple(k * x for x in box_vector(v, c))
+                    pair = [y, tuple(-x for x in y)]
+                    try:
+                        lg._minimal_distance_gate(pair, v, 2 * n)
+                        fired = False
+                    except RuntimeError:
+                        fired = True
+                    assert fired == beyond_a_bisector([(p, 2 * n) for p in pair], v)
+                    outcomes.add(fired)
+        assert outcomes == {True, False}
+
+    def test_asymmetric_vertices_fire(self, monkeypatch):
+        # Four vectors that do not sum to zero are no superbase, and the
+        # circumcentres of their simplices are not centrally symmetric.
+        vectors = [[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        monkeypatch.setattr(lg, "_obtuse_superbase", lambda rows: vectors)
+        with pytest.raises(RuntimeError, match="not centrally symmetric"):
             lg.voronoi_cell(lg.lattice_from(CUBE_GENS))
 
     def test_minimal_distance_gate_exits_three(self, monkeypatch):
@@ -677,11 +807,16 @@ class TestOffExport(object):
         assert len(data["halfspaces"]) == f
 
     def test_decimal_rendering(self):
-        assert lg._decimal_str(Fraction(1, 2), 3) == "0.500"
-        assert lg._decimal_str(Fraction(-1, 3), 4) == "-0.3333"
-        assert lg._decimal_str(Fraction(2, 3), 2) == "0.67"
-        assert lg._decimal_str(Fraction(0), 2) == "0.00"
-        assert lg._decimal_str(Fraction(5), 0) == "5"
+        assert lg._decimal_str(1, 2, 3) == "0.500"
+        assert lg._decimal_str(-1, 3, 4) == "-0.3333"
+        assert lg._decimal_str(2, 3, 2) == "0.67"
+        assert lg._decimal_str(0, 7, 2) == "0.00"
+        assert lg._decimal_str(5, 1, 0) == "5"
+        # Unreduced numerator and denominator render as their value.
+        assert lg._decimal_str(-4, 6, 1) == "-0.7"
+        assert lg._decimal_str(-1, 4, 0) == "0"
+        assert lg._pair(-4, 6) == [-2, 3]
+        assert lg._pair(0, 6) == [0, 1]
 
 
 class TestRotations:
