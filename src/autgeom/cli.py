@@ -6,7 +6,9 @@ instead).  Exit codes: 0 every check passed, 1 at least one
 verification failed, 2 usage, parse, or precondition error (the
 library's ``ValueError``) or an unwritable ``--out`` path, 3 an internal
 gate or self-check failed (a ``RuntimeError``, named in the report).
-Error reports go to stderr, have no checks and carry ``"passed": false``.
+Every report names its subcommand and echoes the parsed arguments
+except ``--pretty``.  Error reports go to stderr, have no checks and
+carry ``"passed": false``.
 A process parses every request with one parser; subcommand ``x-y`` runs
 ``cmd_x_y``, found by that name when the request runs.
 """
@@ -17,7 +19,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import automorphisms as aut
 from . import flats, glrep, latgeom
@@ -41,11 +45,12 @@ def _parse_vec3(text: str) -> latgeom.Vec3:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations; each returns a Report.
+# Subcommand implementations; each returns (checks, payload), and
+# _dispatch makes the report.
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_relations(args: argparse.Namespace) -> Report:
+def cmd_verify_relations(args: argparse.Namespace) -> tuple[list[Check], dict]:
     checks = aut.identity_suite(mode=args.mode)
     if args.inject_fault:
         # Negative-control hook for the test suite: an intentionally
@@ -58,31 +63,19 @@ def cmd_verify_relations(args: argparse.Namespace) -> Report:
                 aut.nielsen_right(2, 1),
             )
         ]
-    return Report(
-        "verify-relations",
-        {"mode": args.mode, "inject_fault": args.inject_fault},
-        tuple(checks),
-        {},
-    )
+    return checks, {}
 
 
-def cmd_gpq(args: argparse.Namespace) -> Report:
+def cmd_gpq(args: argparse.Namespace) -> tuple[list[Check], dict]:
     w = parse_word(args.w, aut.gpq_word_rank(args.n))
-    checks = aut.gpq_check(args.n, args.p, args.q, w)
-    return Report(
-        "gpq",
-        {"n": args.n, "p": args.p, "q": args.q, "w": args.w},
-        tuple(checks),
-        {},
-    )
+    return aut.gpq_check(args.n, args.p, args.q, w), {}
 
 
-def cmd_inner_gpq(args: argparse.Namespace) -> Report:
-    checks = aut.inner_gpq_check(args.p, args.q)
-    return Report("inner-gpq", {"p": args.p, "q": args.q}, tuple(checks), {})
+def cmd_inner_gpq(args: argparse.Namespace) -> tuple[list[Check], dict]:
+    return aut.inner_gpq_check(args.p, args.q), {}
 
 
-def cmd_gl_rep(args: argparse.Namespace) -> Report:
+def cmd_gl_rep(args: argparse.Namespace) -> tuple[list[Check], dict]:
     """The cover action ab5 and its eigenplane restriction mu of X^p.
 
     The unit U = X^(sign p) is built from its factors, and the images of
@@ -116,13 +109,6 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
     else:
         m5 = glrep.ab5(endo)
     m2 = glrep.restrict_to_eigenplane(m5)
-    payload = {
-        "expr": args.expr,
-        "power": args.power,
-        "stabilizes": True,
-        "ab5": m5,
-        "mu": m2,
-    }
     checks = [
         Check(
             "stabilizes",
@@ -137,12 +123,16 @@ def cmd_gl_rep(args: argparse.Namespace) -> Report:
             {"det": glrep.mat2_det(m2)},
         ),
     ]
-    return Report(
-        "gl-rep", {"expr": args.expr, "power": args.power}, tuple(checks), payload
-    )
+    return checks, {
+        "expr": args.expr,
+        "power": args.power,
+        "stabilizes": True,
+        "ab5": m5,
+        "mu": m2,
+    }
 
 
-def cmd_lk_basis(args: argparse.Namespace) -> Report:
+def cmd_lk_basis(args: argparse.Namespace) -> tuple[list[Check], dict]:
     words = glrep.lk_basis(args.k)
     total_a = sum(ab_vector(w, 2)[0] for w in words)
     checks = [
@@ -154,15 +144,10 @@ def cmd_lk_basis(args: argparse.Namespace) -> Report:
             {"total": total_a},
         ),
     ]
-    return Report(
-        "lk-basis",
-        {"k": args.k},
-        tuple(checks),
-        {"words": [format_word(w) for w in words]},
-    )
+    return checks, {"words": [format_word(w) for w in words]}
 
 
-def cmd_sanov(args: argparse.Namespace) -> Report:
+def cmd_sanov(args: argparse.Namespace) -> tuple[list[Check], dict]:
     if args.power == 0:
         raise ValueError("power must be nonzero")
     # The images of L12^p and L21^p have |p| + 1 letters; the same cap as
@@ -187,19 +172,14 @@ def cmd_sanov(args: argparse.Namespace) -> Report:
             {"m1": m1, "m2": m2},
         )
     ]
-    return Report(
-        "sanov",
-        {"power": args.power, "max_len": args.max_len},
-        tuple(checks),
-        {"mu_L12_power": m1, "mu_L21_power": m2},
-    )
+    return checks, {"mu_L12_power": m1, "mu_L21_power": m2}
 
 
-def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
-                 cell: latgeom.Polytope, cls: dict,
+def _cell_report(lattice: latgeom.Lattice, cell: latgeom.Polytope, cls: dict,
                  out: str | None, precision: int,
-                 extra_checks: list[Check] | None = None,
-                 extra_payload: dict | None = None) -> Report:
+                 extra_checks: Sequence[Check] = (),
+                 extra_payload: Mapping = MappingProxyType({})
+                 ) -> tuple[list[Check], dict]:
     # --precision is refused whether or not --out asks for the OFF file.
     latgeom.check_precision(precision)
     # Gate 2 of voronoi_cell raises unless the cell's volume is the
@@ -214,9 +194,8 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
         "classification": cls,
         "off_path": None,
         "sidecar_path": None,
+        **extra_payload,
     }
-    if extra_payload:
-        payload.update(extra_payload)
     checks = [
         Check(
             "cell-tiles",
@@ -230,60 +209,45 @@ def _cell_report(command: str, cmd_args: dict, lattice: latgeom.Lattice,
             sum(cls["f_vector"][::2]) - cls["f_vector"][1] == 2,
             {"f_vector": cls["f_vector"]},
         ),
+        *extra_checks,
     ]
-    if extra_checks:
-        checks.extend(extra_checks)
     if out is not None:
-        off_path, sidecar = latgeom.export_off(cell, out, precision)
-        payload["off_path"] = off_path
-        payload["sidecar_path"] = sidecar
-    return Report(command, cmd_args, tuple(checks), payload)
+        payload["off_path"], payload["sidecar_path"] = latgeom.export_off(
+            cell, out, precision)
+    return checks, payload
 
 
-def cmd_voronoi(args: argparse.Namespace) -> Report:
+def cmd_voronoi(args: argparse.Namespace) -> tuple[list[Check], dict]:
     gens = [_parse_vec3(part) for part in args.gens.split(";")]
     lattice = latgeom.lattice_from(gens)
     cell = latgeom.voronoi_cell(lattice)
-    return _cell_report(
-        "voronoi", {"gens": args.gens}, lattice, cell, latgeom.classify(cell),
-        args.out, args.precision,
-    )
+    return _cell_report(lattice, cell, latgeom.classify(cell), args.out, args.precision)
 
 
-def cmd_check_octo(args: argparse.Namespace) -> Report:
+def cmd_check_octo(args: argparse.Namespace) -> tuple[list[Check], dict]:
     vectors = [_parse_vec3(t) for t in (args.u1, args.u2, args.v1, args.v2)]
     checks = latgeom.octo_check(*vectors)
-    return Report(
-        "check-octo",
-        {"u1": args.u1, "u2": args.u2, "v1": args.v1, "v2": args.v2},
-        tuple(checks),
-        checks[0].witness,
-    )
+    return checks, checks[0].witness
 
 
-def cmd_nielsen_flat(args: argparse.Namespace) -> Report:
+def cmd_nielsen_flat(args: argparse.Namespace) -> tuple[list[Check], dict]:
     lattice, cell, cls, checks, payload = flats.nielsen_flat(args.scale)
-    return _cell_report("nielsen-flat", {"scale": args.scale}, lattice, cell, cls,
-                        args.out, args.precision, checks, payload)
+    return _cell_report(lattice, cell, cls, args.out, args.precision, checks, payload)
 
 
-def cmd_lemma_pq(args: argparse.Namespace) -> Report:
+def cmd_lemma_pq(args: argparse.Namespace) -> tuple[list[Check], dict]:
     tau = _parse_vector(args.tau)
     checks = flats.equidistant_forces_zero(tau, args.p, args.q)
-    payload = {
+    return checks, {
         "tau": [fraction_str(c) for c in tau],
         "p": args.p,
         "q": args.q,
         "eliminant_coefficient": checks[0].witness["eliminant"],
         "conclusion": "a = 0",
     }
-    return Report(
-        "lemma-pq", {"tau": args.tau, "p": args.p, "q": args.q},
-        tuple(checks), payload,
-    )
 
 
-def cmd_induce(args: argparse.Namespace) -> Report:
+def cmd_induce(args: argparse.Namespace) -> tuple[list[Check], dict]:
     ell = parse_fraction(args.ell)
     iso = flats.cyclic_induced(args.d, ell)
     length_sq, min_point = flats.trans_length_sq(iso)
@@ -292,8 +256,7 @@ def cmd_induce(args: argparse.Namespace) -> Report:
     # space is the whole space and its squared length is exactly |t|^2.
     # Any other power fails the check, with its translation length.
     power = iso.power(args.d)
-    identity = flats.AffineIsometry.identity(1, args.d)
-    diagonal = power.source == identity.source and power.signs == identity.signs
+    diagonal = power.source == tuple(range(args.d)) and power.signs == (1,) * args.d
     if diagonal:
         power_length_sq = Fraction(sum(t * t for t in power.translation), power.den**2)
     else:
@@ -315,15 +278,12 @@ def cmd_induce(args: argparse.Namespace) -> Report:
             {"power_length_sq": fraction_str(power_length_sq)},
         ),
     ]
-    payload = {
+    return checks, {
         "d": args.d,
         "ell": fraction_str(ell),
         "length_sq": fraction_str(length_sq),
         "min_point": [fraction_str(c) for c in min_point],
     }
-    return Report(
-        "induce", {"d": args.d, "ell": args.ell}, tuple(checks), payload
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +396,14 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
     """The one error boundary: parse argv, run the subcommand, map outcomes.
 
     Each request parses with the one parser of ``build_parser`` and runs
-    ``cmd_<subcommand>`` as the module binds it when the request runs.  A
+    ``cmd_<subcommand>`` as the module binds it when the request runs.
+    The handler returns its checks and payload; the report names the
+    subcommand and echoes every parsed argument except ``--pretty``.  A
     ``ValueError`` (bad input the library refused) or an ``OSError`` (an
     unwritable ``--out``) gives exit code 2; a ``RuntimeError`` (an
     internal gate or self-check failed) gives exit code 3.  Either way
-    the report echoes the parsed arguments and has no checks, so it does
-    not pass; its ``payload["error"]`` carries the message.
+    the report has no checks, so it does not pass; its
+    ``payload["error"]`` carries the message.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -450,19 +412,19 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
         # an empty list, without converting it.
         if value == []:
             parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    code = 0
     try:
-        report = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
+        checks, payload = globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
-        code, error = USAGE_ERROR, str(exc)
+        code, checks, payload = USAGE_ERROR, (), {"error": str(exc)}
     except RuntimeError as exc:
-        code, error = INTERNAL_ERROR, f"internal failure: {type(exc).__name__}: {exc}"
-    else:
-        return args, (0 if report.passed else 1), report
-    echoed = {
-        key: value for key, value in vars(args).items()
-        if key not in ("subcommand", "pretty")
-    }
-    return args, code, Report(args.subcommand, echoed, (), {"error": error})
+        code, checks = INTERNAL_ERROR, ()
+        payload = {"error": f"internal failure: {type(exc).__name__}: {exc}"}
+    echoed = {k: v for k, v in vars(args).items() if k not in ("subcommand", "pretty")}
+    report = Report(args.subcommand, echoed, tuple(checks), payload)
+    if code == 0 and not report.passed:
+        code = 1
+    return args, code, report
 
 
 def run(argv: list[str] | None = None) -> tuple[int, Report]:

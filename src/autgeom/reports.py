@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 __all__ = [
     "Check",
     "Report",
-    "all_pass",
     "fraction_str",
     "parse_fraction",
     "MAX_LITERAL_SIZE",
@@ -29,16 +28,7 @@ class Check(NamedTuple):
     witness: Any = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
-
-
-def all_pass(checks: Iterable[Check]) -> bool:
-    return all(c.passed for c in checks)
+        return self._asdict()
 
 
 class Report(NamedTuple):
@@ -56,7 +46,7 @@ class Report(NamedTuple):
     @property
     def passed(self) -> bool:
         """A report with no checks verified nothing, so it does not pass."""
-        return bool(self.checks) and all_pass(self.checks)
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
         return {

@@ -13,7 +13,7 @@ import pytest
 from autgeom import automorphisms as aut
 from autgeom import cli, flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
-from autgeom.reports import MAX_LITERAL_SIZE, Report, fraction_str
+from autgeom.reports import MAX_LITERAL_SIZE, fraction_str
 
 from conftest import run_cli
 
@@ -406,46 +406,48 @@ def test_algebra_output_pinned(argv, code, digest):
 # fourth generator), the Nielsen flat, a passing and two failing
 # four-vector checks, and two equidistance certificates.  They were recorded with the Voronoi kernel that
 # read the cell off plane triples; a kernel change that alters a vertex,
-# a face cycle, a halfspace or their order shows up here.
+# a face cycle, a halfspace or their order shows up here.  The voronoi
+# and nielsen-flat digests were recorded again when their reports began
+# to echo --out and --precision; nothing but the echoed arguments moved.
 PINNED_GEOMETRY = [
     # fcc: rotated and scaled.
     (["voronoi", "--gens=3/7,3/7,0;-1/7,1/7,-4/7;3/7,0,-3/7",
       "--out", "cell.off"], 0,
-     "e21101c9e2ba14ea0e407cfe5317bec7a54f4abeb2d8eeb9cc4055092094c458"),
+     "53161899a5ce6babae396128a03a099a8dbf0f37d2be91777e440b67936eea5d"),
     # fcc: a redundant fourth generator.
     (["voronoi", "--gens=1,1,0;1,-1,0;1,0,1;1,3,0"], 0,
-     "34e50c06d1989f48252f9845df42d9d2bca7d459f8f3568e899fe0c53a3ecbb3"),
+     "b9e597015545944ec81384af81496b5ff90d43c7866bd07454cfac48ecf6c4a6"),
     # cube: rotated and scaled.
     (["voronoi", "--gens=1/7,2/7,-2/7;2/7,1/7,2/7;2/7,-2/7,-1/7",
       "--out", "cell.off"], 0,
-     "30ec868a365b230b736a1a7f1fb1e1ca9c3acf4756b43424d93dac509c8c9718"),
+     "eee8dd0990e054f6d66f6f4ced7f1a2a4296b13292e02731613e7dd1b1266a60"),
     # cube: a redundant fourth generator.
     (["voronoi", "--gens=1,0,0;0,1,0;0,0,1;2,-1,0"], 0,
-     "9c46d9d3597cc472cc851ddb47c6fc24798bc80ae83b04635beb8ea5a847fadf"),
+     "def1526d46d772657c0f7dca5645115f4fac062eae18f5ec3d61c4b274088a21"),
     # bcc: rotated and scaled.
     (["voronoi", "--gens=5/7,1/7,-1/7;-3/7,3/7,-3/7;-1/7,1/7,5/7",
       "--out", "cell.off"], 0,
-     "6732b39bf919c1115ee1e01e4d4b06875924b320fe665720662f3699b0254977"),
+     "5cfe33d4c6ce932388c1a4ccf93228b54fcf89171d1c7c56c6cc82cd6aa3ad57"),
     # bcc: a redundant fourth generator.
     (["voronoi", "--gens=1,1,1;1,-1,-1;-1,1,-1;1,3,3"], 0,
-     "42e3e7f8673eb7cb195350fcdeffda57f78a29d2c37e73e34f62e3ae7a9465d1"),
+     "814fdd78299a5c4339822be6247ff04c5507b405bdafb44b485cb9bd386379fa"),
     # hexagonal: rotated and scaled.
     (["voronoi", "--gens=-1/7,1/7,-4/7;0,3/7,3/7;10/7,2/7,-2/7",
       "--out", "cell.off"], 0,
-     "2f1807e575a55350113ca8edb643a58b5af9d2e099f447bd23be6682c2778a6e"),
+     "74033a5c89107dd8e265cab54a15301a3898b195944b99590129a15097e39230"),
     # hexagonal: a redundant fourth generator.
     (["voronoi", "--gens=1,-1,0;0,1,-1;2,2,2;2,-3,1"], 0,
-     "72e6a0d997ada57f3b3911fcdd2272b63e33ae3d55f16a3a7571d6139b9d4273"),
+     "52674d759e00a30fe9c9519dbca7b16e7e0627b0320572a7026ee9a080601547"),
     # generic: rotated and scaled.
     (["voronoi", "--gens=31/7,2/7,-5/7;-3,18/7,-15/7;-1,10/7,29/7",
       "--out", "cell.off"], 0,
-     "b903370044d53a9b2d9f922b573e61b1881abfaafb687792dc94cb48f8521354"),
+     "df5ae9d45f0bf52f8cdded4a2c52de5aaab04e47bae361fd801c222578966777"),
     # generic: a redundant fourth generator.
     (["voronoi", "--gens=5,6,7;5,-6,-7;-5,6,-7;5,18,21"], 0,
-     "a6ba9a013943b868c1baa7cf69ce833bc972edb7f626c5202f0ffa6aaa116bc8"),
+     "b262ba8d0f990febf638c4ecee90fcc7c640a236ed6adade05a84d7b978f50f5"),
     (["nielsen-flat", "--scale", "3",
       "--out", "cell.off"], 0,
-     "f2dbc6f47f31dc10706c877ecc70e6693feb3190245036e97696d4065f5f04cd"),
+     "6a1a9daf64930fb731b2b67ec5d0541eb91454c3a58606b46642b66cb89c2d0a"),
     (["check-octo", "--u1=0,2,2", "--u2=0,-2,2", "--v1=2,0,2", "--v2=-2,0,2"], 0,
      "027e334da42aa842b41ffdcb1b7cf430b478aa968aba3bf7e519e5c8058c5ed8"),
     (["check-octo", "--u1=1,0,0", "--u2=0,1,0", "--v1=1,0,0", "--v2=0,1,0"], 1,
@@ -495,7 +497,7 @@ PINNED_GEOMETRY = [
     (["check-octo", "--u1=0,0,0", "--u2=0,0,0", "--v1=0,0,0", "--v2=0,0,0"], 1,
      "9303278c4fb6144b0947617c4c46e831e31fab4888380ac0f284e28b6df47fda"),
     (["nielsen-flat", "--scale", "1"], 0,
-     "0e270559c5d2b0b3be485bd34edc504f4e6356793b76eaf0b5df2a31ad53cab5"),
+     "ef16a037fce84b4d24a1c431e9b43751fc837c1740aadb89f8f06f6d6e95e8eb"),
     (["lemma-pq", "--tau", "1,0", "--p", "1", "--q", "2"], 0,
      "64bfcd66d24979fc8c3ba8414301eb6350a154e4931cbd8d0bd658ad6a7e70fc"),
     (["lemma-pq", "--tau=1/2,-3,0", "--p", "-4", "--q", "7"], 0,
@@ -573,12 +575,35 @@ def test_handler_is_looked_up_when_the_request_runs(monkeypatch):
 
     def stub(args):
         calls.append((args.p, args.q))
-        return Report("inner-gpq", {"p": args.p, "q": args.q}, (), {})
+        return [], {}
 
     monkeypatch.setattr(cli, "cmd_inner_gpq", stub)
     code, report = cli.run(["inner-gpq", "--p", "3", "--q", "-2"])
     assert calls == [(3, -2)]
-    assert report.command == "inner-gpq" and report.checks == ()
+    # A report with no checks verified nothing, so it does not pass.
+    assert code == 1 and report.checks == ()
+    assert report.command == "inner-gpq" and report.args == {"p": 3, "q": -2}
+
+
+# A passing request of every subcommand, the failing ones where a
+# request can fail, and an error report: each report names its
+# subcommand and echoes every parsed argument but --pretty, in order.
+ECHO_REQUESTS = [(argv, 0) for argv in SMOKE_ARGS.values()] + [
+    (["check-octo", "--u1=1,0,0", "--u2=0,2,0", "--v1=1,0,1", "--v2=1,0,-1"], 1),
+    (["sanov", "--power", "1", "--max-len", "6"], 1),
+    (["verify-relations", "--inject-fault"], 1),
+    (["voronoi", "--gens", "1,2", "--precision", "3", "--pretty"], USAGE_ERROR),
+]
+
+
+@pytest.mark.parametrize("argv,code", ECHO_REQUESTS)
+def test_report_names_subcommand_and_echoes_parsed_arguments(argv, code):
+    got, report = run_cli(argv)
+    parsed = cli.build_parser().parse_args(argv)
+    echoed = {k: v for k, v in vars(parsed).items() if k not in ("subcommand", "pretty")}
+    assert got == code
+    assert report.command == argv[0]
+    assert list(report.args.items()) == list(echoed.items())
 
 
 class TestEndToEnd:
