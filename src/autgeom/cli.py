@@ -252,15 +252,11 @@ def cmd_induce(args: argparse.Namespace) -> tuple[list[Check], dict]:
     iso = flats.cyclic_induced(args.d, ell)
     length_sq, min_point = flats.trans_length_sq(iso)
     expected = ell * ell / args.d
-    # Once the rotation of the d-th power is the identity, its fixed
-    # space is the whole space and its squared length is exactly |t|^2.
-    # Any other power fails the check, with its translation length.
+    # A d-th power whose rotation is not the identity fails the check,
+    # with its translation length.
     power = iso.power(args.d)
     diagonal = power.source == tuple(range(args.d)) and power.signs == (1,) * args.d
-    if diagonal:
-        power_length_sq = Fraction(sum(t * t for t in power.translation), power.den**2)
-    else:
-        power_length_sq = flats.trans_length_sq(power)[0]
+    power_length_sq = flats.trans_length_sq(power)[0]
     checks = [
         Check(
             "induced-length",

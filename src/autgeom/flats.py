@@ -147,10 +147,8 @@ def trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[Fraction, ...]]:
     translation part onto the fixed space of the rotational part; the
     witness solves (O - I) x = -(t - proj t), so g moves it by exactly
     proj t.  A zero length means g is elliptic and the witness is a
-    fixed point.  O - I is built as integer rows straight from the block
-    permutation, with at most two nonzeros per row; its pivots are units
-    except where a cycle's sign product is -1, so the sparse elimination
-    in ``linalg`` finds the fixed space in integers.
+    fixed point.  ``linalg`` reads the fixed space and the witness off
+    the cycles of the block permutation.
 
     The kernel vectors of O - I have disjoint supports, one per cycle of
     sign product +1 and block coordinate, so proj t is the sum of
@@ -164,28 +162,19 @@ def trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[Fraction, ...]]:
     the returned length and witness.  Raises RuntimeError if the witness
     cannot be solved for or does not move by exactly proj t.
     """
-    n = g.dim
-    k = g.block_dim
-    a = [[0] * n for _ in range(n)]
-    for i, (src, sign) in enumerate(zip(g.source, g.signs)):
-        for j in range(k):
-            row = a[i * k + j]
-            row[src * k + j] += sign
-            row[i * k + j] -= 1
-    fixed = linalg.kernel(a)
-    coeffs = [Fraction(sum(x * y for x, y in zip(u, g.translation)),
-                       sum(x * x for x in u)) for u in fixed]
+    fixed = linalg.kernel(g)
+    coeffs = [Fraction(sum(x * g.translation[i] for i, x in u.items()),
+                       sum(x * x for x in u.values())) for u in fixed]
     # Over the common denominator q of the coefficients, proj t, t and
     # the right-hand side are integer vectors over q * den.
     q = lcm(*(c.denominator for c in coeffs))
-    proj = [0] * n
+    proj = [0] * g.dim
     for u, c in zip(fixed, coeffs):
         m = c.numerator * (q // c.denominator)
-        for i, x in enumerate(u):
-            if x:
-                proj[i] += m * x
+        for i, x in u.items():
+            proj[i] += m * x
     t = [q * x for x in g.translation]
-    witness = linalg.solve(a, [p - x for x, p in zip(t, proj)])
+    witness = linalg.solve(g, [p - x for x, p in zip(t, proj)])
     if witness is None:
         raise RuntimeError("fixed-space projection left an unsolvable residual")
     moved = [r + x - w for r, x, w in zip(g._rotate(witness), t, witness)]
@@ -238,10 +227,12 @@ def induced_action(
     return AffineIsometry(k, tuple(source), tuple(signs), tuple(translation), den)
 
 
-# The most cosets cyclic_induced accepts: trans_length_sq still builds
-# dense d x d rows of O - I for its integer elimination, and
-# `induce --d 1000` takes about 0.14 s and 25 MB.
-MAX_COSETS = 1000
+# The most cosets cyclic_induced accepts, since the payload lists all d
+# witness coordinates.  Translation lengths cost time linear in d: on a
+# 2-CPU Intel Xeon under CPython 3.11 a whole `induce --d 100000`
+# request takes about 3 s and 90 MB, 40 % of the time in
+# AffineIsometry.power.
+MAX_COSETS = 100_000
 
 
 def cyclic_induced(d: int, ell) -> AffineIsometry:

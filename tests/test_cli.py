@@ -334,6 +334,16 @@ class TestPayloads:
         assert report.payload["length_sq"] == "49/1800"
         assert len(report.payload["min_point"]) == 200
 
+    def test_induce_at_the_coset_cap(self):
+        code, report = run_cli(["induce", "--d", "100000", "--ell=7/3"])
+        assert code == 0
+        assert report.payload["length_sq"] == "49/900000"
+        assert len(report.payload["min_point"]) == 100_000
+        for d in ("100001", "100000000"):
+            code, report = run_cli(["induce", "--d", d, "--ell=7/3"])
+            assert code == USAGE_ERROR
+            assert report.payload["error"] == f"need d <= 100000, got {d}"
+
     @pytest.mark.parametrize(
         "power,max_len,expected",
         [(1, 5, 0), (1, 6, 1), (-1, 5, 0), (-1, 6, 1), (1, 3000, 1), (2, 16, 0)],

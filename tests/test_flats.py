@@ -263,10 +263,10 @@ class TestTransLengthOracle:
         # length or a RuntimeError, never in a wrong length.
         kernel = flats.linalg.kernel
 
-        def overlapping(a):
-            basis = kernel(a)
+        def overlapping(g):
+            basis = kernel(g)
             if len(basis) > 1:
-                basis[0] = [x + y for x, y in zip(basis[0], basis[1])]
+                basis[0] = basis[0] | basis[1]  # their sum: the supports are disjoint
             return basis
 
         monkeypatch.setattr(flats.linalg, "kernel", overlapping)
@@ -314,7 +314,10 @@ class TestInducedAction:
         assert g.compose(g) == g2_direct
 
     def test_cyclic_induced_caps_the_cosets(self):
-        assert flats.cyclic_induced(flats.MAX_COSETS, 1).blocks == flats.MAX_COSETS
+        assert flats.MAX_COSETS == 100_000
+        at_cap = flats.cyclic_induced(flats.MAX_COSETS, 1)
+        assert at_cap.blocks == flats.MAX_COSETS
+        assert flats.trans_length_sq(at_cap)[0] == Fraction(1, flats.MAX_COSETS)
         with pytest.raises(ValueError, match=f"need d <= {flats.MAX_COSETS}"):
             flats.cyclic_induced(flats.MAX_COSETS + 1, 1)
 

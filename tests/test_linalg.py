@@ -1,3 +1,4 @@
+from collections import namedtuple
 from fractions import Fraction
 
 from autgeom import linalg
@@ -11,12 +12,8 @@ def dot(u, v):
     return sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
 
 
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 # Dense reference: textbook Gauss-Jordan on full Fraction rows, the
-# oracle for the sparse elimination behind kernel and solve.
+# oracle for the cycle walks behind kernel and solve.
 
 
 def dense_rref(a):
@@ -65,136 +62,187 @@ def dense_solve(a, b):
     return x
 
 
-def random_rational(rng):
-    if rng.random() < 0.5:
-        return F(0)
-    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+# kernel and solve read only these three fields of a flats.AffineIsometry.
+Perm = namedtuple("Perm", "block_dim source signs")
 
 
-def random_matrix(rng):
-    """A random rational matrix, often sparse, rank-deficient, or with
-    zero rows and zero columns."""
-    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-    m = [[random_rational(rng) for _ in range(cols)] for _ in range(rows)]
-    if rows > 1 and rng.random() < 0.4:
-        # A combination of two other rows keeps the rank down.
-        i, j, k = (rng.randrange(rows) for _ in range(3))
-        a, b = random_rational(rng), random_rational(rng)
-        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
-    if rng.random() < 0.3:
-        m[rng.randrange(rows)] = [F(0)] * cols
-    if rng.random() < 0.3:
-        c = rng.randrange(cols)
-        for row in m:
-            row[c] = F(0)
-    return m
+def random_perm(rng):
+    """A signed block permutation of 1 to 8 blocks of 1 to 3 coordinates:
+    fixed blocks of either sign, and cycles of either sign product."""
+    blocks = rng.randint(1, 8)
+    source = list(range(blocks))
+    rng.shuffle(source)
+    return Perm(rng.randint(1, 3), tuple(source),
+                tuple(rng.choice((1, -1)) for _ in range(blocks)))
 
 
-def exact(values):
-    """True when every entry is an int or a Fraction, never a float."""
-    return all(type(x) in (int, Fraction) for x in values)
+def o_minus_i(g):
+    """The dense rows of O - I: output block i is signs[i] times input
+    block source[i]."""
+    k = g.block_dim
+    n = k * len(g.source)
+    a = [[F(0)] * n for _ in range(n)]
+    for i, (src, sign) in enumerate(zip(g.source, g.signs)):
+        for j in range(k):
+            a[i * k + j][src * k + j] += sign
+            a[i * k + j][i * k + j] -= 1
+    return a
+
+
+def cycles(g):
+    """Each block cycle as (blocks, sign product)."""
+    out, seen = [], set()
+    for start in range(len(g.source)):
+        blocks, product, i = [], 1, start
+        while i not in seen:
+            seen.add(i)
+            blocks.append(i)
+            product *= g.signs[i]
+            i = g.source[i]
+        if blocks:
+            out.append((blocks, product))
+    return out
+
+
+def half_integer_coordinates(g):
+    """The coordinates on cycles of sign product -1."""
+    k = g.block_dim
+    return {i * k + j for blocks, product in cycles(g) if product == -1
+            for i in blocks for j in range(k)}
+
+
+def dense(u, n):
+    return [u.get(c, 0) for c in range(n)]
+
+
+def check_entries(g, x):
+    """No float anywhere, and ints except on the cycles of sign product -1."""
+    halves = half_integer_coordinates(g)
+    assert all(type(v) is int or (type(v) is Fraction and c in halves)
+               for c, v in enumerate(x))
 
 
 class TestSolveKernel:
     def test_unique_solution(self):
-        a = frac_matrix([[2, 0], [0, 3]])
-        assert linalg.solve(a, [4, 9]) == [F(2), F(3)]
+        # A 2-cycle of sign product -1 fixes only 0: O - I is invertible.
+        g = Perm(1, (1, 0), (1, -1))
+        assert linalg.kernel(g) == []
+        assert linalg.solve(g, [4, 9]) == [Fraction(-13, 2), Fraction(-5, 2)]
+        assert dense_solve(o_minus_i(g), [4, 9]) == [Fraction(-13, 2), Fraction(-5, 2)]
 
     def test_inconsistent(self):
-        a = frac_matrix([[1, 1], [1, 1]])
-        assert linalg.solve(a, [0, 1]) is None
+        # On a cycle of sign product +1 the signed sum of b must vanish.
+        g = Perm(1, (1, 2, 0), (1, -1, -1))
+        assert linalg.solve(g, [1, 0, 0]) is None
+        assert linalg.solve(Perm(1, (0,), (1,)), [1]) is None
 
     def test_underdetermined(self):
-        a = frac_matrix([[1, 1, 0]])
-        x = linalg.solve(a, [5])
-        assert x is not None and dot(a[0], x) == 5
+        g = Perm(1, (1, 2, 0), (1, -1, -1))
+        a = o_minus_i(g)
+        b = [dot(row, [3, -1, 4]) for row in a]
+        x = linalg.solve(g, b)
+        assert [dot(row, x) for row in a] == b
+        assert x[2] == 0  # the largest block of the cycle
 
     def test_kernel_of_projection(self):
-        a = frac_matrix([[1, 0, 0], [0, 1, 0]])
-        k = linalg.kernel(a)
-        assert k == [[F(0), F(0), F(1)]]
+        # O reflects the first two coordinates: O - I is -2 times the
+        # projection onto them.
+        assert linalg.kernel(Perm(1, (0, 1, 2), (-1, -1, 1))) == [{2: 1}]
 
-    def test_kernel_orthogonal_to_rows(self):
-        a = frac_matrix([[1, 2, 3], [4, 5, 6]])
-        for v in linalg.kernel(a):
-            for row in a:
-                assert dot(row, v) == 0
+    def test_kernel_orthogonal_to_rows(self, rng):
+        for _ in range(100):
+            g = random_perm(rng)
+            a = o_minus_i(g)
+            for u in linalg.kernel(g):
+                v = dense(u, len(a))
+                for row in a:
+                    assert dot(row, v) == 0
 
 
 class TestAgainstDenseReference:
     CASES = 300
 
     def test_kernel(self, rng):
+        seen = set()
         for _ in range(self.CASES):
-            a = random_matrix(rng)
-            assert linalg.kernel(a) == dense_kernel(a)
+            g = random_perm(rng)
+            a = o_minus_i(g)
+            kern = linalg.kernel(g)
+            assert {tuple(dense(u, len(a))) for u in kern} == {
+                tuple(v) for v in dense_kernel(a)}
+            assert len(kern) == len(dense_kernel(a))
+            # Disjoint supports of +-1 entries.
+            support = [c for u in kern for c in u]
+            assert len(support) == len(set(support))
+            assert all(x in (1, -1) for u in kern for x in u.values())
+            seen |= {(len(blocks) > 1, product) for blocks, product in cycles(g)}
+        assert seen == {(False, 1), (False, -1), (True, 1), (True, -1)}
 
     def test_solve(self, rng):
-        inconsistent = 0
+        outcomes = set()
         for _ in range(self.CASES):
-            a = random_matrix(rng)
+            g = random_perm(rng)
+            a = o_minus_i(g)
             if rng.random() < 0.5:
-                # b in the column space: always consistent.
-                x = [random_rational(rng) for _ in a[0]]
-                b = [dot(row, x) for row in a]
+                # b in the image of O - I: always consistent.
+                x = [rng.randint(-5, 5) for _ in a]
+                b = [int(dot(row, x)) for row in a]
             else:
-                b = [random_rational(rng) for _ in a]
+                b = [rng.randint(-5, 5) for _ in a]
             expected = dense_solve(a, b)
-            inconsistent += expected is None
-            assert linalg.solve(a, b) == expected
-        assert inconsistent > 0
+            outcomes.add(expected is None)
+            assert linalg.solve(g, b) == expected
+        assert outcomes == {True, False}
 
     def test_integer_input(self, rng):
-        # Pivots of 2 and 3, not only units, so that elimination has to
-        # scale by a Fraction; no float may appear in any result.
+        # Integer right-hand sides give ints, except on cycles of sign
+        # product -1, whose closing pivot of 2 can halve them; no float
+        # may appear in any result.
+        halves = 0
         for _ in range(self.CASES):
-            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-            a = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -3)) for _ in range(cols)]
-                 for _ in range(rows)]
-            fa = frac_matrix(a)
-            kern = linalg.kernel(a)
-            assert kern == dense_kernel(fa)
-            assert all(exact(v) for v in kern)
-            x = [rng.randint(-4, 4) for _ in range(cols)]
-            b = [dot(row, x) for row in a] if rng.random() < 0.5 else [
+            g = random_perm(rng)
+            a = o_minus_i(g)
+            for u in linalg.kernel(g):
+                assert all(type(x) is int for x in u.values())
+            x = [rng.randint(-4, 4) for _ in a]
+            b = [int(dot(row, x)) for row in a] if rng.random() < 0.5 else [
                 rng.randint(-4, 4) for _ in a]
-            sol = linalg.solve(a, b)
-            assert sol == dense_solve(fa, b)
-            assert sol is None or exact(sol)
+            sol = linalg.solve(g, b)
+            assert sol == dense_solve(a, b)
+            if sol is not None:
+                check_entries(g, sol)
+                halves += any(type(v) is Fraction and v.denominator == 2 for v in sol)
+        assert halves > 0
 
 
 class TestIntegerEntries:
     def test_fixed_non_unit_pivots(self):
-        a = [[2, 1, 0], [0, 3, 1]]
-        assert linalg.kernel(a) == [[Fraction(1, 6), Fraction(-1, 3), 1]]
-        assert linalg.solve(a, [1, 1]) == [Fraction(1, 3), Fraction(1, 3), 0]
-        assert linalg.solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+        # A block that O negates: (O - I) x = -2 x.
+        assert linalg.solve(Perm(1, (0,), (-1,)), [1]) == [Fraction(-1, 2)]
+        assert linalg.solve(Perm(2, (0,), (-1,)), [1, 4]) == [Fraction(-1, 2), F(-2)]
+        # A 3-cycle of sign product -1 closes on a pivot of 2 as well.
+        g = Perm(1, (1, 2, 0), (1, 1, -1))
+        assert linalg.kernel(g) == []
+        assert linalg.solve(g, [1, 0, 0]) == dense_solve(o_minus_i(g), [1, 0, 0]) == [
+            Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)]
 
     def test_unit_pivots_keep_integers(self, rng):
         # O - I for a signed permutation whose cycles all have sign
         # product +1: every pivot is +-1, so kernel and solution stay ints.
         for _ in range(50):
-            n = rng.randint(1, 8)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            signs = [rng.choice((1, -1)) for _ in range(n)]
-            for start in range(n):
-                cycle, i = [start], perm[start]
-                while i != start:
-                    cycle.append(i)
-                    i = perm[i]
-                if min(cycle) == start and sum(signs[j] < 0 for j in cycle) % 2:
-                    signs[start] = -signs[start]
-            a = [[0] * n for _ in range(n)]
-            for i in range(n):
-                a[i][perm[i]] += signs[i]
-                a[i][i] -= 1
-            kern = linalg.kernel(a)
-            assert all(type(x) is int for v in kern for x in v)
-            assert kern == dense_kernel(frac_matrix(a))
-            x = [rng.randint(-4, 4) for _ in range(n)]
-            b = [sum(y * z for y, z in zip(row, x)) for row in a]
-            sol = linalg.solve(a, b)
+            g = random_perm(rng)
+            signs = list(g.signs)
+            for blocks, product in cycles(g):
+                if product == -1:
+                    signs[blocks[0]] = -signs[blocks[0]]
+            g = g._replace(signs=tuple(signs))
+            a = o_minus_i(g)
+            kern = linalg.kernel(g)
+            assert all(type(x) is int for u in kern for x in u.values())
+            assert {tuple(dense(u, len(a))) for u in kern} == {
+                tuple(v) for v in dense_kernel(a)}
+            x = [rng.randint(-4, 4) for _ in a]
+            b = [int(dot(row, x)) for row in a]
+            sol = linalg.solve(g, b)
             assert all(type(y) is int for y in sol)
-            assert sol == dense_solve(frac_matrix(a), b)
-
+            assert sol == dense_solve(a, b)
