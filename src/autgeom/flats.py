@@ -304,13 +304,13 @@ def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> list[Check]:
 
     The elimination of ``elimination_combination`` leaves
     p q (p - q) |a|^2 = 0, so a nonzero eliminant forces a = 0.  The
-    checks state that eliminant, re-verify the elimination identity at
-    a = (1, ..., 1), and evaluate both constraints at a = 0.
+    checks re-verify the elimination identity at a = (1, ..., 1), with
+    the eliminant in its witness, and evaluate both constraints at a = 0.
 
-    Refuses p = q and zero multipliers: with p = q the two constraints
-    coincide and nonzero solutions exist, so no such certificate can be
-    issued.  Also refuses p or q of more than MAX_MULTIPLIER_DIGITS
-    digits.
+    Refuses p = q and zero multipliers, so the eliminant is nonzero: with
+    p = q the two constraints coincide and nonzero solutions exist, so no
+    such certificate can be issued.  Also refuses p or q of more than
+    MAX_MULTIPLIER_DIGITS digits.
     """
     if p == 0 or q == 0:
         raise ValueError("multipliers must be nonzero")
@@ -325,16 +325,10 @@ def equidistant_forces_zero(tau: Sequence, p: int, q: int) -> list[Check]:
     sample = [1] * len(tau)
     return [
         Check(
-            "eliminant-nonzero",
-            "p q (p - q) is nonzero, so the constraints force a = 0",
-            eliminant != 0,
-            {"eliminant": eliminant},
-        ),
-        Check(
             "elimination-identity",
             "q*(p-constraint) - p*(q-constraint) = p q (p - q) |a|^2",
             elimination_combination(tau, p, q, sample) == eliminant * len(tau),
-            {"sample": [str(c) for c in sample]},
+            {"sample": [str(c) for c in sample], "eliminant": eliminant},
         ),
         Check(
             "zero-passes",

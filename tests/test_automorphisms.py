@@ -485,7 +485,19 @@ class TestIdentitySuite:
     def test_out_mode_all_pass(self):
         checks = aut.identity_suite("out")
         assert all_pass(checks)
-        assert any(c.name == "z4-product-vanishes-mod-inner" for c in checks)
+        # nielsen_z4_check reports the product's vanishing modulo inner
+        # automorphisms in both modes.
+        assert any(c.name == "z4-product-trivial-mod-inner" for c in checks)
+
+    def test_check_names_unique_and_out_extends_aut(self):
+        aut_names = [c.name for c in aut.identity_suite("aut")]
+        out_names = [c.name for c in aut.identity_suite("out")]
+        assert len(set(aut_names)) == len(aut_names)
+        assert len(set(out_names)) == len(out_names)
+        extra = out_names[len(aut_names):]
+        assert out_names[:len(aut_names)] == aut_names
+        assert len(extra) == 6 and all(n.endswith("-mod-inner") for n in extra)
+        assert {n.removesuffix("-mod-inner") for n in extra} <= set(aut_names)
 
 
 class TestExprGrammar:
