@@ -25,7 +25,7 @@ from types import MappingProxyType
 
 from . import automorphisms as aut
 from . import flats, glrep, latgeom
-from .reports import Check, Report, fraction_str, parse_fraction
+from .reports import Check, Report, fraction_str, parse_fraction, ratio_str
 from .words import MAX_WORD_LETTERS, ab_vector, format_word, parse_word
 
 USAGE_ERROR = 2
@@ -188,7 +188,7 @@ def _cell_report(lattice: latgeom.Lattice, cell: latgeom.Polytope, cls: dict,
     volume = fraction_str(latgeom.covolume(lattice))
     payload = {
         "rank": lattice.rank,
-        "basis": [[fraction_str(Fraction(x, lattice.den)) for x in row]
+        "basis": [[ratio_str(x, lattice.den) for x in row]
                   for row in lattice.rows],
         "covolume": volume,
         "volume": volume,
@@ -248,7 +248,7 @@ def cmd_lemma_pq(args: argparse.Namespace) -> tuple[list[Check], dict]:
 def cmd_induce(args: argparse.Namespace) -> tuple[list[Check], dict]:
     ell = parse_fraction(args.ell)
     iso = flats.cyclic_induced(args.d, ell)
-    length_sq, min_point = flats.trans_length_sq(iso)
+    length_sq, min_point, den = flats.trans_length_sq(iso)
     expected = ell * ell / args.d
     # A d-th power whose rotation is not the identity fails the check,
     # with its translation length.
@@ -276,7 +276,7 @@ def cmd_induce(args: argparse.Namespace) -> tuple[list[Check], dict]:
         "d": args.d,
         "ell": fraction_str(ell),
         "length_sq": fraction_str(length_sq),
-        "min_point": [fraction_str(c) for c in min_point],
+        "min_point": [ratio_str(w, den) for w in min_point],
     }
 
 

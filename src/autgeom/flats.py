@@ -9,25 +9,28 @@ square root and all comparisons are exact.  Orthogonal parts are
 restricted to signed block permutations: these cover every isometry the
 Euclidean model needs (inductions permute factors, flats carry pure
 translations) while keeping the fixed-space projection exact and total.
-An isometry is a named tuple, checked when it is built, that holds its
-translation as integers over one denominator, so composing, powering
-and inducing copy, negate and add integer slices, and translation
-lengths are solved for in integer numerators; Fractions
-are built only for the fixed-space projection's coefficients, one per
-cycle and block coordinate, and for the length and witness point
-returned.  The equidistance constraints are evaluated on integer
-vectors over the common denominators of tau and a; the one Fraction
-they build is the value ``elimination_combination`` returns.  The flat
-model translates by integer vectors, summed as integers.  The
-equidistance certificate and the flat model return the Checks their
-reports print.
+An isometry is a named tuple, checked once where it enters, that holds
+its translation as integers over one denominator.  Powering walks the
+block cycles once, with prefix sums of integer translations, and
+inducing copies integer slices; neither checks its product again.
+Translation lengths are read off the cycles in integer numerators, and
+the witness point is returned as integers over one denominator, so the
+returned length is the one Fraction built (``linalg.solve`` halves
+values on a cycle of sign product -1, which no induced cyclic action
+has).  The equidistance constraints are evaluated on integer vectors
+over the common denominators of tau and a; the one Fraction they build
+is the value ``elimination_combination`` returns.  The flat model
+translates by integer vectors, summed as integers.  The equidistance
+certificate and the flat model return the Checks their reports print.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
+from operator import floordiv, mul
 from typing import Sequence
 
 from . import linalg
@@ -67,8 +70,14 @@ class AffineIsometry(namedtuple("AffineIsometry", "block_dim source signs transl
     and of finite order, so the isometry is always semisimple.  The
     translation t is ``translation[i] / den`` in lowest terms: integer
     entries over one positive denominator, as a Lattice holds its rows.
-    A named tuple whose constructor refuses any other data; ``_make``
-    and ``_replace`` bypass that check, so nothing here calls them.
+
+    An isometry is checked once, where it enters: the constructor
+    refuses any other data.  ``_make`` builds one without the checks and
+    is kept for isometries made from checked ones by a construction
+    that keeps every invariant: ``power``, the product ``induced_action``
+    builds once it has checked its permutation, and the one-block bases
+    of ``cyclic_induced``.  ``_replace`` also bypasses the checks, so
+    nothing here calls it.
     """
 
     __slots__ = ()
@@ -94,11 +103,6 @@ class AffineIsometry(namedtuple("AffineIsometry", "block_dim source signs transl
     def dim(self) -> int:
         return self.block_dim * len(self.source)
 
-    @classmethod
-    def identity(cls, block_dim: int, blocks: int) -> "AffineIsometry":
-        return cls(block_dim, tuple(range(blocks)), (1,) * blocks,
-                   (0,) * (block_dim * blocks), 1)
-
     def _rotate(self, point: Sequence) -> list:
         """O applied to a point, block by block: each output block is a
         copy or the negation of a slice of the point."""
@@ -109,82 +113,110 @@ class AffineIsometry(namedtuple("AffineIsometry", "block_dim source signs transl
             out += block if sign == 1 else [-x for x in block]
         return out
 
-    def compose(self, other: "AffineIsometry") -> "AffineIsometry":
-        """self after other."""
-        if self.block_dim != other.block_dim or self.blocks != other.blocks:
-            raise ValueError("incompatible block structures")
-        source = tuple(other.source[i] for i in self.source)
-        signs = tuple(s * other.signs[i] for i, s in zip(self.source, self.signs))
-        rotated = self._rotate(other.translation)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        translation = [b * r + a * t for r, t in zip(rotated, self.translation)]
+    def power(self, k: int) -> "AffineIsometry":
+        """self composed with itself k times, in one pass over the block
+        cycles, in time O(dim) whatever k is.
+
+        Along a cycle c_0 -> c_1 = source[c_0] -> ... of n blocks and
+        sign product p, let sigma_b be the product of the signs of
+        c_0 .. c_(b-1) and T_b the sum of sigma_i t(c_i) over i < b,
+        both taken along the doubled cycle, so sigma_(b+n) = p sigma_b.
+        Then g^k sends input block c_(a+k) to output block c_a with sign
+        sigma_(a+k) sigma_a and translation sigma_a (T_(a+k) - T_a).  For
+        k = q n + r, the k steps are q whole turns and r steps: the turns
+        add q (T_(a+n) - T_a) on a +1 cycle and alternate in sign on a -1
+        cycle, so they add it once for odd q and not at all for even q,
+        and the r steps add p^q (T_(a+r) - T_a).
+        """
+        if k < 0:
+            raise ValueError("negative powers are not needed here")
+        kd, signs, t = self.block_dim, self.signs, self.translation
+        source, out_signs, translation = [0] * self.blocks, [0] * self.blocks, [0] * self.dim
+        for cycle, product in linalg._cycles(self.source, signs):
+            n = len(cycle)
+            q, r = divmod(k, n)
+            turns, tail = q if product == 1 else q & 1, product ** q
+            doubled = cycle + cycle
+            sigma = list(accumulate(map(signs.__getitem__, doubled), mul, initial=1))
+            for i, to, s_a, s_ar in zip(cycle, doubled[r:], sigma, sigma[r:]):
+                source[i] = to
+                out_signs[i] = tail * s_ar * s_a
+            for j in range(kd):
+                rows = doubled if kd == 1 else [i * kd + j for i in doubled]
+                prefix = list(accumulate(map(mul, sigma, map(t.__getitem__, rows)), initial=0))
+                for row, s_a, p_a, p_an, p_ar in zip(
+                        rows, sigma, prefix, prefix[n:], prefix[r:r + n]):
+                    translation[row] = s_a * (turns * (p_an - p_a) + tail * (p_ar - p_a))
+        den = self.den
         g = gcd(den, *translation)
         if g > 1:
             den //= g
-            translation = [t // g for t in translation]
-        return AffineIsometry(self.block_dim, source, signs, tuple(translation), den)
-
-    def power(self, k: int) -> "AffineIsometry":
-        """self composed with itself k times, by repeated squaring."""
-        if k < 0:
-            raise ValueError("negative powers are not needed here")
-        out = AffineIsometry.identity(self.block_dim, self.blocks)
-        square = self
-        while k:
-            if k & 1:
-                out = out.compose(square)
-            k >>= 1
-            if k:
-                square = square.compose(square)
-        return out
+            translation = [x // g for x in translation]
+        return AffineIsometry._make(
+            (kd, tuple(source), tuple(out_signs), tuple(translation), den))
 
 
-def trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[Fraction, ...]]:
+def trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[int, ...], int]:
     """Squared translation length and a witness point where it is attained.
 
-    The squared length is the squared norm of the projection of the
-    translation part onto the fixed space of the rotational part; the
-    witness solves (O - I) x = -(t - proj t), so g moves it by exactly
-    proj t.  A zero length means g is elliptic and the witness is a
-    fixed point.  ``linalg`` reads the fixed space and the witness off
-    the cycles of the block permutation.
+    Returns the length, and the witness as integer numerators over one
+    positive denominator in lowest terms: coordinate i is
+    ``witness[i] / den``.  The squared length is the squared norm of the
+    projection of the translation part onto the fixed space of the
+    rotational part; the witness solves (O - I) x = -(t - proj t), so g
+    moves it by exactly proj t.  A zero length means g is elliptic and
+    the witness is a fixed point.  ``linalg`` reads the fixed space and
+    the witness off the cycles of the block permutation.
 
-    The kernel vectors of O - I have disjoint supports, one per cycle of
-    sign product +1 and block coordinate, so proj t is the sum of
-    (u.t)/(u.u) u over them.  A wrong projection cannot pass: it lies in
-    the span of the kernel, the fixed space, so t - proj t lies in the
-    image of O - I, the orthogonal complement of the fixed space, only
-    if proj t is the orthogonal projection, and otherwise ``solve``
-    finds no witness.  The witness is solved for in integer numerators
-    over q * g.den, where q is the common denominator of the projection,
-    and Fractions are built only for the coefficients (u.t)/(u.u) and
-    the returned length and witness.  Raises RuntimeError if the witness
-    cannot be solved for or does not move by exactly proj t.
+    ``linalg.kernel`` lists the cycles of sign product +1 with their
+    signs sigma; on such a cycle of n blocks, coordinate j of proj t is
+    sigma_a S / n at block a, where S is the sum of sigma_a t at
+    coordinate j of block a.  Each S / n is kept as the integer S over
+    the cycle length, and proj t, t and the right-hand side as integer
+    vectors over q * g.den, where q is the least common denominator of
+    the S / n.  A wrong projection cannot pass: it lies in the span of
+    the kernel, the fixed space, so t - proj t lies in the image of
+    O - I, the orthogonal complement of the fixed space, only if proj t
+    is the orthogonal projection, and otherwise ``solve`` finds no
+    witness.  ``solve`` may return halves on a cycle of sign product -1,
+    and the witness is then doubled over 2 q g.den.  Fractions are built
+    only for the length.  Raises RuntimeError if the witness cannot be
+    solved for or does not move by exactly proj t.
     """
+    k, t = g.block_dim, g.translation
     fixed = linalg.kernel(g)
-    coeffs = [Fraction(sum(x * g.translation[i] for i, x in u.items()),
-                       sum(x * x for x in u.values())) for u in fixed]
-    # Over the common denominator q of the coefficients, proj t, t and
-    # the right-hand side are integer vectors over q * den.
-    q = lcm(*(c.denominator for c in coeffs))
+    # The fixed vectors laid end to end, one per cycle and coordinate j:
+    # their coordinates, their signs and their lengths n.
+    rows = [i * k + j for cycle, _ in fixed for j in range(k) for i in cycle]
+    sigma = [s for _, sigmas in fixed for _ in range(k) for s in sigmas]
+    lengths = [len(cycle) for cycle, _ in fixed for _ in range(k)]
+    prefix = list(accumulate(map(mul, sigma, map(t.__getitem__, rows)), initial=0))
+    sums = [prefix[end] - prefix[end - n] for end, n in zip(accumulate(lengths), lengths)]
+    q = lcm(*map(floordiv, lengths, map(gcd, sums, lengths)))
     proj = [0] * g.dim
-    for u, c in zip(fixed, coeffs):
-        m = c.numerator * (q // c.denominator)
-        for i, x in u.items():
-            proj[i] += m * x
-    t = [q * x for x in g.translation]
-    witness = linalg.solve(g, [p - x for x, p in zip(t, proj)])
+    scaled = (s * q // n for s, n in zip(sums, lengths))
+    for r, p in zip(rows, map(mul, sigma, chain.from_iterable(map(repeat, scaled, lengths)))):
+        proj[r] = p
+    tq = [q * x for x in t]
+    witness = linalg.solve(g, [p - x for x, p in zip(tq, proj)])
     if witness is None:
         raise RuntimeError("fixed-space projection left an unsolvable residual")
-    moved = [r + x - w for r, x, w in zip(g._rotate(witness), t, witness)]
-    if moved != proj:
+    scale = 1
+    if Fraction in map(type, witness):
+        scale = 2
+        witness = [int(2 * w) for w in witness]
+        tq = [2 * x for x in tq]
+    moved = [r + x - w for r, x, w in zip(g._rotate(witness), tq, witness)]
+    if moved != ([scale * p for p in proj] if scale > 1 else proj):
         raise RuntimeError("witness displacement differs from the projected translation")
     den = q * g.den
-    return (
-        Fraction(sum(p * p for p in proj), den * den),
-        tuple(Fraction(w, den) for w in witness),
-    )
+    length_sq = Fraction(sum(p * p for p in proj), den * den)
+    den *= scale
+    common = gcd(den, *witness)
+    if common > 1:
+        den //= common
+        witness = [w // common for w in witness]
+    return length_sq, tuple(witness), den
 
 
 def induced_action(
@@ -198,9 +230,12 @@ def induced_action(
     base[i] applied to input block i.  The base translations are lifted
     to the least common multiple of their denominators, which keeps the
     result in lowest terms.  Inducing each element of a group this way
-    is functorial, which is what the tests exercise.
+    is functorial, which is what the tests exercise.  Refuses an empty
+    coset list.
     """
     d = len(perm)
+    if d == 0:
+        raise ValueError("need at least one coset")
     if sorted(perm) != list(range(d)):
         raise ValueError("perm is not a permutation of the cosets")
     if len(base) != d:
@@ -212,26 +247,27 @@ def induced_action(
             raise ValueError("base isometries have inconsistent block structure")
 
     den = lcm(*(iso.den for iso in base))
-    source = [0] * (d * m)
-    signs = [1] * (d * m)
-    translation = [0] * (d * m * k)
-    for i, iso in enumerate(base):
-        out = perm[i]
-        for j in range(m):
-            source[out * m + j] = i * m + iso.source[j]
-            signs[out * m + j] = iso.signs[j]
-        scale = den // iso.den
-        translation[out * m * k:(out + 1) * m * k] = (
-            iso.translation if scale == 1 else [scale * x for x in iso.translation]
-        )
-    return AffineIsometry(k, tuple(source), tuple(signs), tuple(translation), den)
+    # order[c] is the coset that perm sends to coset c: output blocks
+    # c * m .. c * m + m - 1 receive its base isometry, applied to the
+    # blocks of input coset order[c].
+    order = [0] * d
+    for i, out in enumerate(perm):
+        order[out] = i
+    source = tuple(i * m + src for i in order for src in base[i].source)
+    signs = tuple(s for i in order for s in base[i].signs)
+    translation = tuple(den // base[i].den * x for i in order for x in base[i].translation)
+    # Each block of the product is a block of a checked base isometry,
+    # moved by the checked perm, so the product is a checked isometry.
+    return AffineIsometry._make((k, source, signs, translation, den))
 
 
 # The most cosets cyclic_induced accepts, since the payload lists all d
-# witness coordinates.  Translation lengths cost time linear in d: on a
-# 2-CPU Intel Xeon under CPython 3.11 a whole `induce --d 100000`
-# request takes about 3 s and 90 MB, 40 % of the time in
-# AffineIsometry.power.
+# witness coordinates.  Powers and translation lengths cost time linear
+# in d: on a 2-CPU Intel Xeon under CPython 3.11 a whole
+# `induce --d 100000` request takes about 1 s and 60 MB as a process
+# (0.7-1.1 s in-process, with a 41 MiB tracemalloc peak), about 40 % of
+# it in trans_length_sq of the d-th power, whose d fixed blocks are d
+# one-block cycles.
 MAX_COSETS = 100_000
 
 
@@ -240,16 +276,21 @@ def cyclic_induced(d: int, ell) -> AffineIsometry:
     subgroup generator translates the line by ell.
 
     The result is the d-block cyclic isometry whose squared translation
-    length is ell^2 / d.  A d above MAX_COSETS is refused.
+    length is ell^2 / d.  A d above MAX_COSETS is refused, and so is a
+    float ell, which would stand for its binary value (0.1 is not 1/10).
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     if d > MAX_COSETS:
         raise ValueError(f"need d <= {MAX_COSETS}, got {d}")
+    if isinstance(ell, float):
+        raise ValueError(f"ell must be an exact rational, got the float {ell!r}")
     ell = Fraction(ell)
-    zero = AffineIsometry(1, (0,), (1,), (0,), 1)
+    # A Fraction is in lowest terms over a positive denominator, so both
+    # one-block bases are valid isometries.
+    zero = AffineIsometry._make((1, (0,), (1,), (0,), 1))
     base = [zero] * (d - 1)
-    base.append(AffineIsometry(1, (0,), (1,), (ell.numerator,), ell.denominator))
+    base.append(AffineIsometry._make((1, (0,), (1,), (ell.numerator,), ell.denominator)))
     perm = tuple((i + 1) % d for i in range(d))
     return induced_action(perm, base)
 

@@ -6,51 +6,54 @@ O sends input block ``source[i]`` to output block i with sign
 from its largest block m as m -> source[m] -> ..., a vector x is fixed
 by O exactly when x[i] = signs[i] * x[source[i]] along it.  A cycle
 whose sign product is +1 carries one fixed vector per block coordinate,
-with entries +-1 and 1 at m; a cycle whose sign product is -1 fixes
-only 0.  (O - I) x = b is solved along the same cycles, and x is
-integer for an integer b except on a -1 cycle, where it may be a
-half-integer.  There is no floating point.  ``flats.trans_length_sq``
-is the one caller; ``g`` is anything with ``block_dim``, ``source`` and
-``signs``, such as a ``flats.AffineIsometry``.
+with entries +-1 and 1 at m, and ``kernel`` lists it once with those
+signs; a cycle whose sign product is -1 fixes only 0.  (O - I) x = b
+is solved along the same cycles, and x is integer for an integer b
+except on a -1 cycle, where it may be a half-integer.  There is no
+floating point.  ``flats.trans_length_sq`` calls ``kernel`` and
+``solve``, and ``flats.AffineIsometry.power`` walks ``_cycles``; ``g``
+is anything with ``block_dim``, ``source`` and ``signs``, such as a
+``flats.AffineIsometry``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterator, Sequence
 
 
-def _cycles(source: Sequence[int], signs: Sequence[int]) -> list[tuple[list[int], int]]:
+def _cycles(source: Sequence[int], signs: Sequence[int]) -> Iterator[tuple[list[int], int]]:
     """Each block cycle m -> source[m] -> ..., listed from its largest
-    block m, with the product of its signs."""
+    block m, with the product of its signs.  A generator, so a caller
+    that walks the cycles one by one never holds them all."""
     seen = [False] * len(source)
-    cycles = []
     for start in reversed(range(len(source))):
-        cycle, product, i = [], 1, start
-        while not seen[i]:
+        if seen[start]:
+            continue
+        cycle, product, i = [start], signs[start], source[start]
+        while i != start:
             seen[i] = True
             cycle.append(i)
             product *= signs[i]
             i = source[i]
-        if cycle:
-            cycles.append((cycle, product))
-    return cycles
+        yield cycle, product
 
 
-def kernel(g) -> list[dict[int, int]]:
-    """The fixed space of O as {coordinate: +-1} vectors of disjoint
-    supports, one per cycle of sign product +1 and block coordinate."""
-    k = g.block_dim
-    basis = []
-    for cycle, product in _cycles(g.source, g.signs):
-        if product == -1:
-            continue
-        sigmas, sigma = [], 1
-        for i in cycle:
-            sigmas.append(sigma)
-            sigma *= g.signs[i]
-        basis += ({i * k + j: s for i, s in zip(cycle, sigmas)} for j in range(k))
-    return basis
+def kernel(g) -> list[tuple[list[int], tuple[int, ...]]]:
+    """The fixed space of O, one entry per cycle of sign product +1: the
+    cycle's blocks, listed from its largest, and its signs sigma, with
+    sigma_0 = 1 and sigma_(a+1) = sigma_a * signs[block a].  For each
+    block coordinate j, the vector with entry sigma_a at coordinate j of
+    block a and 0 elsewhere is fixed; these vectors have disjoint
+    supports and together span the fixed space."""
+    signs = g.signs
+    # A fixed block, the only cycle a pure translation has, skips the
+    # prefix product.
+    return [(cycle, (1,) if len(cycle) == 1 else tuple(
+                accumulate(map(signs.__getitem__, cycle[:-1]), mul, initial=1)))
+            for cycle, product in _cycles(g.source, signs) if product == 1]
 
 
 def solve(g, b: Sequence) -> list | None:
@@ -63,23 +66,23 @@ def solve(g, b: Sequence) -> list | None:
     must give 0 back; on a -1 cycle the guess 0 gives back some c, and
     the value at m is c / 2.
     """
-    k = g.block_dim
+    k, signs = g.block_dim, g.signs
     x = [0] * len(b)
 
-    def walk(rows, signs, top):
+    def walk(rows, blocks, top):
         value = top
-        for r, s in zip(rows, signs):
-            value = s * value - b[r]
+        for r, i in zip(rows, blocks):
+            value = signs[i] * value - b[r]
             x[r] = value
         return value
 
-    for cycle, product in _cycles(g.source, g.signs):
-        signs = [g.signs[i] for i in reversed(cycle)]
+    for cycle, product in _cycles(g.source, signs):
+        back = cycle[::-1] if len(cycle) > 1 else cycle
         for j in range(k):
-            rows = [i * k + j for i in reversed(cycle)]
-            closing = walk(rows, signs, 0)
+            rows = back if k == 1 else [i * k + j for i in back]
+            closing = walk(rows, back, 0)
             if product == -1:
-                walk(rows, signs, Fraction(closing, 2))
+                walk(rows, back, Fraction(closing, 2))
             elif closing:
                 return None
     return x

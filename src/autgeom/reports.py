@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any, NamedTuple
 
 __all__ = [
     "Check",
     "Report",
     "fraction_str",
+    "ratio_str",
     "parse_fraction",
     "MAX_LITERAL_SIZE",
 ]
@@ -64,6 +66,13 @@ def fraction_str(x: Fraction | int) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``num / den`` for a positive ``den``, rendered as ``fraction_str``
+    renders it, without building a Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 # The most digits plus |exponent| in a rational literal, checked on the

@@ -13,7 +13,7 @@ import pytest
 from autgeom import automorphisms as aut
 from autgeom import cli, flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
-from autgeom.reports import MAX_LITERAL_SIZE, fraction_str
+from autgeom.reports import MAX_LITERAL_SIZE, fraction_str, ratio_str
 
 from conftest import run_cli
 
@@ -852,3 +852,11 @@ def test_voronoi_computes_covolume_twice(monkeypatch):
     assert counts == {
         "covolume": 2, "polytope_volume": 1, "voronoi_cell": 1, "classify": 1
     }
+
+
+def test_ratio_str_renders_as_fraction_str(rng):
+    # induce renders its witness from integers over one denominator.
+    for _ in range(500):
+        num, den = rng.randint(-10**6, 10**6), rng.choice((1, 2, 6, rng.randint(1, 10**4)))
+        assert ratio_str(num, den) == fraction_str(Fraction(num, den))
+    assert [ratio_str(0, 7), ratio_str(-6, 3), ratio_str(6, 4)] == ["0", "-2", "3/2"]

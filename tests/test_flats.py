@@ -1,10 +1,10 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import pytest
 
-from autgeom import flats, latgeom as lg
+from autgeom import flats, latgeom as lg, linalg
 from autgeom.flats import AffineIsometry
 
 from conftest import octo_flags
@@ -25,6 +25,12 @@ def pure_translation(vector):
 
 def translation_vector(iso):
     return [Fraction(t, iso.den) for t in iso.translation]
+
+
+def length_and_point(g):
+    """trans_length_sq with its witness as Fractions."""
+    length_sq, witness, den = flats.trans_length_sq(g)
+    return length_sq, tuple(Fraction(w, den) for w in witness)
 
 
 def apply(iso, point):
@@ -119,29 +125,156 @@ def cycle_oracle(g):
     return length_sq, shift
 
 
+# The slow paths that AffineIsometry.power and trans_length_sq replaced,
+# kept verbatim as their references: composition, the power by repeated
+# squaring through it, and the length read off one {coordinate: +-1}
+# kernel dict per cycle and block coordinate with Fraction coefficients.
+
+
+def identity(block_dim: int, blocks: int) -> AffineIsometry:
+    return AffineIsometry(block_dim, tuple(range(blocks)), (1,) * blocks,
+                          (0,) * (block_dim * blocks), 1)
+
+
+def compose(self: AffineIsometry, other: AffineIsometry) -> AffineIsometry:
+    """self after other."""
+    if self.block_dim != other.block_dim or self.blocks != other.blocks:
+        raise ValueError("incompatible block structures")
+    source = tuple(other.source[i] for i in self.source)
+    signs = tuple(s * other.signs[i] for i, s in zip(self.source, self.signs))
+    rotated = self._rotate(other.translation)
+    den = lcm(self.den, other.den)
+    a, b = den // self.den, den // other.den
+    translation = [b * r + a * t for r, t in zip(rotated, self.translation)]
+    g = gcd(den, *translation)
+    if g > 1:
+        den //= g
+        translation = [t // g for t in translation]
+    return AffineIsometry(self.block_dim, source, signs, tuple(translation), den)
+
+
+def squaring_power(self: AffineIsometry, k: int) -> AffineIsometry:
+    """self composed with itself k times, by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative powers are not needed here")
+    out = identity(self.block_dim, self.blocks)
+    square = self
+    while k:
+        if k & 1:
+            out = compose(out, square)
+        k >>= 1
+        if k:
+            square = compose(square, square)
+    return out
+
+
+def dict_kernel(g) -> list[dict[int, int]]:
+    """The fixed space of O as {coordinate: +-1} vectors of disjoint
+    supports, one per cycle of sign product +1 and block coordinate."""
+    k = g.block_dim
+    basis = []
+    for cycle, product in linalg._cycles(g.source, g.signs):
+        if product == -1:
+            continue
+        sigmas, sigma = [], 1
+        for i in cycle:
+            sigmas.append(sigma)
+            sigma *= g.signs[i]
+        basis += ({i * k + j: s for i, s in zip(cycle, sigmas)} for j in range(k))
+    return basis
+
+
+def fraction_trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[Fraction, ...]]:
+    fixed = dict_kernel(g)
+    coeffs = [Fraction(sum(x * g.translation[i] for i, x in u.items()),
+                       sum(x * x for x in u.values())) for u in fixed]
+    q = lcm(*(c.denominator for c in coeffs))
+    proj = [0] * g.dim
+    for u, c in zip(fixed, coeffs):
+        m = c.numerator * (q // c.denominator)
+        for i, x in u.items():
+            proj[i] += m * x
+    t = [q * x for x in g.translation]
+    witness = linalg.solve(g, [p - x for x, p in zip(t, proj)])
+    if witness is None:
+        raise RuntimeError("fixed-space projection left an unsolvable residual")
+    moved = [r + x - w for r, x, w in zip(g._rotate(witness), t, witness)]
+    if moved != proj:
+        raise RuntimeError("witness displacement differs from the projected translation")
+    den = q * g.den
+    return (
+        Fraction(sum(p * p for p in proj), den * den),
+        tuple(Fraction(w, den) for w in witness),
+    )
+
+
+def cycle_lengths(g):
+    return [(len(cycle), product) for cycle, product in linalg._cycles(g.source, g.signs)]
+
+
+class TestFastPathsAgainstReference:
+    CASES = 3000
+
+    def test_power_and_length_match_the_slow_paths(self, rng):
+        # Random signed block permutations of 1 to 8 blocks of 1 to 3
+        # coordinates, with fixed blocks and cycles of both sign
+        # products, raised to every k from 0 to 3 times the longest cycle
+        # plus 2 in turn.
+        seen, ks = set(), set()
+        for case in range(self.CASES):
+            g = random_isometry(rng, rng.randint(1, 3), rng.randint(1, 8))
+            cycles = cycle_lengths(g)
+            seen |= {(n > 1, product) for n, product in cycles}
+            longest = max(n for n, _ in cycles)
+            k = case % (3 * longest + 3)
+            if k == 0:
+                ks.add("zero")
+            elif k > longest:
+                ks.add("whole turns")
+            if k and any(k % n == 0 for n, _ in cycles if n > 1):
+                ks.add("a multiple of a cycle length")
+            fast = g.power(k)
+            assert fast == squaring_power(g, k)
+            for h in (g, fast):
+                length_sq, witness, den = flats.trans_length_sq(h)
+                assert den >= 1 and gcd(den, *witness) == 1
+                assert all(type(w) is int for w in witness)
+                assert (length_sq, tuple(Fraction(w, den) for w in witness)) == (
+                    fraction_trans_length_sq(h))
+        assert seen == {(False, 1), (False, -1), (True, 1), (True, -1)}
+        assert ks == {"zero", "whole turns", "a multiple of a cycle length"}
+
+    def test_cyclic_induced_powers(self):
+        # Powers of the induced generator, across and beyond its order.
+        for d in (1, 2, 5, 12):
+            iso = flats.cyclic_induced(d, Fraction(-7, 3))
+            for k in range(3 * d + 3):
+                assert iso.power(k) == squaring_power(iso, k)
+
+
 class TestAffineIsometry:
     def test_pure_translation_length(self):
         g = pure_translation([3, 4])
-        length_sq, point = flats.trans_length_sq(g)
+        length_sq, point = length_and_point(g)
         assert length_sq == 25
         assert displacement_sq(g, point) == 25
 
     def test_elliptic_rotation_has_fixed_point(self):
         g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 0), 1)
-        length_sq, point = flats.trans_length_sq(g)
+        length_sq, point = length_and_point(g)
         assert length_sq == 0
         assert apply(g, point) == point
 
     def test_cyclic_block_with_translation(self):
         g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 5), 1)
-        length_sq, point = flats.trans_length_sq(g)
+        length_sq, point = length_and_point(g)
         assert length_sq == Fraction(25, 3)
         assert displacement_sq(g, point) == length_sq
 
     def test_witness_is_in_min_set(self):
         # Any point moves at least as far as the witness does.
         g = AffineIsometry(1, (1, 0), (1, 1), (7, 0), 2)
-        length_sq, _ = flats.trans_length_sq(g)
+        length_sq, _ = length_and_point(g)
         for probe in ([0, 0], [1, 5], [Fraction(-3, 2), 2]):
             assert displacement_sq(g, probe) >= length_sq
 
@@ -149,7 +282,7 @@ class TestAffineIsometry:
         # A sign flip has no fixed directions, so any translation along
         # it is absorbed: the isometry is elliptic.
         g = AffineIsometry(1, (0,), (-1,), (4,), 1)
-        length_sq, point = flats.trans_length_sq(g)
+        length_sq, point = length_and_point(g)
         assert length_sq == 0
         assert apply(g, point) == point
 
@@ -161,20 +294,20 @@ class TestAffineIsometry:
     def test_power_at_permutation_order(self):
         g = AffineIsometry(1, (1, 2, 0), (1, 1, 1), (0, 0, 3), 1)
         cubed = g.power(3)
-        assert orthogonal_matrix(cubed) == orthogonal_matrix(AffineIsometry.identity(1, 3))
+        assert orthogonal_matrix(cubed) == orthogonal_matrix(identity(1, 3))
         assert flats.trans_length_sq(cubed)[0] == 9 * flats.trans_length_sq(g)[0]
 
     def test_compose_matches_apply(self, rng):
         g = isometry(1, (1, 0), (1, -1), (Fraction(1, 3), 2))
         h = isometry(1, (0, 1), (-1, 1), (0, Fraction(3, 4)))
         point = (Fraction(5), Fraction(-2))
-        assert apply(g.compose(h), point) == apply(g, apply(h, point))
+        assert apply(compose(g, h), point) == apply(g, apply(h, point))
         # Mixed denominators, put in lowest terms by the constructor.
         for _ in range(100):
             k, m = rng.randint(1, 3), rng.randint(1, 4)
             g, h = random_isometry(rng, k, m), random_isometry(rng, k, m)
             point = [random_fraction(rng) for _ in range(k * m)]
-            gh = g.compose(h)
+            gh = compose(g, h)
             assert lcm(g.den, h.den) % gh.den == 0
             assert apply(gh, point) == apply(g, apply(h, point))
 
@@ -212,10 +345,10 @@ class TestAffineIsometry:
         for _ in range(20):
             g = random_signed_block_permutation(rng)
             dens.add(g.den)
-            naive = AffineIsometry.identity(g.block_dim, g.blocks)
+            naive = identity(g.block_dim, g.blocks)
             for k in range(10):
                 assert g.power(k) == naive
-                naive = naive.compose(g)
+                naive = compose(naive, g)
         assert len(dens) > 5
 
 
@@ -226,7 +359,7 @@ class TestTransLengthOracle:
             g = random_signed_block_permutation(rng)
             dens.add(g.den)
             length_sq, shift = cycle_oracle(g)
-            got, point = flats.trans_length_sq(g)
+            got, point = length_and_point(g)
             assert got == length_sq
             moved = apply(g, point)
             assert [m - w for m, w in zip(moved, point)] == shift
@@ -257,16 +390,18 @@ class TestTransLengthOracle:
 
 
     def test_overlapping_kernel_basis_is_never_a_wrong_length(self, rng, monkeypatch):
-        # The projection sums (u.t)/(u.u) u, which is the orthogonal
-        # projection only for a basis of disjoint supports.  A basis of
-        # the same span whose vectors overlap must end in the right
-        # length or a RuntimeError, never in a wrong length.
-        kernel = flats.linalg.kernel
+        # The projection takes sigma S / n on each kernel entry, which is
+        # the orthogonal projection only for entries of disjoint
+        # supports.  Entries of the same span that overlap -- the first
+        # two cycles merged into one, with the second kept -- must end
+        # in the right length or a RuntimeError, never in a wrong length.
+        kernel = linalg.kernel
 
         def overlapping(g):
             basis = kernel(g)
             if len(basis) > 1:
-                basis[0] = basis[0] | basis[1]  # their sum: the supports are disjoint
+                (c0, s0), (c1, s1) = basis[:2]
+                basis[0] = (c0 + c1, s0 + s1)
             return basis
 
         monkeypatch.setattr(flats.linalg, "kernel", overlapping)
@@ -275,7 +410,7 @@ class TestTransLengthOracle:
             g = random_signed_block_permutation(rng)
             length_sq, _ = cycle_oracle(g)
             try:
-                got, _ = flats.trans_length_sq(g)
+                got, _, _ = flats.trans_length_sq(g)
             except RuntimeError:
                 outcomes.add("refused")
             else:
@@ -311,7 +446,7 @@ class TestInducedAction:
         h = pure_translation([Fraction(2, 5)])
         g = flats.induced_action((1, 2, 0), [e, e, h])
         g2_direct = flats.induced_action((2, 0, 1), [e, h, h])
-        assert g.compose(g) == g2_direct
+        assert g.power(2) == g2_direct
 
     def test_cyclic_induced_caps_the_cosets(self):
         assert flats.MAX_COSETS == 100_000
@@ -320,6 +455,16 @@ class TestInducedAction:
         assert flats.trans_length_sq(at_cap)[0] == Fraction(1, flats.MAX_COSETS)
         with pytest.raises(ValueError, match=f"need d <= {flats.MAX_COSETS}"):
             flats.cyclic_induced(flats.MAX_COSETS + 1, 1)
+
+    def test_empty_coset_list_refused(self):
+        with pytest.raises(ValueError, match="at least one coset"):
+            flats.induced_action((), ())
+
+    def test_float_ell_refused(self):
+        # 0.1 is a binary float, not 1/10.
+        with pytest.raises(ValueError, match="float"):
+            flats.cyclic_induced(2, 0.1)
+        assert flats.trans_length_sq(flats.cyclic_induced(2, "1/10"))[0] == Fraction(1, 200)
 
     def test_inconsistent_blocks_rejected(self):
         a = pure_translation([1])

@@ -111,6 +111,14 @@ def half_integer_coordinates(g):
             for i in blocks for j in range(k)}
 
 
+def kernel_vectors(g):
+    """The entries of linalg.kernel as {coordinate: +-1} vectors, one per
+    cycle of sign product +1 and block coordinate."""
+    k = g.block_dim
+    return [{i * k + j: s for i, s in zip(blocks, sigmas)}
+            for blocks, sigmas in linalg.kernel(g) for j in range(k)]
+
+
 def dense(u, n):
     return [u.get(c, 0) for c in range(n)]
 
@@ -147,13 +155,14 @@ class TestSolveKernel:
     def test_kernel_of_projection(self):
         # O reflects the first two coordinates: O - I is -2 times the
         # projection onto them.
-        assert linalg.kernel(Perm(1, (0, 1, 2), (-1, -1, 1))) == [{2: 1}]
+        assert linalg.kernel(Perm(1, (0, 1, 2), (-1, -1, 1))) == [([2], (1,))]
+        assert kernel_vectors(Perm(1, (0, 1, 2), (-1, -1, 1))) == [{2: 1}]
 
     def test_kernel_orthogonal_to_rows(self, rng):
         for _ in range(100):
             g = random_perm(rng)
             a = o_minus_i(g)
-            for u in linalg.kernel(g):
+            for u in kernel_vectors(g):
                 v = dense(u, len(a))
                 for row in a:
                     assert dot(row, v) == 0
@@ -167,7 +176,7 @@ class TestAgainstDenseReference:
         for _ in range(self.CASES):
             g = random_perm(rng)
             a = o_minus_i(g)
-            kern = linalg.kernel(g)
+            kern = kernel_vectors(g)
             assert {tuple(dense(u, len(a))) for u in kern} == {
                 tuple(v) for v in dense_kernel(a)}
             assert len(kern) == len(dense_kernel(a))
@@ -202,7 +211,7 @@ class TestAgainstDenseReference:
         for _ in range(self.CASES):
             g = random_perm(rng)
             a = o_minus_i(g)
-            for u in linalg.kernel(g):
+            for u in kernel_vectors(g):
                 assert all(type(x) is int for x in u.values())
             x = [rng.randint(-4, 4) for _ in a]
             b = [int(dot(row, x)) for row in a] if rng.random() < 0.5 else [
@@ -237,7 +246,7 @@ class TestIntegerEntries:
                     signs[blocks[0]] = -signs[blocks[0]]
             g = g._replace(signs=tuple(signs))
             a = o_minus_i(g)
-            kern = linalg.kernel(g)
+            kern = kernel_vectors(g)
             assert all(type(x) is int for u in kern for x in u.values())
             assert {tuple(dense(u, len(a))) for u in kern} == {
                 tuple(v) for v in dense_kernel(a)}

@@ -93,8 +93,9 @@ def test_derived_values():
     assert vec3(1, "1/2", 0).coords() == (1, Fraction(1, 2), 0)
     iso = AffineIsometry(2, (2, 0, 1), (1, -1, 1), (0, 1, 0, 0, 1, 0), 2)
     assert (iso.blocks, iso.dim) == (3, 6)
-    assert AffineIsometry.identity(3, 4) == AffineIsometry(
-        3, (0, 1, 2, 3), (1, 1, 1, 1), (0,) * 12, 1)
+    assert iso.power(0) == AffineIsometry(2, (0, 1, 2), (1, 1, 1), (0,) * 6, 1)
+    # A 3-cycle of sign product -1: its cube is -I, with a translation.
+    assert iso.power(3) == AffineIsometry(2, (0, 1, 2), (-1, -1, -1), (1, 1, -1, -1, 1, -1), 2)
     assert identity_endo(2) == Endo(((1,), (2,)))
 
 
