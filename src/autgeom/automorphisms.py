@@ -24,6 +24,7 @@ the sign that was actually obtained, never silently accepted.
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import combinations, permutations
 from typing import Literal, NamedTuple
 
@@ -54,7 +55,6 @@ __all__ = [
     "expr_power",
     "format_expr",
     "commutator",
-    "conjugate_expr",
     "identity_endo",
     "endo_of",
     "endo_power",
@@ -146,11 +146,6 @@ def format_expr(x: AutExpr) -> str:
 def commutator(x: AutExpr, y: AutExpr) -> AutExpr:
     """[x, y] = x y x^-1 y^-1."""
     return x + y + inverse(x) + inverse(y)
-
-
-def conjugate_expr(x: AutExpr, by: AutExpr) -> AutExpr:
-    """by * x * by^-1."""
-    return by + x + inverse(by)
 
 
 class Endo(NamedTuple):
@@ -466,12 +461,25 @@ def inner_gpq_check(p: int, q: int) -> list[Check]:
     )
 
 
-# L21^-1 R21 L31^-1 R31, the product whose vanishing modulo inner
-# automorphisms is the kernel relation of the commuting family.
-_Z4_PRODUCT = (
-    inverse(nielsen_left(2, 1)) + nielsen_right(2, 1)
-    + inverse(nielsen_left(3, 1)) + nielsen_right(3, 1)
-)
+# The product whose vanishing modulo inner automorphisms is the kernel
+# relation of the commuting family.
+_Z4_PRODUCT = "L21^-1 R21 L31^-1 R31"
+
+
+@cache
+def _side(text: str) -> AutExpr:
+    """One side of a claim, parsed once per process: ``[x, y]`` is the
+    commutator of the parsed halves, anything else a parse_autexpr text."""
+    if text.startswith("["):
+        x, y = text[1:-1].split(",")
+        return commutator(_side(x.strip()), _side(y.strip()))
+    return parse_autexpr(text)
+
+
+def _relation(claim: str) -> tuple[AutExpr, AutExpr]:
+    """The two sides of a claim ``lhs = rhs``, each parsed by _side."""
+    lhs, rhs = claim.split(" = ")
+    return _side(lhs), _side(rhs)
 
 
 def nielsen_z4_check() -> list[Check]:
@@ -480,34 +488,26 @@ def nielsen_z4_check() -> list[Check]:
     Verifies that the four generators commute pairwise, that the product
     L21^-1 R21 L31^-1 R31 is the inner automorphism of a1^+1 or a1^-1
     (recording which sign the composition convention produces), and that
-    the product is therefore trivial modulo inner automorphisms.
+    the product is therefore trivial modulo inner automorphisms.  Each
+    commutation, and the product, is parsed from the text the report
+    prints.
     """
-    gens = {
-        "L21": nielsen_left(2, 1),
-        "R21": nielsen_right(2, 1),
-        "L31": nielsen_left(3, 1),
-        "R31": nielsen_right(3, 1),
-    }
-    checks = [
-        Check(
-            f"commute-{x}-{y}",
-            f"{x} {y} = {y} {x}",
-            verify_relation(gens[x] + gens[y], gens[y] + gens[x]),
-            None,
-        )
-        for x, y in combinations(gens, 2)
-    ]
-    g = is_inner(endo_of(_Z4_PRODUCT))
+    checks = []
+    for x, y in combinations(("L21", "R21", "L31", "R31"), 2):
+        claim = f"{x} {y} = {y} {x}"
+        checks.append(
+            Check(f"commute-{x}-{y}", claim, verify_relation(*_relation(claim)), None))
+    g = is_inner(endo_of(_side(_Z4_PRODUCT)))
     sign = {gen(1): 1, gen(1, -1): -1}.get(g)
     witness = {
-        "product": format_expr(_Z4_PRODUCT),
+        "product": _Z4_PRODUCT,
         "conjugator": None if g is None else format_word(g),
         "inner_power_of_a1": sign,
     }
     checks.append(
         Check(
             "z4-product-is-inner-a1",
-            "L21^-1 R21 L31^-1 R31 = inner(a1^s) for s in {+1, -1}",
+            f"{_Z4_PRODUCT} = inner(a1^s) for s in {{+1, -1}}",
             sign is not None,
             witness,
         )
@@ -515,7 +515,7 @@ def nielsen_z4_check() -> list[Check]:
     checks.append(
         Check(
             "z4-product-trivial-mod-inner",
-            "L21^-1 R21 L31^-1 R31 is trivial modulo inner automorphisms",
+            f"{_Z4_PRODUCT} is trivial modulo inner automorphisms",
             g is not None,
             witness,
         )
@@ -533,93 +533,59 @@ def _relation_check(name: str, claim: str, lhs: AutExpr, rhs: AutExpr,
     )
 
 
+# The named identities of the suite, each checked as the claim it prints.
+_NAMED = (
+    ("commutator-left-nielsen", "[L23^-1, L31^-1] = L21^-1"),
+    ("commutator-right-nielsen", "[R23^-1, R31^-1] = R21^-1"),
+    ("inversion-swaps-left-to-right", "E2 L21^-1 E2^-1 = R21"),
+    ("inversion-swaps-right-to-left", "E2 R21 E2^-1 = L21^-1"),
+    ("inversion-fixes-L31", "E2 L31 E2^-1 = L31"),
+    ("inversion-fixes-R31", "E2 R31 E2^-1 = R31"),
+)
+
+
 def identity_suite(mode: Mode = "aut") -> list[Check]:
     """The full identity suite behind the ``verify-relations`` command.
 
-    With mode "out" the six named identities are also verified modulo
-    inner automorphisms; ``nielsen_z4_check`` reports the vanishing of
-    the commuting-family product modulo inner automorphisms in both modes.
+    Every relation is checked on the two sides of the claim the report
+    prints, parsed by _relation, and the maps phi of the inner-functorial
+    checks are parsed from their texts.  With mode "out" the six named
+    identities are also verified modulo inner automorphisms;
+    ``nielsen_z4_check`` reports the vanishing of the commuting-family
+    product modulo inner automorphisms in both modes.
     """
-    L, R, E = nielsen_left, nielsen_right, inversion
-    named: list[tuple[str, str, AutExpr, AutExpr]] = [
-        (
-            "commutator-left-nielsen",
-            "[L23^-1, L31^-1] = L21^-1",
-            commutator(inverse(L(2, 3)), inverse(L(3, 1))),
-            inverse(L(2, 1)),
-        ),
-        (
-            "commutator-right-nielsen",
-            "[R23^-1, R31^-1] = R21^-1",
-            commutator(inverse(R(2, 3)), inverse(R(3, 1))),
-            inverse(R(2, 1)),
-        ),
-        (
-            "inversion-swaps-left-to-right",
-            "E2 L21^-1 E2^-1 = R21",
-            conjugate_expr(inverse(L(2, 1)), E(2)),
-            R(2, 1),
-        ),
-        (
-            "inversion-swaps-right-to-left",
-            "E2 R21 E2^-1 = L21^-1",
-            conjugate_expr(R(2, 1), E(2)),
-            inverse(L(2, 1)),
-        ),
-        (
-            "inversion-fixes-L31",
-            "E2 L31 E2^-1 = L31",
-            conjugate_expr(L(3, 1), E(2)),
-            L(3, 1),
-        ),
-        (
-            "inversion-fixes-R31",
-            "E2 R31 E2^-1 = R31",
-            conjugate_expr(R(3, 1), E(2)),
-            R(3, 1),
-        ),
-    ]
-    checks = [_relation_check(n, c, lhs, rhs) for n, c, lhs, rhs in named]
+    checks = [_relation_check(n, c, *_relation(c)) for n, c in _NAMED]
     checks.extend(nielsen_z4_check())
 
     # Left and right Nielsen maps on the same index pair are conjugate
     # via the inversion of the moved generator.
     for i, j in permutations(range(1, RANK + 1), 2):
+        claim = f"E{i} L{i}{j} E{i}^-1 = R{i}{j}^-1"
         checks.append(
-            _relation_check(
-                f"left-right-conjugate-{i}{j}",
-                f"E{i} L{i}{j} E{i}^-1 = R{i}{j}^-1",
-                conjugate_expr(L(i, j), E(i)),
-                inverse(R(i, j)),
-            )
-        )
+            _relation_check(f"left-right-conjugate-{i}{j}", claim, *_relation(claim)))
 
     # Conjugating an inner automorphism: phi inner(g) phi^-1 = inner(phi(g)),
     # checked in the inverse-free form phi inner(g) = inner(phi(g)) phi.
-    samples = [
-        ("L12", L(1, 2)),
-        ("R31", R(3, 1)),
-        ("E2-L21", E(2) + L(2, 1)),
-    ]
     sample_words = [(1,), (1, -2), (2, 3, -1)]  # a1, a1 a2^-1, a2 a3 a1^-1
-    for name, phi_expr in samples:
-        phi = endo_of(phi_expr)
+    for text in ("L12", "R31", "E2 L21"):
+        phi = endo_of(_side(text))
         for g in sample_words:
             ok = equal(
                 compose(phi, inner(g, 3)), compose(inner(apply(phi, g), 3), phi)
             )
             checks.append(
                 Check(
-                    f"inner-functorial-{name}-{format_word(g).replace(' ', '')}",
+                    f"inner-functorial-{text.replace(' ', '-')}-"
+                    f"{format_word(g).replace(' ', '')}",
                     "phi inner(g) phi^-1 = inner(phi(g))",
                     ok,
-                    {"phi": format_expr(phi_expr), "g": format_word(g)},
+                    {"phi": text, "g": format_word(g)},
                 )
             )
 
     if mode == "out":
-        for n, c, lhs, rhs in named:
-            checks.append(_relation_check(f"{n}-mod-inner", c, lhs, rhs, "out"))
+        for n, c in _NAMED:
+            checks.append(_relation_check(f"{n}-mod-inner", c, *_relation(c), "out"))
     return checks
 
 

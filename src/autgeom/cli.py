@@ -19,9 +19,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from types import MappingProxyType
 
 from . import automorphisms as aut
 from . import flats, glrep, latgeom
@@ -176,10 +174,7 @@ def cmd_sanov(args: argparse.Namespace) -> tuple[list[Check], dict]:
 
 
 def _cell_report(lattice: latgeom.Lattice, cell: latgeom.Polytope, cls: dict,
-                 out: str | None, precision: int,
-                 extra_checks: Sequence[Check] = (),
-                 extra_payload: Mapping = MappingProxyType({})
-                 ) -> tuple[list[Check], dict]:
+                 out: str | None, precision: int) -> tuple[list[Check], dict]:
     """The report of a cell that passed the gates of ``voronoi_cell``."""
     # --precision is refused whether or not --out asks for the OFF file.
     latgeom.check_precision(precision)
@@ -195,7 +190,6 @@ def _cell_report(lattice: latgeom.Lattice, cell: latgeom.Polytope, cls: dict,
         "classification": cls,
         "off_path": None,
         "sidecar_path": None,
-        **extra_payload,
     }
     # cell-tiles records gate 2, which forces the polytope to be the
     # cell.  It is the one cell check: a report with no checks does not
@@ -207,7 +201,6 @@ def _cell_report(lattice: latgeom.Lattice, cell: latgeom.Polytope, cls: dict,
             True,
             {"volume": volume},
         ),
-        *extra_checks,
     ]
     if out is not None:
         payload["off_path"], payload["sidecar_path"] = latgeom.export_off(
@@ -229,8 +222,9 @@ def cmd_check_octo(args: argparse.Namespace) -> tuple[list[Check], dict]:
 
 
 def cmd_nielsen_flat(args: argparse.Namespace) -> tuple[list[Check], dict]:
-    lattice, cell, cls, checks, payload = flats.nielsen_flat(args.scale)
-    return _cell_report(lattice, cell, cls, args.out, args.precision, checks, payload)
+    lattice, cell, cls, model_checks, model_payload = flats.nielsen_flat(args.scale)
+    checks, payload = _cell_report(lattice, cell, cls, args.out, args.precision)
+    return checks + model_checks, {**payload, **model_payload}
 
 
 def cmd_lemma_pq(args: argparse.Namespace) -> tuple[list[Check], dict]:

@@ -15,9 +15,9 @@ block cycles once, with prefix sums of integer translations, and
 inducing copies integer slices; neither checks its product again.
 Translation lengths are read off the cycles in integer numerators, and
 the witness point is returned as integers over one denominator, so the
-returned length is the one Fraction built (``linalg.solve`` halves
-values on a cycle of sign product -1, which no induced cyclic action
-has).  The equidistance constraints are evaluated on integer vectors
+returned length is the one Fraction built (``linalg.solve`` returns
+twice the witness, so even a cycle of sign product -1 builds no
+half-integer).  The equidistance constraints are evaluated on integer vectors
 over the common denominators of tau and a; the one Fraction they build
 is the value ``elimination_combination`` returns.  The flat model
 translates by integer vectors, summed as integers.  The equidistance
@@ -178,9 +178,9 @@ def trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[int, ...], int]:
     the kernel, the fixed space, so t - proj t lies in the image of
     O - I, the orthogonal complement of the fixed space, only if proj t
     is the orthogonal projection, and otherwise ``solve`` finds no
-    witness.  ``solve`` may return halves on a cycle of sign product -1,
-    and the witness is then doubled over 2 q g.den.  Fractions are built
-    only for the length.  Raises RuntimeError if the witness cannot be
+    witness.  ``solve`` returns twice the witness, integers even where a
+    cycle of sign product -1 halves it, and the witness over 2 q g.den is
+    reduced with one gcd.  A Fraction is built only for the length.  Raises RuntimeError if the witness cannot be
     solved for or does not move by exactly proj t.
     """
     k, t = g.block_dim, g.translation
@@ -198,20 +198,15 @@ def trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[int, ...], int]:
     for r, p in zip(rows, map(mul, sigma, chain.from_iterable(map(repeat, scaled, lengths)))):
         proj[r] = p
     tq = [q * x for x in t]
+    # solve returns twice the witness, over 2 q g.den.
     witness = linalg.solve(g, [p - x for x, p in zip(tq, proj)])
     if witness is None:
         raise RuntimeError("fixed-space projection left an unsolvable residual")
-    scale = 1
-    if Fraction in map(type, witness):
-        scale = 2
-        witness = [int(2 * w) for w in witness]
-        tq = [2 * x for x in tq]
-    moved = [r + x - w for r, x, w in zip(g._rotate(witness), tq, witness)]
-    if moved != ([scale * p for p in proj] if scale > 1 else proj):
+    moved = [r + 2 * x - w for r, x, w in zip(g._rotate(witness), tq, witness)]
+    if moved != [2 * p for p in proj]:
         raise RuntimeError("witness displacement differs from the projected translation")
-    den = q * g.den
-    length_sq = Fraction(sum(p * p for p in proj), den * den)
-    den *= scale
+    length_sq = Fraction(sum(p * p for p in proj), (q * g.den) ** 2)
+    den = 2 * q * g.den
     common = gcd(den, *witness)
     if common > 1:
         den //= common

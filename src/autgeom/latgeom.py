@@ -19,14 +19,14 @@ Generators come in as Vec3 named tuples of Fractions and are scaled
 once to integer rows over their least common denominator; a Lattice
 holds its echelon rows and a Polytope its points, each a named tuple
 over one denominator.
-Fractions are built only for the values returned: the covolume, the
-volume, octo_check's squared norms and the diagonal ratios; the OFF
-export renders its decimals and exact pairs from the integers.  Lengths
-are handled as squared values so no square root is ever taken: a
-claimed diagonal ratio of 1:sqrt(2) appears as a squared ratio of
-exactly 2.  ``classify`` and ``octo_check`` return what a report
-prints: the classification payload, and the four conditions as Checks
-whose rationals are rendered by ``fraction_str``.
+Fractions are built only for the values returned: the covolume and the
+volume.  octo_check's squared norms and the diagonal ratios stay integer
+pairs, rendered by ``ratio_str``, and the OFF export renders its
+decimals and exact pairs from the integers.  Lengths are handled as
+squared values so no square root is ever taken: a claimed diagonal ratio
+of 1:sqrt(2) appears as a squared ratio of exactly 2.  ``classify`` and
+``octo_check`` return what a report prints: the classification payload,
+and the four conditions as Checks.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from .reports import Check, fraction_str
+from .reports import Check, ratio_str
 
 __all__ = [
     "Vec3",
@@ -459,17 +459,18 @@ def classify(poly: Polytope) -> dict:
             rhombi += len(edges) == 1
             d1 = _dist_sq(pts[2], pts[0])
             d2 = _dist_sq(pts[3], pts[1])
-            ratio = Fraction(max(d1, d2), min(d1, d2))
+            ratio = max(d1, d2), min(d1, d2)
         ratios.append(ratio)
     fv = poly.f_vector()
     all_rhombi = rhombi == len(ratios)
-    is_rd = fv == (14, 24, 12) and all_rhombi and all(r == 2 for r in ratios)
-    is_cube = fv == (8, 12, 6) and all_rhombi and all(r == 1 for r in ratios)
+    # all_rhombi leaves no None among the ratios.
+    is_rd = fv == (14, 24, 12) and all_rhombi and all(hi == 2 * lo for hi, lo in ratios)
+    is_cube = fv == (8, 12, 6) and all_rhombi and all(hi == lo for hi, lo in ratios)
     return {
         "f_vector": list(fv),
         "is_rhombic_dodecahedron": is_rd,
         "is_cube": is_cube,
-        "diag_ratios_sq": [None if r is None else fraction_str(r) for r in ratios],
+        "diag_ratios_sq": [None if r is None else ratio_str(*r) for r in ratios],
         "rhombic_faces": rhombi,
     }
 
@@ -496,7 +497,7 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> list[Check]:
     vectors = (u1, u2, v1, v2)
     (a1, a2, b1, b2), den = _int_rows(vectors)
     dots = [_dot(w, w) for w in (a1, a2, b1, b2)]
-    norms = [fraction_str(Fraction(n, den * den)) for n in dots]
+    norms = [ratio_str(n, den * den) for n in dots]
     equal_norms = len(set(dots)) == 1 and dots[0] != 0
     cross_terms = _dot(a1, b1) - _dot(a1, b2) - _dot(a2, b1) + _dot(a2, b2)
     witness = {

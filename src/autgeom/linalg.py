@@ -8,17 +8,16 @@ by O exactly when x[i] = signs[i] * x[source[i]] along it.  A cycle
 whose sign product is +1 carries one fixed vector per block coordinate,
 with entries +-1 and 1 at m, and ``kernel`` lists it once with those
 signs; a cycle whose sign product is -1 fixes only 0.  (O - I) x = b
-is solved along the same cycles, and x is integer for an integer b
-except on a -1 cycle, where it may be a half-integer.  There is no
-floating point.  ``flats.trans_length_sq`` calls ``kernel`` and
-``solve``, and ``flats.AffineIsometry.power`` walks ``_cycles``; ``g``
-is anything with ``block_dim``, ``source`` and ``signs``, such as a
-``flats.AffineIsometry``.
+is solved along the same cycles; ``solve`` returns 2 x, which is an
+integer vector for an integer b even where x has halves on a -1 cycle.
+There is no floating point and no Fraction.  ``flats.trans_length_sq``
+calls ``kernel`` and ``solve``, and ``flats.AffineIsometry.power`` walks
+``_cycles``; ``g`` is anything with ``block_dim``, ``source`` and
+``signs``, such as a ``flats.AffineIsometry``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 from typing import Iterator, Sequence
@@ -56,24 +55,25 @@ def kernel(g) -> list[tuple[list[int], tuple[int, ...]]]:
             for cycle, product in _cycles(g.source, signs) if product == 1]
 
 
-def solve(g, b: Sequence) -> list | None:
-    """The solution of (O - I) x = b that is 0 at the largest block of
-    every cycle of sign product +1, or None if b is inconsistent.
+def solve(g, b: Sequence[int]) -> list[int] | None:
+    """Twice the solution of (O - I) x = b that is 0 at the largest block
+    of every cycle of sign product +1, or None if b is inconsistent.
 
-    Each cycle is walked backwards with x[i] = signs[i] * x[source[i]]
-    - b[i], from a guess at its largest block m, and the row of m then
+    Each cycle is walked backwards with y[i] = signs[i] * y[source[i]]
+    - 2 b[i], from a guess at its largest block m, and the row of m then
     closes the cycle.  On a +1 cycle the guess is 0 and the closing row
-    must give 0 back; on a -1 cycle the guess 0 gives back some c, and
-    the value at m is c / 2.
+    must give 0 back; on a -1 cycle the guess 0 gives back some even c,
+    and y at m is c / 2.  So y = 2 x is an integer vector for an integer
+    b, and no half is ever built.
     """
     k, signs = g.block_dim, g.signs
-    x = [0] * len(b)
+    y = [0] * len(b)
 
     def walk(rows, blocks, top):
         value = top
         for r, i in zip(rows, blocks):
-            value = signs[i] * value - b[r]
-            x[r] = value
+            value = signs[i] * value - 2 * b[r]
+            y[r] = value
         return value
 
     for cycle, product in _cycles(g.source, signs):
@@ -82,7 +82,7 @@ def solve(g, b: Sequence) -> list | None:
             rows = back if k == 1 else [i * k + j for i in back]
             closing = walk(rows, back, 0)
             if product == -1:
-                walk(rows, back, Fraction(closing, 2))
+                walk(rows, back, closing // 2)
             elif closing:
                 return None
-    return x
+    return y

@@ -60,19 +60,16 @@ class Report(NamedTuple):
         }
 
 
-def fraction_str(x: Fraction | int) -> str:
-    """Exact decimal-free rendering: ``3/4`` or ``-2``."""
-    f = Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def ratio_str(num: int, den: int) -> str:
-    """``num / den`` for a positive ``den``, rendered as ``fraction_str``
-    renders it, without building a Fraction."""
+    """Exact decimal-free rendering of ``num / den`` for a positive
+    ``den``, in lowest terms: ``3/4`` or ``-2``."""
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def fraction_str(x: Fraction | int) -> str:
+    """A Fraction or int, rendered by ``ratio_str``."""
+    return ratio_str(x.numerator, x.denominator)
 
 
 # The most digits plus |exponent| in a rational literal, checked on the

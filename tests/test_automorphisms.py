@@ -8,7 +8,6 @@ from autgeom import glrep
 from autgeom import words as fw
 from autgeom.automorphisms import (
     commutator,
-    conjugate_expr,
     expr_power,
     format_expr,
     inverse,
@@ -20,6 +19,10 @@ from autgeom.automorphisms import (
 from conftest import is_reduced, naive_reduce, random_word, swap
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
+
+
+def conjugate(x, by):
+    return by + x + inverse(by)
 
 
 def all_pass(checks):
@@ -396,8 +399,8 @@ class TestVerifyRelation:
         assert aut.verify_relation(lhs, inverse(R(2, 1)))
 
     def test_inversion_swap(self):
-        assert aut.verify_relation(conjugate_expr(inverse(L(2, 1)), E(2)), R(2, 1))
-        assert aut.verify_relation(conjugate_expr(L(3, 1), E(2)), L(3, 1))
+        assert aut.verify_relation(conjugate(inverse(L(2, 1)), E(2)), R(2, 1))
+        assert aut.verify_relation(conjugate(L(3, 1), E(2)), L(3, 1))
 
     def test_out_mode_weaker(self):
         # Differ by an inner automorphism: equal in Out, not in Aut.
@@ -417,7 +420,7 @@ class TestVerifyRelation:
     def test_left_right_conjugate_all_ranks(self):
         # Every ordered index pair of rank 3, the rank of every expression.
         for i, j in itertools.permutations(range(1, 4), 2):
-            lhs = conjugate_expr(L(i, j), E(i))
+            lhs = conjugate(L(i, j), E(i))
             assert aut.verify_relation(lhs, inverse(R(i, j)))
 
 
@@ -498,6 +501,68 @@ class TestIdentitySuite:
         assert out_names[:len(aut_names)] == aut_names
         assert len(extra) == 6 and all(n.endswith("-mod-inner") for n in extra)
         assert {n.removesuffix("-mod-inner") for n in extra} <= set(aut_names)
+
+
+class TestRelationsParsedFromClaims:
+    # The sides each claim of the suite stood for when they were built
+    # factor by factor, before the claims became their one source.
+    HAND_BUILT = {
+        "[L23^-1, L31^-1] = L21^-1": (
+            commutator(inverse(L(2, 3)), inverse(L(3, 1))), inverse(L(2, 1))),
+        "[R23^-1, R31^-1] = R21^-1": (
+            commutator(inverse(R(2, 3)), inverse(R(3, 1))), inverse(R(2, 1))),
+        "E2 L21^-1 E2^-1 = R21": (conjugate(inverse(L(2, 1)), E(2)), R(2, 1)),
+        "E2 R21 E2^-1 = L21^-1": (conjugate(R(2, 1), E(2)), inverse(L(2, 1))),
+        "E2 L31 E2^-1 = L31": (conjugate(L(3, 1), E(2)), L(3, 1)),
+        "E2 R31 E2^-1 = R31": (conjugate(R(3, 1), E(2)), R(3, 1)),
+        **{
+            f"E{i} L{i}{j} E{i}^-1 = R{i}{j}^-1": (
+                conjugate(L(i, j), E(i)), inverse(R(i, j)))
+            for i, j in itertools.permutations(range(1, 4), 2)
+        },
+        **{
+            f"{x} {y} = {y} {x}": (gx + gy, gy + gx)
+            for (x, gx), (y, gy) in itertools.combinations(
+                {"L21": L(2, 1), "R21": R(2, 1), "L31": L(3, 1), "R31": R(3, 1)}.items(), 2)
+        },
+    }
+    HAND_BUILT_SIDES = {
+        "L21^-1 R21 L31^-1 R31": inverse(L(2, 1)) + R(2, 1) + inverse(L(3, 1)) + R(3, 1),
+        "L12": L(1, 2),
+        "R31": R(3, 1),
+        "E2 L21": E(2) + L(2, 1),
+    }
+
+    def test_claims_parse_to_the_hand_built_sides(self):
+        checks = aut.identity_suite("out")
+        relation_claims = {c.claim for c in checks
+                           if c.name.startswith(("commute-", "left-right-", "commutator-",
+                                                 "inversion-"))}
+        texts = {c.witness.get("product") or c.witness.get("phi") for c in checks
+                 if c.name.startswith(("z4-", "inner-functorial-"))}
+        assert relation_claims == set(self.HAND_BUILT)
+        assert texts == set(self.HAND_BUILT_SIDES)
+        for claim, sides in self.HAND_BUILT.items():
+            assert aut._relation(claim) == sides, claim
+        for text, expr in self.HAND_BUILT_SIDES.items():
+            assert aut._side(text) == expr, text
+
+    @pytest.mark.parametrize("mode", ["aut", "out"])
+    def test_witness_sides_parse_back_to_the_claim(self, mode):
+        checks = [c for c in aut.identity_suite(mode) if c.witness and "lhs" in c.witness]
+        assert len(checks) == (12 if mode == "aut" else 18)
+        for c in checks:
+            sides = aut._relation(c.claim)
+            witness = (aut.parse_autexpr(c.witness["lhs"]), aut.parse_autexpr(c.witness["rhs"]))
+            assert witness == sides, c.name
+            assert c.witness["mode"] == ("out" if c.name.endswith("-mod-inner") else "aut")
+
+    def test_each_side_is_parsed_once(self, monkeypatch):
+        aut.identity_suite("out")
+        calls = []
+        monkeypatch.setattr(aut, "parse_autexpr", lambda text: calls.append(text))
+        aut.identity_suite("out")
+        assert calls == []
 
 
 class TestExprGrammar:

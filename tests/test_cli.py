@@ -855,8 +855,13 @@ def test_voronoi_computes_covolume_twice(monkeypatch):
 
 
 def test_ratio_str_renders_as_fraction_str(rng):
-    # induce renders its witness from integers over one denominator.
+    # Reports render every rational through ratio_str: from integers over
+    # one denominator, or from a Fraction by fraction_str.  The reference
+    # is Fraction's own lowest terms.
     for _ in range(500):
         num, den = rng.randint(-10**6, 10**6), rng.choice((1, 2, 6, rng.randint(1, 10**4)))
-        assert ratio_str(num, den) == fraction_str(Fraction(num, den))
+        f = Fraction(num, den)
+        expected = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        assert ratio_str(num, den) == fraction_str(f) == expected
+    assert fraction_str(-4) == "-4"
     assert [ratio_str(0, 7), ratio_str(-6, 3), ratio_str(6, 4)] == ["0", "-2", "3/2"]

@@ -8,6 +8,7 @@ from autgeom import flats, latgeom as lg, linalg
 from autgeom.flats import AffineIsometry
 
 from conftest import octo_flags
+from test_linalg import dense_solve, o_minus_i
 
 
 def isometry(block_dim, source, signs, vector):
@@ -195,7 +196,7 @@ def fraction_trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[Fractio
         for i, x in u.items():
             proj[i] += m * x
     t = [q * x for x in g.translation]
-    witness = linalg.solve(g, [p - x for x, p in zip(t, proj)])
+    witness = dense_solve(o_minus_i(g), [p - x for x, p in zip(t, proj)])
     if witness is None:
         raise RuntimeError("fixed-space projection left an unsolvable residual")
     moved = [r + x - w for r, x, w in zip(g._rotate(witness), t, witness)]

@@ -123,11 +123,16 @@ def dense(u, n):
     return [u.get(c, 0) for c in range(n)]
 
 
-def check_entries(g, x):
-    """No float anywhere, and ints except on the cycles of sign product -1."""
+def doubled(x):
+    """Twice a dense solution, as solve returns it; None stays None."""
+    return None if x is None else [2 * v for v in x]
+
+
+def check_entries(g, y):
+    """y, twice a solution, is all ints, and odd only on the cycles of
+    sign product -1, where the solution may have halves."""
     halves = half_integer_coordinates(g)
-    assert all(type(v) is int or (type(v) is Fraction and c in halves)
-               for c, v in enumerate(x))
+    assert all(type(v) is int and (v % 2 == 0 or c in halves) for c, v in enumerate(y))
 
 
 class TestSolveKernel:
@@ -135,7 +140,7 @@ class TestSolveKernel:
         # A 2-cycle of sign product -1 fixes only 0: O - I is invertible.
         g = Perm(1, (1, 0), (1, -1))
         assert linalg.kernel(g) == []
-        assert linalg.solve(g, [4, 9]) == [Fraction(-13, 2), Fraction(-5, 2)]
+        assert linalg.solve(g, [4, 9]) == [-13, -5]
         assert dense_solve(o_minus_i(g), [4, 9]) == [Fraction(-13, 2), Fraction(-5, 2)]
 
     def test_inconsistent(self):
@@ -147,10 +152,11 @@ class TestSolveKernel:
     def test_underdetermined(self):
         g = Perm(1, (1, 2, 0), (1, -1, -1))
         a = o_minus_i(g)
-        b = [dot(row, [3, -1, 4]) for row in a]
-        x = linalg.solve(g, b)
-        assert [dot(row, x) for row in a] == b
-        assert x[2] == 0  # the largest block of the cycle
+        b = [int(dot(row, [3, -1, 4])) for row in a]
+        y = linalg.solve(g, b)
+        assert all(type(v) is int for v in y)
+        assert [dot(row, y) for row in a] == doubled(b)
+        assert y[2] == 0  # the largest block of the cycle
 
     def test_kernel_of_projection(self):
         # O reflects the first two coordinates: O - I is -2 times the
@@ -200,13 +206,15 @@ class TestAgainstDenseReference:
                 b = [rng.randint(-5, 5) for _ in a]
             expected = dense_solve(a, b)
             outcomes.add(expected is None)
-            assert linalg.solve(g, b) == expected
+            y = linalg.solve(g, b)
+            assert y == doubled(expected)
+            assert y is None or all(type(v) is int for v in y)
         assert outcomes == {True, False}
 
     def test_integer_input(self, rng):
-        # Integer right-hand sides give ints, except on cycles of sign
-        # product -1, whose closing pivot of 2 can halve them; no float
-        # may appear in any result.
+        # Integer right-hand sides give ints: twice the solution, whose
+        # entries on cycles of sign product -1, closing on a pivot of 2,
+        # can be halves.  No float or Fraction may appear in any result.
         halves = 0
         for _ in range(self.CASES):
             g = random_perm(rng)
@@ -217,23 +225,25 @@ class TestAgainstDenseReference:
             b = [int(dot(row, x)) for row in a] if rng.random() < 0.5 else [
                 rng.randint(-4, 4) for _ in a]
             sol = linalg.solve(g, b)
-            assert sol == dense_solve(a, b)
+            assert sol == doubled(dense_solve(a, b))
             if sol is not None:
                 check_entries(g, sol)
-                halves += any(type(v) is Fraction and v.denominator == 2 for v in sol)
+                halves += any(v % 2 for v in sol)
         assert halves > 0
 
 
 class TestIntegerEntries:
     def test_fixed_non_unit_pivots(self):
         # A block that O negates: (O - I) x = -2 x.
-        assert linalg.solve(Perm(1, (0,), (-1,)), [1]) == [Fraction(-1, 2)]
-        assert linalg.solve(Perm(2, (0,), (-1,)), [1, 4]) == [Fraction(-1, 2), F(-2)]
+        # The solutions are -1/2 and (-1/2, -2); solve returns them doubled.
+        assert linalg.solve(Perm(1, (0,), (-1,)), [1]) == [-1]
+        assert linalg.solve(Perm(2, (0,), (-1,)), [1, 4]) == [-1, -4]
         # A 3-cycle of sign product -1 closes on a pivot of 2 as well.
         g = Perm(1, (1, 2, 0), (1, 1, -1))
         assert linalg.kernel(g) == []
-        assert linalg.solve(g, [1, 0, 0]) == dense_solve(o_minus_i(g), [1, 0, 0]) == [
+        assert dense_solve(o_minus_i(g), [1, 0, 0]) == [
             Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)]
+        assert linalg.solve(g, [1, 0, 0]) == [-1, 1, 1]
 
     def test_unit_pivots_keep_integers(self, rng):
         # O - I for a signed permutation whose cycles all have sign
@@ -254,4 +264,4 @@ class TestIntegerEntries:
             b = [int(dot(row, x)) for row in a]
             sol = linalg.solve(g, b)
             assert all(type(y) is int for y in sol)
-            assert sol == dense_solve(a, b)
+            assert sol == doubled(dense_solve(a, b))
