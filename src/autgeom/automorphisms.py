@@ -50,7 +50,6 @@ __all__ = [
     "RANK",
     "nielsen_left",
     "nielsen_right",
-    "inversion",
     "inverse",
     "expr_power",
     "format_expr",
@@ -108,11 +107,6 @@ def nielsen_left(i: int, j: int) -> AutExpr:
 def nielsen_right(i: int, j: int) -> AutExpr:
     """rho_ij: a_i -> a_i a_j."""
     return (_factor("R", i, j, 1),)
-
-
-def inversion(i: int) -> AutExpr:
-    """epsilon_i: a_i -> a_i^-1."""
-    return (_factor("E", i, 0, 1),)
 
 
 def inverse(x: AutExpr) -> AutExpr:

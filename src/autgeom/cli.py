@@ -244,11 +244,20 @@ def cmd_induce(args: argparse.Namespace) -> tuple[list[Check], dict]:
     iso = flats.cyclic_induced(args.d, ell)
     length_sq, min_point, den = flats.trans_length_sq(iso)
     expected = ell * ell / args.d
-    # A d-th power whose rotation is not the identity fails the check,
-    # with its translation length.
+    # The d-th power must be exactly the translation by (ell, ..., ell).
+    # Both are in lowest terms, so equal isometries have equal fields.
     power = iso.power(args.d)
-    diagonal = power.source == tuple(range(args.d)) and power.signs == (1,) * args.d
-    power_length_sq = flats.trans_length_sq(power)[0]
+    diagonal = flats.AffineIsometry(1, tuple(range(args.d)), (1,) * args.d,
+                                    (ell.numerator,) * args.d, ell.denominator)
+    witness = {"power_length_sq": ratio_str(
+        sum(x * x for x in power.translation), power.den ** 2)}
+    if power != diagonal:
+        # A power of iso has d blocks of one coordinate each, so some
+        # block's source, sign or translation over power.den differs.
+        blocks = zip(power.source, power.signs, power.translation)
+        witness["first_differing_block"] = next(
+            i for i, (src, sign, t) in enumerate(blocks)
+            if (src, sign, t * ell.denominator) != (i, 1, ell.numerator * power.den))
     checks = [
         Check(
             "induced-length",
@@ -262,8 +271,8 @@ def cmd_induce(args: argparse.Namespace) -> tuple[list[Check], dict]:
         Check(
             "power-is-diagonal",
             "the d-th power translates diagonally with squared length d * ell^2",
-            diagonal and power_length_sq == args.d * ell * ell,
-            {"power_length_sq": fraction_str(power_length_sq)},
+            power == diagonal,
+            witness,
         ),
     ]
     return checks, {

@@ -65,6 +65,23 @@ def swap(i, j):
     return parse_autexpr(f"P{i}{j}")
 
 
+def inversion(i):
+    """The automorphism E_i inverting a_i."""
+    return parse_autexpr(f"E{i}")
+
+
+def fraction_equidistant_check(tau, p, q, a):
+    """Whether |tau + p a| = |tau + q a| = |tau|, evaluated in Fractions."""
+    tv, av = [Fraction(x) for x in tau], [Fraction(x) for x in a]
+    if len(tv) != len(av):
+        raise ValueError("tau and a have different dimensions")
+
+    def norm_sq(m):
+        return sum((t + m * x) ** 2 for t, x in zip(tv, av))
+
+    return norm_sq(p) == norm_sq(0) and norm_sq(q) == norm_sq(0)
+
+
 OCTO_CHECKS = ("equal-nonzero-norms", "sum-condition", "pair-orthogonality",
                "difference-orthogonality")
 

@@ -14,7 +14,8 @@ from autgeom import words as fw
 from autgeom.automorphisms import nielsen_left as L
 
 from conftest import (
-    apply_matrix, octo_flags, random_a3_even_word, random_raw, random_word, run_cli,
+    apply_matrix, fraction_equidistant_check, octo_flags, random_a3_even_word,
+    random_raw, random_word, run_cli,
 )
 from test_glrep import mat2_mul, random_stabilizing_endo
 from test_latgeom import FCC_GENS, random_rotation
@@ -182,7 +183,7 @@ def test_criterion_6_equidistance(rng):
             coarse = [Fraction(n) for n in range(-2, 3)]
             points = [[x, y, z] for x in coarse for y in coarse for z in coarse]
         for a in points:
-            if flats.equidistant_check(tau, p, q, a) and any(a):
+            if fraction_equidistant_check(tau, p, q, a) and any(a):
                 ok_random = False
                 break
     refusal_code, _ = run_cli(["lemma-pq", "--tau", "1,0", "--p", "2", "--q", "2"])

@@ -11,12 +11,11 @@ from autgeom.automorphisms import (
     expr_power,
     format_expr,
     inverse,
-    inversion,
     nielsen_left,
     nielsen_right,
 )
 
-from conftest import is_reduced, naive_reduce, random_word, swap
+from conftest import inversion, is_reduced, naive_reduce, random_word, swap
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
 
@@ -592,14 +591,14 @@ class TestExprGrammar:
             aut.parse_autexpr("L11")
         with pytest.raises(ValueError, match="^char 0: index 4 out of range"):
             aut.parse_autexpr("L14")  # out of range for rank 3
+        with pytest.raises(ValueError, match="^char 0: index 4 out of range"):
+            aut.parse_autexpr("E4")
 
     def test_constructors_check_indices(self):
         with pytest.raises(ValueError, match="^index 4 out of range for rank 3$"):
             L(1, 4)
         with pytest.raises(ValueError, match="^index 0 out of range for rank 3$"):
             R(0, 2)
-        with pytest.raises(ValueError, match="^index 4 out of range for rank 3$"):
-            E(4)
         with pytest.raises(ValueError, match="^indices must differ$"):
             L(2, 2)
 

@@ -132,8 +132,8 @@ class TestExitCodes:
         assert report.payload["error"].startswith("internal failure: RuntimeError")
 
     @pytest.mark.parametrize("power,length_sq", [
-        # The generator itself: squared length ell^2 / d.
-        (lambda self, k: self, "9/5"),
+        # The generator itself, which translates by (3, 0, 0, 0, 0).
+        (lambda self, k: self, "9"),
         # The generator's rotation with ell on every block: squared
         # length d * ell^2, as claimed, so only the rotation fails.
         (lambda self, k: flats.AffineIsometry(
@@ -142,15 +142,33 @@ class TestExitCodes:
     def test_power_that_keeps_a_rotation_fails_the_check(self, power, length_sq,
                                                          monkeypatch):
         # A d-th power whose rotation is not the identity is not read as
-        # a pure translation: power-is-diagonal fails with its length.
+        # a pure translation: power-is-diagonal fails with the squared
+        # norm of its translation, at block 0, which block 4 feeds.
         monkeypatch.setattr(flats.AffineIsometry, "power", power)
         code, report = run_cli(["induce", "--d", "5", "--ell", "3"])
         assert code == 1
         checks = {c.name: c for c in report.checks}
         assert checks["induced-length"].passed
         assert not checks["power-is-diagonal"].passed
-        assert checks["power-is-diagonal"].witness == {"power_length_sq": length_sq}
+        assert checks["power-is-diagonal"].witness == {
+            "power_length_sq": length_sq, "first_differing_block": 0}
         assert report.to_dict()["passed"] is False
+
+    def test_power_off_the_diagonal_fails_the_check(self, monkeypatch):
+        # The translation by (ell, -ell, ell, -ell) has squared length
+        # d * ell^2 and the identity rotation, but is not diagonal.
+        def power(self, k):
+            return flats.AffineIsometry(
+                1, tuple(range(k)), (1,) * k, (7, -7) * (k // 2), 3)
+
+        monkeypatch.setattr(flats.AffineIsometry, "power", power)
+        code, report = run_cli(["induce", "--d", "4", "--ell", "7/3"])
+        assert code == 1
+        checks = {c.name: c for c in report.checks}
+        assert checks["induced-length"].passed
+        assert not checks["power-is-diagonal"].passed
+        assert checks["power-is-diagonal"].witness == {
+            "power_length_sq": "196/9", "first_differing_block": 1}
 
     def test_error_report_echoes_arguments(self, tmp_path):
         out = str(tmp_path / "c.off")
@@ -449,14 +467,16 @@ def test_algebra_output_pinned(argv, code, digest):
 # cells of the benchmark's five lattice types (each once rotated by the
 # quaternion (1, 1, 1, 0) and scaled by 3/7, and once with a redundant
 # fourth generator), the Nielsen flat, a passing and two failing
-# four-vector checks, and two equidistance certificates.  They were recorded with the Voronoi kernel that
-# read the cell off plane triples; a kernel change that alters a vertex,
-# a face cycle, a halfspace or their order shows up here.  The voronoi
-# and nielsen-flat digests were recorded again when their reports began
-# to echo --out and --precision; nothing but the echoed arguments moved.
-# They and the lemma-pq digests were recorded once more when the euler
-# and eliminant-nonzero checks left the reports, and the eliminant moved
-# into the witness of elimination-identity.
+# four-vector checks, and two equidistance certificates.  They were
+# recorded with the Voronoi kernel that read the cell off plane triples;
+# a kernel change that alters a vertex, a face cycle, a halfspace or
+# their order shows up here.  The voronoi and nielsen-flat digests were
+# recorded again when their reports began to echo --out and --precision;
+# nothing but the echoed arguments moved.  They and the lemma-pq digests
+# were recorded once more when the euler and eliminant-nonzero checks
+# left the reports, and the eliminant moved into the witness of
+# elimination-identity.  The lemma-pq digests were recorded a third time
+# when the zero-passes check, which held for every input, left them.
 PINNED_GEOMETRY = [
     # fcc: rotated and scaled.
     (["voronoi", "--gens=3/7,3/7,0;-1/7,1/7,-4/7;3/7,0,-3/7",
@@ -547,9 +567,9 @@ PINNED_GEOMETRY = [
     (["nielsen-flat", "--scale", "1"], 0,
      "75dcb9809b1e8674cd99e3ad12cef9c392abdf75b7771b61087b1225909f82ec"),
     (["lemma-pq", "--tau", "1,0", "--p", "1", "--q", "2"], 0,
-     "46bd33e5c901625ca5ae5ec0bf1c25ad0c1a78828c68413379d6991e32f3692e"),
+     "838e976f689dada8a039b357da6a4135068d55495bc7e0381aa37ad8ddd7273d"),
     (["lemma-pq", "--tau=1/2,-3,0", "--p", "-4", "--q", "7"], 0,
-     "ae9ee68ed864af0f7bcb6cfe1e493e9c4e1f6efbb6c18ef5cfd3f6d9bab09c01"),
+     "b8a44ed61ada2f7575484f6d7a81ba74adb487b9bcdaf416b66a2f79f3de4082"),
 ]
 
 
@@ -852,6 +872,33 @@ def test_voronoi_computes_covolume_twice(monkeypatch):
     assert counts == {
         "covolume": 2, "polytope_volume": 1, "voronoi_cell": 1, "classify": 1
     }
+
+
+def test_induce_takes_one_translation_length(monkeypatch):
+    # The d-th power is compared with the diagonal translation, so only
+    # the generator's length is solved for.
+    calls = []
+    original = flats.trans_length_sq
+
+    def counted(g):
+        calls.append(g.blocks)
+        return original(g)
+
+    monkeypatch.setattr(flats, "trans_length_sq", counted)
+    for d in (1, 2, 34, 1000):
+        calls.clear()
+        code, _ = run_cli(["induce", "--d", str(d), "--ell=-5/12"])
+        assert (code, calls) == (0, [d])
+
+
+def test_dth_power_is_the_diagonal_translation(rng):
+    for _ in range(60):
+        d = rng.randint(1, 300)
+        ell = rng.choice((Fraction(0), Fraction(-rng.randint(1, 50), rng.randint(1, 9)),
+                          Fraction(rng.randint(1, 50), rng.randint(2, 9))))
+        power = flats.cyclic_induced(d, ell).power(d)
+        assert (power.block_dim, power.source, power.signs) == (1, tuple(range(d)), (1,) * d)
+        assert [Fraction(t, power.den) for t in power.translation] == [ell] * d
 
 
 def test_ratio_str_renders_as_fraction_str(rng):

@@ -5,9 +5,9 @@ import pytest
 from autgeom import automorphisms as aut
 from autgeom import glrep
 from autgeom import words as fw
-from autgeom.automorphisms import inversion, nielsen_left, nielsen_right
+from autgeom.automorphisms import nielsen_left, nielsen_right
 
-from conftest import is_reduced, random_a3_even_word, run_cli, swap
+from conftest import inversion, is_reduced, random_a3_even_word, run_cli, swap
 from test_words import RefLetter, ref_letters, ref_syms
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
