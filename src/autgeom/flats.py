@@ -235,13 +235,15 @@ def induced_action(
         raise ValueError("perm is not a permutation of the cosets")
     if len(base) != d:
         raise ValueError(f"need {d} base isometries, got {len(base)}")
+    # cyclic_induced passes one isometry d - 1 times, so each distinct
+    # base is checked once.
+    distinct = dict(zip(map(id, base), base)).values()
     k = base[0].block_dim
     m = base[0].blocks
-    for iso in base:
-        if iso.block_dim != k or iso.blocks != m:
-            raise ValueError("base isometries have inconsistent block structure")
+    if any(iso.block_dim != k or iso.blocks != m for iso in distinct):
+        raise ValueError("base isometries have inconsistent block structure")
 
-    den = lcm(*(iso.den for iso in base))
+    den = lcm(*(iso.den for iso in distinct))
     # order[c] is the coset that perm sends to coset c: output blocks
     # c * m .. c * m + m - 1 receive its base isometry, applied to the
     # blocks of input coset order[c].

@@ -10,8 +10,11 @@ of 24 Delaunay simplices and its faces the 14 subset sums.  Two
 authoritative gates verify the result: every vertex minimizes its
 distance over a box of lattice points holding all face normals, and the
 cell volume equals the covolume of the lattice (the tiling condition).
-The first is checked over half of the box, one of each pair +-a, after
-an exact check that the vertex set is centrally symmetric.
+The first is checked for half of the vertices over half of the box,
+one of each pair +-y and +-a, after an exact check that the vertex set
+is centrally symmetric.  The vertices are read off the Gram matrix of
+the superbase over one denominator, and lattice_from checks each
+generator against the echelon basis by back-substitution.
 Two more check that the faces lie on their bisector planes and satisfy
 Euler's formula.
 
@@ -35,6 +38,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lt, mul
 from typing import NamedTuple, Sequence
 
 from .reports import Check, ratio_str
@@ -166,6 +170,17 @@ def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return m[:h], u[:h]
 
 
+def _in_module(echelon: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
+    """Whether an integer row is an integer combination of echelon rows,
+    by back-substitution: taking the quotient at each pivot in turn
+    leaves a remainder of zero exactly then."""
+    for b in echelon:
+        k = next(k for k in range(3) if b[k])
+        q = row[k] // b[k]
+        row = [x - q * y for x, y in zip(row, b)]
+    return not any(row)
+
+
 def lattice_from(gens: Sequence[Vec3]) -> Lattice:
     """Build a lattice from 1..4 rational generators.
 
@@ -181,14 +196,14 @@ def lattice_from(gens: Sequence[Vec3]) -> Lattice:
         raise ValueError("all generators are zero")
     basis_rows, transform = _hnf(rows)
     # Two-way membership: each basis row is the tracked integer
-    # combination of the generator rows, and adding any generator row to
-    # the basis leaves its canonical echelon form unchanged.
+    # combination of the generator rows, and each generator row is an
+    # integer combination of the basis rows.
+    columns = list(zip(*rows))
     for coeffs, target in zip(transform, basis_rows):
-        if [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(3)] != target:
+        if [sum(map(mul, coeffs, col)) for col in columns] != target:
             raise RuntimeError("echelon transform failed verification")
-    for row in rows:
-        if _hnf(basis_rows + [row])[0] != basis_rows:
-            raise RuntimeError("generator not contained in echelon basis module")
+    if not all(_in_module(basis_rows, row) for row in rows):
+        raise RuntimeError("generator not contained in echelon basis module")
     # The least common denominator of the basis entries divides den.
     g = gcd(den, *itertools.chain.from_iterable(basis_rows))
     return Lattice(tuple(tuple(x // g for x in r) for r in basis_rows), den // g)
@@ -275,6 +290,58 @@ def _ring(letters: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [(a, b, c), (a, c, b), (c, a, b), (c, b, a), (b, c, a), (b, a, c)]
 
 
+# The 24 orderings (i, j, k, l) of the superbase, in lexicographic order.
+_ORDERINGS = tuple(itertools.permutations(range(4)))
+
+
+def _face_table() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each facet S of the permutohedron with the positions in _ORDERINGS
+    of the orderings that start with S, in their order around it.
+    Neighbours differ by one swap inside the head S or inside the tail;
+    the tail ring turns back on every other head, which closes the
+    square of |S| = 2."""
+    position = {order: n for n, order in enumerate(_ORDERINGS)}
+    table = []
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(range(4), size):
+            tails = _ring(tuple(k for k in range(4) if k not in subset))
+            ring = [head + tail for turn, head in enumerate(_ring(subset))
+                    for tail in (tails if turn % 2 == 0 else tails[::-1])]
+            table.append((subset, tuple(position[order] for order in ring)))
+    return tuple(table)
+
+
+_FACES = _face_table()
+
+
+def _centres(v: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int, int]], int]:
+    """(points, common): the circumcentre x of 0, v_i, v_i + v_j,
+    v_i + v_j + v_k for each ordering (i, j, k, l) in _ORDERINGS, as
+    integer points over their least common denominator.
+
+    With g the Gram matrix, s_m = 2 x.v_m is g_ii for m = i, g_jj + 2 g_ij
+    for j, g_kk + 2 (g_ik + g_jk) for k and, as the superbase sums to
+    zero, -g_ll for l; so x = (s1 v2 x v3 + s2 v3 x v1 + s3 v1 x v2) / N
+    with N = 2 det(v1, v2, v3).  As lcm(N / a_i) = N / gcd(a_i) for
+    divisors a_i of N, common is N over the gcd of N and the numerators.
+    """
+    g = [[_dot(a, b) for b in v] for a in v]
+    c1, c2, c3 = _cross(v[2], v[3]), _cross(v[3], v[1]), _cross(v[1], v[2])
+    det = _dot(v[1], c1)
+    # The matrix with columns c1, c2, c3, negated with det so N > 0.
+    sign = 1 if det > 0 else -1
+    rows = [(sign * a, sign * b, sign * c) for a, b, c in zip(c1, c2, c3)]
+    numerators = []
+    for i, j, k, l in _ORDERINGS:
+        s = {i: g[i][i], j: g[j][j] + 2 * g[i][j],
+             k: g[k][k] + 2 * (g[i][k] + g[j][k]), l: -g[l][l]}
+        s1, s2, s3 = s[1], s[2], s[3]
+        numerators.append([s1 * a + s2 * b + s3 * c for a, b, c in rows])
+    n = 2 * sign * det
+    h = gcd(n, *itertools.chain.from_iterable(numerators))
+    return [(x // h, y // h, z // h) for x, y, z in numerators], n // h
+
+
 def polytope_volume(poly: Polytope) -> Fraction:
     """Exact volume via origin-apex pyramids over each face."""
     pts = poly.vertices
@@ -286,10 +353,10 @@ def polytope_volume(poly: Polytope) -> Fraction:
     return Fraction(total, 6 * poly.den ** 3)
 
 
-# The coefficient vectors c > (0, 0, 0), in lexicographic order, of the
-# [-2, 2]^3 box: one of each pair +-c of its 124 nonzero vectors.
-_HALF_BOX = tuple(c for c in itertools.product(range(-2, 3), repeat=3)
-                  if c > (0, 0, 0))
+# The heads (c0, c1) > (0, 0) of the [-2, 2]^3 box.  Its vectors c > 0,
+# one of each pair +-c of its 124 nonzero vectors, are (0, 0, 1),
+# (0, 0, 2) and then each head with c2 = -2..2.
+_HEADS = tuple(h for h in itertools.product(range(3), range(-2, 3)) if h > (0, 0))
 
 
 def _minimal_distance_gate(vertices: Sequence[Sequence[int]],
@@ -299,19 +366,31 @@ def _minimal_distance_gate(vertices: Sequence[Sequence[int]],
     124 nonzero a = c0 v1 + c1 v2 + c2 v3 with c in [-2, 2]^3.
 
     The test of (y, c) is the test of (-y, -c), so once the vertex set
-    is checked to be centrally symmetric the half box decides every
-    pair; 2 y.a is read off the doubled products of y with v1, v2, v3.
-    Raises RuntimeError if either check fails.
+    is checked to be centrally symmetric, |2 y.a| <= common |a|^2 for
+    y > (0, 0, 0) and c > (0, 0, 0) decides all four pairs (+-y, +-c).
+    2 y.a is c.t for the doubled products t of y with v1, v2, v3, and
+    |a|^2 is c G c for their Gram matrix G, each summed a head (c0, c1)
+    at a time.  Raises RuntimeError if either check fails.
     """
     if {(-x, -y, -z) for x, y, z in vertices} != set(vertices):
         raise RuntimeError("vertex set is not centrally symmetric")
-    products = [(2 * _dot(y, v[1]), 2 * _dot(y, v[2]), 2 * _dot(y, v[3]))
-                for y in vertices]
-    for c0, c1, c2 in _HALF_BOX:
-        a = [c0 * x + c1 * y + c2 * z for x, y, z in zip(v[1], v[2], v[3])]
-        limit = common * _dot(a, a)
-        if max([c0 * t0 + c1 * t1 + c2 * t2 for t0, t1, t2 in products]) > limit:
-            raise RuntimeError("vertex fails the minimal-distance gate")
+    # Entry n of limits and of dots belongs to the n-th c > (0, 0, 0) in
+    # the order of _HEADS: common |a|^2 and 2 y.a.
+    (g11, g12, g13), (_, g22, g23), (_, _, g33) = (
+        [common * _dot(a, b) for b in v[1:]] for a in v[1:])
+    heads = [(c0 * (c0 * g11 + 2 * c1 * g12) + c1 * c1 * g22, 2 * (c0 * g13 + c1 * g23))
+             for c0, c1 in _HEADS]
+    limits = [g33, 4 * g33] + [q + c2 * (lin + c2 * g33)
+                               for q, lin in heads for c2 in range(-2, 3)]
+    _, v1, v2, v3 = v
+    for y in vertices:
+        if y > (0, 0, 0):
+            t1, t2, t3 = 2 * _dot(y, v1), 2 * _dot(y, v2), 2 * _dot(y, v3)
+            c2_terms = (-2 * t3, -t3, 0, t3, 2 * t3)
+            dots = [t3, 2 * t3] + [p + z for p in [c0 * t1 + c1 * t2 for c0, c1 in _HEADS]
+                                   for z in c2_terms]
+            if any(map(lt, limits, map(abs, dots))):
+                raise RuntimeError("vertex fails the minimal-distance gate")
 
 
 def voronoi_cell(lat: Lattice) -> Polytope:
@@ -323,28 +402,27 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     lattices VI", Proc. R. Soc. Lond. A 436, 1992).  Its vertices are
     the circumcentres of the 24 Delaunay simplices
     0, v_i, v_i + v_j, v_i + v_j + v_k, one per ordering (i, j, k, l) of
-    the superbase.  Its facets are the 14 nonempty proper subsets S of
-    {0, 1, 2, 3}, with normal v_S = sum of v_i over S and bounded by the
-    orderings that start with S: a hexagon for |S| = 1 or 3, a square
-    for |S| = 2.  Two orderings that differ by swapping adjacent letters
-    i, j have the same circumcentre exactly when v_i.v_j = 0, so
-    repeated vertices are dropped from each cycle and a facet with fewer
-    than three vertices left is not a facet.
+    the superbase, read off its Gram matrix by ``_centres``.  Its facets
+    are the 14 nonempty proper subsets S of {0, 1, 2, 3}, with normal
+    v_S = sum of v_i over S and bounded by the orderings that start with
+    S (``_FACES``): a hexagon for |S| = 1 or 3, a square for |S| = 2.
+    Two orderings that differ by swapping adjacent letters i, j have the
+    same circumcentre exactly when v_i.v_j = 0, so repeated vertices are
+    dropped from each cycle and a facet with fewer than three vertices
+    left is not a facet.
 
     Before returning, four gates are enforced exactly, each raising
     RuntimeError.  Gate 1: every vertex is at minimal squared distance
     from the origin among the 124 nonzero lattice points of the
     [-2, 2]^3 coefficient box over v1, v2, v3; the box holds all 14 v_S,
-    so every vertex satisfies every face halfspace.  The gate first
-    checks exactly that the vertex set is centrally symmetric, then
-    tests every vertex against the 62 box points with coefficient
-    vector c > (0, 0, 0): the test of vertex y against a is the test of
-    -y against -a, so all 124 points are still decided.  The plane gate
-    checks that each face's vertices lie on the bisector plane of its
-    v_S, and the Euler gate that V - E + F = 2, so the polytope is the
-    intersection of halfspaces x.v_S <= |v_S|^2/2 that bisect true
-    lattice vectors and holds the cell.  Gate 2: its volume equals
-    |det basis|, which forces it to be the cell.
+    so every vertex satisfies every face halfspace.  After an exact
+    check that the vertex set is centrally symmetric, it tests half the
+    vertices against half the box, each test deciding the pairs +-y,
+    +-a.  The plane gate checks that each face's vertices lie on the
+    bisector plane of its v_S, and the Euler gate that V - E + F = 2, so
+    the polytope is the intersection of halfspaces x.v_S <= |v_S|^2/2
+    that bisect true lattice vectors and holds the cell.  Gate 2: its
+    volume equals |det basis|, which forces it to be the cell.
 
     Internally a lattice vector a is the integer row A = lat.den * a and
     a point x is y = lat.den * x, so the halfspace of A reads
@@ -356,59 +434,28 @@ def voronoi_cell(lat: Lattice) -> Polytope:
         raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
     v = _obtuse_superbase(lat.rows)
 
-    # Homogeneous circumcentres (X, Y, Z, D) with y = (X, Y, Z) / D, D > 0
-    # and gcd 1: the planes 2 y.p_t = |p_t|^2 through the partial sums
-    # p_1, p_2, p_3 of an ordering meet at
-    # y = sum |p_t|^2 (p_u x p_w) / (2 det) by Cramer's rule.
-    centres = {}
-    for order in itertools.permutations(range(4)):
-        p1 = v[order[0]]
-        p2 = _add(p1, v[order[1]])
-        p3 = _add(p2, v[order[2]])
-        c1, c2, c3 = _cross(p2, p3), _cross(p3, p1), _cross(p1, p2)
-        n1, n2, n3 = _dot(p1, p1), _dot(p2, p2), _dot(p3, p3)
-        det = _dot(p1, c1)
-        p = [n1 * c1[k] + n2 * c2[k] + n3 * c3[k] for k in range(3)] + [2 * det]
-        if det < 0:
-            p = [-x for x in p]
-        g = gcd(*p)
-        centres[order] = tuple(x // g for x in p)
-    # One common denominator: the vertices become integer points, and
-    # their lexicographic order is that of their rational coordinates.
-    common = lcm(*(p[3] for p in centres.values()))
-    scaled = {
-        order: tuple(x * (common // p[3]) for x in p[:3])
-        for order, p in centres.items()
-    }
-    vertices = sorted(set(scaled.values()))
+    centres, common = _centres(v)
+    # The order of the integer points is that of their rational coordinates.
+    vertices = sorted(set(centres))
     index = {y: i for i, y in enumerate(vertices)}
+    at = [index[y] for y in centres]
 
     _minimal_distance_gate(vertices, v, common)
 
     faces = []
-    for size in (1, 2, 3):
-        for subset in itertools.combinations(range(4), size):
-            # Neighbours on the boundary differ by one swap inside the head
-            # S or inside the tail; the tail ring turns back on every other
-            # head, which closes the square of |S| = 2.
-            rest = tuple(k for k in range(4) if k not in subset)
-            tails = _ring(rest)
-            ring = [
-                index[scaled[head + tail]]
-                for turn, head in enumerate(_ring(subset))
-                for tail in (tails if turn % 2 == 0 else tails[::-1])
-            ]
-            cycle = [x for i, x in enumerate(ring) if x != ring[i - 1]]
-            if len(cycle) < 3:
-                continue
-            # Canonical form: start at the smallest index, then go toward
-            # the smaller neighbour.
-            start = cycle.index(min(cycle))
-            cycle = cycle[start:] + cycle[:start]
-            if cycle[-1] < cycle[1]:
-                cycle = [cycle[0]] + cycle[:0:-1]
-            normal = tuple(common * sum(v[i][k] for i in subset) for k in range(3))
-            faces.append((tuple(cycle), normal))
+    for subset, positions in _FACES:
+        ring = [at[n] for n in positions]
+        cycle = [x for i, x in enumerate(ring) if x != ring[i - 1]]
+        if len(cycle) < 3:
+            continue
+        # Canonical form: start at the smallest index, then go toward
+        # the smaller neighbour.
+        start = cycle.index(min(cycle))
+        cycle = cycle[start:] + cycle[:start]
+        if cycle[-1] < cycle[1]:
+            cycle = [cycle[0]] + cycle[:0:-1]
+        normal = tuple(common * sum(c) for c in zip(*[v[i] for i in subset]))
+        faces.append((tuple(cycle), normal))
     faces.sort(key=lambda face: sorted(face[0]))
     poly = Polytope(
         tuple(vertices),
@@ -420,7 +467,8 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     # The plane gate: a face at x.a = |a|^2 / 2 reads 2 p.n = |n|^2 for
     # the integer point p and face vector n over the one denominator.
     for cycle, n in zip(poly.faces, poly.normals):
-        if any(2 * _dot(vertices[i], n) != _dot(n, n) for i in cycle):
+        norm_sq = _dot(n, n)
+        if any(2 * _dot(vertices[i], n) != norm_sq for i in cycle):
             raise RuntimeError("face vertex misses its bisector plane")
     n_v, n_e, n_f = poly.f_vector()
     if n_v - n_e + n_f != 2:
@@ -604,6 +652,6 @@ def export_off(poly: Polytope, path: str, precision: int = 6) -> tuple[str, str]
         ],
     }
     with open(sidecar, "w", encoding="ascii") as fh:
-        json.dump(data, fh, indent=1)
+        fh.write(json.dumps(data, indent=1))
     return path, sidecar
 

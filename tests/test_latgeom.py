@@ -440,6 +440,36 @@ class TestLatticeFrom:
             other = lg.lattice_from(random_unimodular_gens(rng, FCC_GENS))
             assert other == base
 
+    def test_back_substitution_matches_echelon_membership(self, rng):
+        # Integer combinations of the basis rows, some moved off by a
+        # small vector, against the canonical-form test of in_lattice.
+        outcomes = set()
+        for rank in (1, 2, 3):
+            for _ in range(40):
+                lat = lg.lattice_from(random_quadruple_of_rank(rng, rank))
+                for _ in range(5):
+                    coeffs = [rng.randint(-3, 3) for _ in lat.rows]
+                    row = [sum(c * r[k] for c, r in zip(coeffs, lat.rows))
+                           + rng.choice((0, rng.randint(-2, 2))) for k in range(3)]
+                    member = in_lattice(lat, Vec3(*(Fraction(x, lat.den) for x in row)))
+                    assert lg._in_module(lat.rows, row) == member
+                    outcomes.add(member)
+        assert outcomes == {True, False}
+
+    def test_generator_outside_the_basis_module_refused(self, monkeypatch):
+        # An echelon form with its first pivot row doubled, and its
+        # transform row with it, still passes the transform check, but
+        # it no longer spans the generators.
+        original = lg._hnf
+
+        def doubled(rows):
+            m, u = original(rows)
+            return [[2 * x for x in m[0]], *m[1:]], [[2 * x for x in u[0]], *u[1:]]
+
+        monkeypatch.setattr(lg, "_hnf", doubled)
+        with pytest.raises(RuntimeError, match="generator not contained"):
+            lg.lattice_from(FCC_GENS)
+
 
 class TestOctoCheck:
     def test_canonical_quadruple(self):
@@ -677,6 +707,31 @@ def circumcentres(superbase):
     return centres
 
 
+def selling_zero_pattern(superbase):
+    """The pairs i < j with v_i.v_j = 0, up to relabelling: how many there
+    are and how many of the four vectors they touch.  The five patterns
+    are those of the five cells: none (24 vertices), one (18), two that
+    share a vector (12), two disjoint (14) and a triangle of three (8)."""
+    zeros = [(i, j) for i, j in itertools.combinations(range(4), 2)
+             if lg._dot(superbase[i], superbase[j]) == 0]
+    return len(zeros), len(set(itertools.chain.from_iterable(zeros)))
+
+
+class TestCentres:
+    def test_gram_centres_match_cramer(self, rng):
+        # The centres read off the Gram matrix over one least denominator
+        # against Cramer's rule on the partial sums of each ordering.
+        patterns = set()
+        for _ in range(300):
+            superbase = ORIGINAL_SUPERBASE(random_lattice(rng).rows)
+            points, common = lg._centres(superbase)
+            assert gcd(common, *itertools.chain.from_iterable(points)) == 1
+            assert [tuple(Fraction(x, common) for x in p) for p in points] == [
+                tuple(Fraction(x, d) for x in p) for p, d in circumcentres(superbase)]
+            patterns.add(selling_zero_pattern(superbase))
+        assert patterns == {(0, 0), (1, 2), (2, 3), (2, 4), (3, 3)}
+
+
 class TestGates:
     # The superbase (1,0,0), (5,1,0), (0,7,1) of the cube lattice, with
     # v0 = -(6,8,1), is not obtuse, so its circumcentres are not the
@@ -755,6 +810,7 @@ class TestGates:
     @pytest.mark.parametrize("ring,message", FACE_GATES, ids=["plane", "euler"])
     def test_face_gate_fires(self, monkeypatch, ring, message):
         monkeypatch.setattr(lg, "_ring", ring)
+        monkeypatch.setattr(lg, "_FACES", lg._face_table())
         with pytest.raises(RuntimeError, match=message):
             lg.voronoi_cell(lg.lattice_from(FCC_GENS))
 
@@ -763,6 +819,7 @@ class TestGates:
         from autgeom.cli import INTERNAL_ERROR
 
         monkeypatch.setattr(lg, "_ring", ring)
+        monkeypatch.setattr(lg, "_FACES", lg._face_table())
         code, report = run_cli(["voronoi", "--gens", "1,1,0;1,-1,0;1,0,1;1,0,-1"])
         assert code == INTERNAL_ERROR
         assert message in report.payload["error"]
