@@ -9,8 +9,10 @@ gate or self-check failed (a ``RuntimeError``, named in the report).
 Every report names its subcommand and echoes the parsed arguments
 except ``--pretty``.  Error reports go to stderr, have no checks and
 carry ``"passed": false``.
-A process parses every request with one parser; subcommand ``x-y`` runs
-``cmd_x_y``, found by that name when the request runs.
+A process builds one parser and parses each request once: a request
+that names a subcommand goes straight to that subcommand's parser.
+Subcommand ``x-y`` runs ``cmd_x_y``, found by that name when the
+request runs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .words import MAX_WORD_LETTERS, ab_vector, format_word, parse_word
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 _parser: argparse.ArgumentParser | None = None  # see build_parser
+_commands: dict[str, argparse.ArgumentParser] = {}  # subcommand -> its parser
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
@@ -191,9 +194,9 @@ def _cell_report(lattice: latgeom.Lattice, cell: latgeom.Polytope, cls: dict,
         "off_path": None,
         "sidecar_path": None,
     }
-    # cell-tiles records gate 2, which forces the polytope to be the
-    # cell.  It is the one cell check: a report with no checks does not
-    # pass, and the Euler gate is not restated.
+    # cell-tiles records gate 2, which with the Euler gate forces the
+    # polytope to be the cell.  It is the one cell check: a report with
+    # no checks does not pass, and the Euler gate is not restated.
     checks = [
         Check(
             "cell-tiles",
@@ -290,7 +293,10 @@ def cmd_induce(args: argparse.Namespace) -> tuple[list[Check], dict]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser: built on the first call, then reused.
-    It holds no handlers; ``_dispatch`` finds them by subcommand name."""
+    It holds no handlers; ``_dispatch`` finds them by subcommand name.
+    The first call also records each subcommand's parser in
+    ``_commands``, where ``_dispatch`` picks it by the request's first
+    word."""
     global _parser
     if _parser is not None:
         return _parser
@@ -371,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "through an index-d subgroup translating by ell")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--ell", required=True, help="rational translation length")
+    _commands.update(sub.choices)
     _parser = parser
     return parser
 
@@ -392,7 +399,13 @@ def _render_pretty(report: Report) -> str:
 def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
     """The one error boundary: parse argv, run the subcommand, map outcomes.
 
-    Each request parses with the one parser of ``build_parser`` and runs
+    A request whose first word names a subcommand is parsed once, by
+    that subcommand's parser from ``build_parser``, as the top-level
+    parser would hand it on; arguments it leaves over get the top-level
+    "unrecognized arguments" error that ``parse_args`` gives.  Any other
+    argv (empty, ``-h``, an option before the subcommand, ``--`` or an
+    unknown name) goes through the top-level ``parse_args``, which only
+    ever prints help or a usage error for it.  The request then runs
     ``cmd_<subcommand>`` as the module binds it when the request runs.
     The handler returns its checks and payload; the report names the
     subcommand and echoes every parsed argument except ``--pretty``.  A
@@ -403,7 +416,19 @@ def _dispatch(argv: list[str] | None) -> tuple[argparse.Namespace, int, Report]:
     ``payload["error"]`` carries the message.
     """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _commands.get(argv[0]) if argv else None
+    if command is None:
+        # No subcommand first: this ends in help or a usage error.
+        args = parser.parse_args(argv)
+    else:
+        # The top-level parser hands argv[1:] on to the subcommand's
+        # parser whole; seeding the namespace keeps vars(args) in order.
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     for dest, value in vars(args).items():
         # argparse strips the "--" of "--opt=--" and stores what is left,
         # an empty list, without converting it.

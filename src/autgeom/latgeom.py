@@ -422,7 +422,10 @@ def voronoi_cell(lat: Lattice) -> Polytope:
     bisector plane of its v_S, and the Euler gate that V - E + F = 2, so
     the polytope is the intersection of halfspaces x.v_S <= |v_S|^2/2
     that bisect true lattice vectors and holds the cell.  Gate 2: its
-    volume equals |det basis|, which forces it to be the cell.
+    volume equals |det basis|, which forces it to be the cell.  That
+    holds only together with the Euler gate: faces cycled in a wrong
+    order on the right vertices can keep the volume and break only
+    V - E + F = 2.
 
     Internally a lattice vector a is the integer row A = lat.den * a and
     a point x is y = lat.den * x, so the halfspace of A reads

@@ -82,7 +82,14 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse a rational literal of at most MAX_LITERAL_SIZE."""
+    """Parse a rational literal of at most MAX_LITERAL_SIZE.
+
+    The size cap is checked first.  A literal that is an optional sign
+    and ASCII decimal digits, with whitespace around it, is then read by
+    ``int``, and any other literal by ``Fraction``'s own parser, whose
+    refusal is reported with the text as given.  The two readers agree
+    on every literal the first one takes, so the cap, the values and
+    the messages are as ``Fraction``'s parser alone gives them."""
     size = sum(map(str.isdigit, text))
     exponent = _EXPONENT.search(text) if size <= MAX_LITERAL_SIZE else None
     if exponent:
@@ -90,7 +97,11 @@ def parse_fraction(text: str) -> Fraction:
     if size > MAX_LITERAL_SIZE:
         raise ValueError(f"rational literal too large: digits plus |exponent| "
                          f"come to {size}, over the cap of {MAX_LITERAL_SIZE}")
+    literal = text.strip()
+    digits = literal[1:] if literal[:1] in ("+", "-") else literal
+    if digits.isascii() and digits.isdigit():
+        return Fraction(int(literal))
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None

@@ -13,7 +13,8 @@ import pytest
 from autgeom import automorphisms as aut
 from autgeom import cli, flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
-from autgeom.reports import MAX_LITERAL_SIZE, fraction_str, ratio_str
+from autgeom import reports
+from autgeom.reports import MAX_LITERAL_SIZE, fraction_str, parse_fraction, ratio_str
 
 from conftest import run_cli
 
@@ -912,3 +913,52 @@ def test_ratio_str_renders_as_fraction_str(rng):
         assert ratio_str(num, den) == fraction_str(f) == expected
     assert fraction_str(-4) == "-4"
     assert [ratio_str(0, 7), ratio_str(-6, 3), ratio_str(6, 4)] == ["0", "-2", "3/2"]
+
+
+def parse_fraction_reference(text):
+    """``parse_fraction`` before integer literals were read by ``int``:
+    the size cap, then every literal through ``Fraction``'s parser."""
+    size = sum(map(str.isdigit, text))
+    exponent = reports._EXPONENT.search(text) if size <= MAX_LITERAL_SIZE else None
+    if exponent:
+        size += abs(int(exponent[1].replace("_", "")))
+    if size > MAX_LITERAL_SIZE:
+        raise ValueError(f"rational literal too large: digits plus |exponent| "
+                         f"come to {size}, over the cap of {MAX_LITERAL_SIZE}")
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from None
+
+
+def literal_outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), type(value.numerator), value.numerator, value.denominator
+
+
+LITERAL_EDGE_CASES = [
+    "0", "-0", "+0", "007", "-007", " 12\t", "\n-5 ", "\u2003+4\u2003", "+-3", "--3",
+    "-+3", "+", "-", "", " ", "\u0663", "-\u0663\u0664", "\u00b2", "1\u00b2", "1_0",
+    "-1_000", "_1", "1e3", "1e38", "-1.5e36", "1/0", "-3/4", "1/2", " 1 / 2", "1.", ".5",
+    "0x10", "1 2",
+    "9" * MAX_LITERAL_SIZE, "-" + "9" * MAX_LITERAL_SIZE, "9" * (MAX_LITERAL_SIZE + 1),
+    "+" + "0" * (MAX_LITERAL_SIZE + 1), "1e" + "9" * 5000, "9" * 5000,
+]
+
+
+def test_integer_literals_parse_as_fraction_parses_them(rng):
+    # Random literals from signs, digits (ASCII and not), separators and
+    # whitespace, and random integers of up to 41 digits with leading
+    # zeros, signs and surrounding whitespace.
+    pieces = ["", "+", "-", "0", "7", "12", "\u0663", "\u00b2", "_", "/", ".", "e", " ", "\t"]
+    texts = ["".join(rng.choices(pieces, k=rng.randint(1, 6))) for _ in range(3000)]
+    for _ in range(3000):
+        digits = "0" * rng.choice((0, 0, 1, 3)) + str(rng.randint(0, 10 ** rng.randint(0, 41)))
+        texts.append(rng.choice(("", " ", "\t")) + rng.choice(("", "+", "-")) + digits
+                     + rng.choice(("", " ", "\n")))
+    for text in LITERAL_EDGE_CASES + texts:
+        assert literal_outcome(parse_fraction, text) == literal_outcome(
+            parse_fraction_reference, text), text

@@ -5,12 +5,17 @@ and malformed values, options left out and an unknown flag now and
 then.  Whatever the input, argparse refuses it with ``SystemExit(2)``
 or ``cli.run`` returns exit code 0, 1, 2 or 3 and a report that renders
 as JSON, where only exit code 0 says ``"passed": true``, within a time
-budget.
+budget.  The same argvs, the benchmark's requests and a list of edge
+cases parse as the top-level ``parse_args`` parses them.
 """
 
+import contextlib
+import io
 import json
 import pathlib
+import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -179,3 +184,89 @@ def test_exit_code_contract(argv, out_dir):
     assert data["passed"] is (code == 0)
     if code >= 2:
         assert data["checks"] == [] and data["payload"]["error"]
+
+
+def parse_args_reference(argv):
+    """How ``cli._dispatch`` parsed every request before it went straight
+    to the subcommand's parser: the top-level ``parse_args``, then the
+    refusal of an option whose value was "--"."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+    return args
+
+
+def dispatch_parse(argv):
+    """The namespace ``cli._dispatch`` parses argv into, with every
+    handler stubbed out."""
+    stubs = {name: lambda args: ([], {}) for name in vars(cli) if name.startswith("cmd_")}
+    with mock.patch.multiple(cli, **stubs):
+        return cli._dispatch(argv)[0]
+
+
+def parse_outcome(parse, argv):
+    """The parsed arguments in order, or the exit code; with the bytes
+    written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(parse(list(argv))).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def assert_parses_as_parse_args(argv):
+    assert parse_outcome(dispatch_parse, argv) == parse_outcome(parse_args_reference, argv)
+
+
+OCTO = ["--u1=0,2,2", "--u2=0,-2,2", "--v1=2,0,2", "--v2=-2,0,2"]
+GPQ = ["--n", "4", "--p", "1", "--q", "2", "--w", "a1"]
+PARSE_EDGE_CASES = [
+    [], ["-h"], ["--help"], ["--he"], ["gpq", "-h"], ["gpq", "--he"],
+    ["--pretty", "check-octo", *OCTO], ["check-octo", *OCTO, "--pretty"],
+    ["--", "gpq", *GPQ], ["gpq", "--", *GPQ], ["bogus"], ["Gpq", *GPQ],
+    ["gpq", *GPQ, "--bogus", "x"], ["check-octo", *OCTO, "--bogus", "1"],
+    ["gpq", *GPQ, "a2"], ["gl-rep"], ["gl-rep", "L12", "L21"],
+    ["sanov", "--max", "8"], ["sanov", "--p", "3"], ["gpq", "--p", "1"],
+    ["lemma-pq", "--tau=--", "--p", "1", "--q", "2"], ["lemma-pq", "--tau", "-1,0"],
+    ["induce", "--d", "x", "--ell", "1"], ["verify-relations", "--mode", "bogus"],
+    ["verify-relations", "--inject-fault=1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EDGE_CASES, ids=" ".join)
+def test_edge_cases_parse_as_parse_args(argv):
+    assert_parses_as_parse_args(argv)
+
+
+def test_benchmark_requests_parse_as_parse_args(tmp_path):
+    bench = str(pathlib.Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    argvs = [req["argv"] for seed in range(1, 6) for workload in workloads.WORKLOADS
+             for req in workloads.build(workload, seed, str(tmp_path))]
+    assert len(argvs) == 770
+    for argv in argvs:
+        assert_parses_as_parse_args(argv)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=st.sampled_from(sorted(GRAMMAR)).flatmap(argvs))
+def test_grammar_parses_as_parse_args(argv):
+    assert_parses_as_parse_args(argv)
+
+
+@pytest.mark.parametrize("given", [True, False], ids=["argv", "sys.argv"])
+def test_subcommand_request_skips_the_top_level_parse(given):
+    argv = ["check-octo", *OCTO]
+    top = mock.patch.object(cli.build_parser(), "parse_args",
+                            side_effect=AssertionError("parsed by the top-level parser"))
+    with top, mock.patch.object(sys, "argv", ["autgeom", *argv]):
+        code, report = cli.run(argv if given else None)
+    assert (code, report.command) == (0, "check-octo")

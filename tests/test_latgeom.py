@@ -665,6 +665,16 @@ def swapped_ring(letters):
 FACE_GATES = [(opposite_ring, "bisector plane"), (swapped_ring, "Euler gate failed")]
 
 
+def one_ring_swapped(letters):
+    """The ring of letters 1, 2, 3 with its first and fifth orderings
+    swapped, the others as they are: only the facets S = {0} and
+    S = {1, 2, 3} get a wrong cycle."""
+    ring = ORIGINAL_RING(letters)
+    if letters == (1, 2, 3):
+        ring = [ring[4], *ring[1:4], ring[0], ring[5]]
+    return ring
+
+
 def det3(rows):
     return dot(rows[0], cross(rows[1], rows[2]))
 
@@ -824,6 +834,21 @@ class TestGates:
         assert code == INTERNAL_ERROR
         assert message in report.payload["error"]
         assert report.to_dict()["passed"] is False
+
+    def test_volume_gate_needs_the_euler_gate(self, monkeypatch):
+        # One swapped ring gives a polytope on the true vertices whose
+        # volume is still the covolume: only the Euler gate refuses it.
+        lat = lg.lattice_from((vec3(1, 1, 1), vec3(0, -2, -2), vec3(-1, 0, -2)))
+        cell = lg.voronoi_cell(lat)
+        monkeypatch.setattr(lg, "_ring", one_ring_swapped)
+        monkeypatch.setattr(lg, "_FACES", lg._face_table())
+        with pytest.raises(RuntimeError, match="Euler gate failed"):
+            lg.voronoi_cell(lat)
+        monkeypatch.setattr(lg.Polytope, "f_vector",
+                            lambda poly: (len(poly.vertices), len(poly.vertices), 2))
+        wrong = lg.voronoi_cell(lat)
+        assert wrong != cell and wrong.vertices == cell.vertices
+        assert lg.polytope_volume(wrong) == lg.covolume(lat)
 
 
 class TestPolytopeInvariants:
