@@ -37,6 +37,7 @@ from . import linalg
 from .latgeom import (
     Lattice,
     Polytope,
+    _int_rows,
     classify,
     lattice_from,
     octo_check,
@@ -297,13 +298,6 @@ def cyclic_induced(d: int, ell) -> AffineIsometry:
 # ---------------------------------------------------------------------------
 
 
-def _common(values: Sequence) -> tuple[list[int], int]:
-    """Rational entries (ints or Fractions) as integers over their least
-    common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def elimination_combination(tau: Sequence, p: int, q: int, a: Sequence) -> Fraction:
     """q*(first constraint) - p*(second constraint), evaluated at a.
 
@@ -314,19 +308,19 @@ def elimination_combination(tau: Sequence, p: int, q: int, a: Sequence) -> Fract
 
     Multiplying by q and p respectively and subtracting eliminates
     tau . a, so the combination always equals p q (p - q) |a|^2.  It is
-    evaluated on the integer vectors T = d tau and A = e a, where d and
-    e are the common denominators: over d e^2 the first constraint is
-    2 p (T . A) e + p^2 |A|^2 d, and the second likewise with q.
-    Refuses tau and a of different dimensions.
+    evaluated on the integer vectors T = d tau and A = d a, where d is
+    their common denominator: over d^2 the first constraint is
+    2 p (T . A) + p^2 |A|^2, and the second likewise with q.  Refuses
+    tau and a of different dimensions.
     """
-    (t, d), (av, e) = _common(tau), _common(a)
+    (t, av), d = _int_rows([tau, a])
     if len(t) != len(av):
         raise ValueError("tau and a have different dimensions")
     ta = sum(x * y for x, y in zip(t, av))
     asq = sum(x * x for x in av)
-    first = 2 * p * ta * e + p * p * asq * d
-    second = 2 * q * ta * e + q * q * asq * d
-    return Fraction(q * first - p * second, d * e * e)
+    first = 2 * p * ta + p * p * asq
+    second = 2 * q * ta + q * q * asq
+    return Fraction(q * first - p * second, d * d)
 
 
 # The most digits equidistant_forces_zero accepts in p and q.  The

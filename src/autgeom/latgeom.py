@@ -89,10 +89,11 @@ class Lattice(NamedTuple):
         return len(self.rows)
 
 
-def _int_rows(vectors: Sequence[Vec3]) -> tuple[list[list[int]], int]:
-    den = lcm(*(c.denominator for v in vectors for c in v.coords()))
-    return [[c.numerator * (den // c.denominator) for c in v.coords()]
-            for v in vectors], den
+def _int_rows(vectors: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Rational vectors (Vec3s, or any rows of ints and Fractions) as
+    integer rows over their least common denominator."""
+    den = lcm(*(c.denominator for v in vectors for c in v))
+    return [[c.numerator * (den // c.denominator) for c in v] for v in vectors], den
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

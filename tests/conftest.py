@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from autgeom.automorphisms import parse_autexpr
-from autgeom.latgeom import Vec3
+from autgeom.automorphisms import endo_of, expr_power, nielsen_left, nielsen_right, parse_autexpr
+from autgeom.latgeom import Vec3, vec3
 from autgeom.words import gen, mul, reduce
 
 
@@ -70,6 +70,29 @@ def inversion(i):
     return parse_autexpr(f"E{i}")
 
 
+# Elementary automorphisms that preserve the even-a3 subgroup: Nielsen
+# maps multiplying by a1 or a2, all inversions, and the a1<->a2 swap.
+STABILIZING = [
+    nielsen_left(1, 2), nielsen_left(2, 1), nielsen_left(3, 1), nielsen_left(3, 2),
+    nielsen_right(1, 2), nielsen_right(2, 1), nielsen_right(3, 1), nielsen_right(3, 2),
+    inversion(1), inversion(2), inversion(3), swap(1, 2),
+]
+
+
+def random_stabilizing_endo(rng, max_len=8):
+    x = ()
+    for _ in range(rng.randint(1, max_len)):
+        x = x + expr_power(rng.choice(STABILIZING), rng.choice((-1, 1)))
+    return endo_of(x)
+
+
+def mat2_mul(a, b):
+    return [
+        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
+        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
+    ]
+
+
 def fraction_equidistant_check(tau, p, q, a):
     """Whether |tau + p a| = |tau + q a| = |tau|, evaluated in Fractions."""
     tv, av = [Fraction(x) for x in tau], [Fraction(x) for x in a]
@@ -113,6 +136,16 @@ def rotation_from_quaternion(a, b, c, d):
             expected = Fraction(int(i == j))
             assert sum(m[i][k] * m[j][k] for k in range(3)) == expected
     return m
+
+
+def random_rotation(rng):
+    while True:
+        q = tuple(rng.randint(-3, 3) for _ in range(4))
+        if any(q):
+            return rotation_from_quaternion(*q)
+
+
+FCC_GENS = (vec3(1, 1, 0), vec3(1, -1, 0), vec3(1, 0, 1), vec3(1, 0, -1))
 
 
 def apply_matrix(m, v):

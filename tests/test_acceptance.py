@@ -14,11 +14,10 @@ from autgeom import words as fw
 from autgeom.automorphisms import nielsen_left as L
 
 from conftest import (
-    apply_matrix, fraction_equidistant_check, octo_flags, random_a3_even_word,
-    random_raw, random_word, run_cli,
+    FCC_GENS, apply_matrix, fraction_equidistant_check, mat2_mul, octo_flags,
+    random_a3_even_word, random_raw, random_rotation, random_stabilizing_endo,
+    random_word, run_cli,
 )
-from test_glrep import mat2_mul, random_stabilizing_endo
-from test_latgeom import FCC_GENS, random_rotation
 
 
 def criterion(num, description, ok, detail=""):

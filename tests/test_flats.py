@@ -8,7 +8,6 @@ from autgeom import flats, latgeom as lg, linalg
 from autgeom.flats import AffineIsometry
 
 from conftest import fraction_equidistant_check, octo_flags
-from test_linalg import dense_solve, o_minus_i
 
 
 def isometry(block_dim, source, signs, vector):
@@ -126,12 +125,6 @@ def cycle_oracle(g):
     return length_sq, shift
 
 
-# The slow paths that AffineIsometry.power and trans_length_sq replaced,
-# kept verbatim as their references: composition, the power by repeated
-# squaring through it, and the length read off one {coordinate: +-1}
-# kernel dict per cycle and block coordinate with Fraction coefficients.
-
-
 def identity(block_dim: int, blocks: int) -> AffineIsometry:
     return AffineIsometry(block_dim, tuple(range(blocks)), (1,) * blocks,
                           (0,) * (block_dim * blocks), 1)
@@ -154,63 +147,22 @@ def compose(self: AffineIsometry, other: AffineIsometry) -> AffineIsometry:
     return AffineIsometry(self.block_dim, source, signs, tuple(translation), den)
 
 
-def squaring_power(self: AffineIsometry, k: int) -> AffineIsometry:
-    """self composed with itself k times, by repeated squaring."""
-    if k < 0:
-        raise ValueError("negative powers are not needed here")
-    out = identity(self.block_dim, self.blocks)
-    square = self
-    while k:
-        if k & 1:
-            out = compose(out, square)
-        k >>= 1
-        if k:
-            square = compose(square, square)
-    return out
-
-
-def dict_kernel(g) -> list[dict[int, int]]:
-    """The fixed space of O as {coordinate: +-1} vectors of disjoint
-    supports, one per cycle of sign product +1 and block coordinate."""
-    k = g.block_dim
-    basis = []
-    for cycle, product in linalg._cycles(g.source, g.signs):
-        if product == -1:
-            continue
-        sigmas, sigma = [], 1
-        for i in cycle:
-            sigmas.append(sigma)
-            sigma *= g.signs[i]
-        basis += ({i * k + j: s for i, s in zip(cycle, sigmas)} for j in range(k))
-    return basis
-
-
-def fraction_trans_length_sq(g: AffineIsometry) -> tuple[Fraction, tuple[Fraction, ...]]:
-    fixed = dict_kernel(g)
-    coeffs = [Fraction(sum(x * g.translation[i] for i, x in u.items()),
-                       sum(x * x for x in u.values())) for u in fixed]
-    q = lcm(*(c.denominator for c in coeffs))
-    proj = [0] * g.dim
-    for u, c in zip(fixed, coeffs):
-        m = c.numerator * (q // c.denominator)
-        for i, x in u.items():
-            proj[i] += m * x
-    t = [q * x for x in g.translation]
-    witness = dense_solve(o_minus_i(g), [p - x for x, p in zip(t, proj)])
-    if witness is None:
-        raise RuntimeError("fixed-space projection left an unsolvable residual")
-    moved = [r + x - w for r, x, w in zip(g._rotate(witness), t, witness)]
-    if moved != proj:
-        raise RuntimeError("witness displacement differs from the projected translation")
-    den = q * g.den
-    return (
-        Fraction(sum(p * p for p in proj), den * den),
-        tuple(Fraction(w, den) for w in witness),
-    )
-
-
 def cycle_lengths(g):
     return [(len(cycle), product) for cycle, product in linalg._cycles(g.source, g.signs)]
+
+
+def top_blocks(g):
+    """The largest block of every cycle of sign product +1."""
+    tops = []
+    for start in range(g.blocks):
+        cycle, product, i = [start], g.signs[start], g.source[start]
+        while i != start:
+            cycle.append(i)
+            product *= g.signs[i]
+            i = g.source[i]
+        if product == 1 and start == max(cycle):
+            tops.append(start)
+    return tops
 
 
 class TestFastPathsAgainstReference:
@@ -220,7 +172,8 @@ class TestFastPathsAgainstReference:
         # Random signed block permutations of 1 to 8 blocks of 1 to 3
         # coordinates, with fixed blocks and cycles of both sign
         # products, raised to every k from 0 to 3 times the longest cycle
-        # plus 2 in turn.
+        # plus 2 in turn.  The power is compared with k-fold composition,
+        # and each length and witness with the cycle oracle.
         seen, ks = set(), set()
         for case in range(self.CASES):
             g = random_isometry(rng, rng.randint(1, 3), rng.randint(1, 8))
@@ -235,13 +188,18 @@ class TestFastPathsAgainstReference:
             if k and any(k % n == 0 for n, _ in cycles if n > 1):
                 ks.add("a multiple of a cycle length")
             fast = g.power(k)
-            assert fast == squaring_power(g, k)
+            naive = identity(g.block_dim, g.blocks)
+            for _ in range(k):
+                naive = compose(naive, g)
+            assert fast == naive
             for h in (g, fast):
                 length_sq, witness, den = flats.trans_length_sq(h)
                 assert den >= 1 and gcd(den, *witness) == 1
                 assert all(type(w) is int for w in witness)
-                assert (length_sq, tuple(Fraction(w, den) for w in witness)) == (
-                    fraction_trans_length_sq(h))
+                point = tuple(Fraction(w, den) for w in witness)
+                oracle_length, shift = cycle_oracle(h)
+                assert length_sq == oracle_length
+                assert [m - p for m, p in zip(apply(h, point), point)] == shift
         assert seen == {(False, 1), (False, -1), (True, 1), (True, -1)}
         assert ks == {"zero", "whole turns", "a multiple of a cycle length"}
 
@@ -249,8 +207,10 @@ class TestFastPathsAgainstReference:
         # Powers of the induced generator, across and beyond its order.
         for d in (1, 2, 5, 12):
             iso = flats.cyclic_induced(d, Fraction(-7, 3))
+            naive = identity(iso.block_dim, iso.blocks)
             for k in range(3 * d + 3):
-                assert iso.power(k) == squaring_power(iso, k)
+                assert iso.power(k) == naive
+                naive = compose(naive, iso)
 
 
 class TestAffineIsometry:
@@ -367,6 +327,23 @@ class TestTransLengthOracle:
             probe = [random_fraction(rng) for _ in range(g.dim)]
             assert displacement_sq(g, probe) >= length_sq
         assert len(dens) > 10
+
+    def test_witness_is_zero_at_the_top_of_every_fixed_cycle(self, rng):
+        # g moves x + f as it moves x for every f fixed by O, so the shift
+        # leaves the witness free along the fixed space.  trans_length_sq
+        # takes the witness that is 0 at the largest block of every cycle
+        # of sign product +1, which pins it.
+        seen = set()
+        for _ in range(300):
+            k = rng.randint(1, 3)
+            g = random_isometry(rng, k, rng.randint(1, 8))
+            _, witness, den = flats.trans_length_sq(g)
+            point = [Fraction(w, den) for w in witness]
+            _, shift = cycle_oracle(g)
+            assert [m - p for m, p in zip(apply(g, point), point)] == shift
+            assert all(witness[b * k + j] == 0 for b in top_blocks(g) for j in range(k))
+            seen |= {(k, n > 1, product) for n, product in cycle_lengths(g)}
+        assert seen == {(k, n, p) for k in (1, 2, 3) for n in (False, True) for p in (1, -1)}
 
     def test_lift_keeps_every_base_translation(self, rng):
         # Block perm[i] of the induced translation is base[i]'s, over

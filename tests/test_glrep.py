@@ -7,25 +7,12 @@ from autgeom import glrep
 from autgeom import words as fw
 from autgeom.automorphisms import nielsen_left, nielsen_right
 
-from conftest import inversion, is_reduced, random_a3_even_word, run_cli, swap
-from test_words import RefLetter, ref_letters, ref_syms
+from conftest import (
+    STABILIZING, inversion, is_reduced, mat2_mul, random_a3_even_word,
+    random_stabilizing_endo, run_cli, swap,
+)
 
 L, R, E, P = nielsen_left, nielsen_right, inversion, swap
-
-# Elementary automorphisms that preserve the even-a3 subgroup: Nielsen
-# maps multiplying by a1 or a2, all inversions, and the a1<->a2 swap.
-STABILIZING = [
-    L(1, 2), L(2, 1), L(3, 1), L(3, 2),
-    R(1, 2), R(2, 1), R(3, 1), R(3, 2),
-    E(1), E(2), E(3), P(1, 2),
-]
-
-
-def random_stabilizing_endo(rng, max_len=8):
-    x = ()
-    for _ in range(rng.randint(1, max_len)):
-        x = x + aut.expr_power(rng.choice(STABILIZING), rng.choice((-1, 1)))
-    return aut.endo_of(x)
 
 
 IDENTITY5 = [[int(i == j) for j in range(5)] for i in range(5)]
@@ -33,13 +20,6 @@ IDENTITY5 = [[int(i == j) for j in range(5)] for i in range(5)]
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def mat2_mul(a, b):
-    return [
-        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-    ]
 
 
 class TestNu:
@@ -96,23 +76,22 @@ REF_SCHREIER = {
 }
 
 
-def reference_rewrite(lets):
+def reference_rewrite(w):
     out = []
     state = 0
-    for let in lets:
-        if let.sign == 1:
-            emitted = REF_SCHREIER[(state, let.index)]
-            if let.index == 3:
-                state ^= 1
-        else:
-            if let.index == 3:
-                state ^= 1
-            emitted = REF_SCHREIER[(state, let.index)]
+    for x in w:
+        index = abs(x)
+        if x < 0 and index == 3:
+            state ^= 1
+        emitted = REF_SCHREIER[(state, index)]
+        if x > 0 and index == 3:
+            state ^= 1
         if emitted is not None:
-            if out and out[-1].index == emitted and out[-1].sign == -let.sign:
+            y = emitted if x > 0 else -emitted
+            if out and out[-1] == -y:
                 out.pop()
             else:
-                out.append(RefLetter(emitted, let.sign))
+                out.append(y)
     return tuple(out)
 
 
@@ -121,7 +100,7 @@ class TestRewriteAgainstReference:
         for _ in range(2000):
             w = random_a3_even_word(rng, rng.choice((0, 4, 40)))
             got = glrep.rewrite(w)
-            assert got == ref_syms(reference_rewrite(ref_letters(w))), w
+            assert got == reference_rewrite(w), w
             assert is_reduced(got)
 
     def test_images_of_the_basis(self, rng):
@@ -132,7 +111,7 @@ class TestRewriteAgainstReference:
             for x in glrep.BASIS:
                 w = aut.apply(e, x)
                 got = glrep.rewrite(w)
-                assert got == ref_syms(reference_rewrite(ref_letters(w)))
+                assert got == reference_rewrite(w)
                 assert is_reduced(got)
 
     def test_corrupt_table_fails_self_check(self, monkeypatch):

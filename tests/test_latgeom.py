@@ -10,9 +10,10 @@ import pytest
 from autgeom import latgeom as lg
 from autgeom.latgeom import Vec3, vec3
 
-from conftest import apply_matrix, octo_flags, rotation_from_quaternion, run_cli
+from conftest import (
+    FCC_GENS, apply_matrix, octo_flags, random_rotation, rotation_from_quaternion, run_cli,
+)
 
-FCC_GENS = (vec3(1, 1, 0), vec3(1, -1, 0), vec3(1, 0, 1), vec3(1, 0, -1))
 CUBE_GENS = (vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
 # Generators and expected f-vector of each lattice type the benchmark uses.
 LATTICE_TYPES = {
@@ -80,13 +81,21 @@ def in_lattice(lat, v):
     return lg._hnf(rows + [[int(c) for c in scaled]])[0] == rows
 
 
-# The Fraction covolume and four-vector check that the integer versions
-# replaced, kept as references.
+def minors_covolume(gens):
+    """The covolume of the lattice of rational 3-vectors: over their
+    least common denominator, the gcd of the 3x3 minors of the
+    generator matrix, which also covers a redundant fourth generator."""
+    den = lcm(*(c.denominator for v in gens for c in v.coords()))
+    rows = [[int(c * den) for c in v.coords()] for v in gens]
+    g = 0
+    for a, b, c in itertools.combinations(rows, 3):
+        g = gcd(g, a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    return Fraction(g, den ** 3)
 
 
-def fraction_covolume(lat):
-    b = basis(lat)
-    return abs(dot(b[0], cross(b[1], b[2])))
+# The Fraction four-vector check that the integer version replaced, kept
+# as its reference.
 
 
 def fraction_octo_check(u1, u2, v1, v2):
@@ -137,13 +146,6 @@ def octo_result(checks):
     return octo_flags(checks), checks[0].witness
 
 
-def random_rotation(rng):
-    while True:
-        q = tuple(rng.randint(-3, 3) for _ in range(4))
-        if any(q):
-            return rotation_from_quaternion(*q)
-
-
 def random_unimodular_gens(rng, gens):
     """Apply a random invertible integer change of generators."""
     vs = list(gens)
@@ -163,9 +165,7 @@ def random_unimodular_gens(rng, gens):
 # The Voronoi kernel that the obtuse-superbase construction replaced, kept
 # as an independent reference: an LLL-reduced basis, the Voronoi-relevant
 # planes picked from the L/2L classes of a 124-vector box, vertices from
-# plane triples, and faces ordered by angle.  Its volume gate and the
-# classification it is compared under are the Fraction versions that the
-# integer polytope_volume and classify replaced.
+# plane triples, and faces ordered by angle.
 # ---------------------------------------------------------------------------
 
 _dot, _cross = lg._dot, lg._cross
@@ -173,39 +173,56 @@ ORIGINAL_RING = lg._ring
 ORIGINAL_SUPERBASE = lg._obtuse_superbase
 
 
+def _nearest(n: int, d: int) -> int:
+    """round(n / d) for d > 0, ties to even as round() takes them."""
+    q, r = divmod(2 * n + d, 2 * d)
+    return q - 1 if r == 0 and q % 2 else q
+
+
 def _lll(rows: list[list[int]]) -> list[list[int]]:
-    """Exact LLL reduction (delta = 3/4) of independent integer rows."""
+    """Exact LLL reduction (delta = 3/4) of independent integer rows.
+
+    The Gram-Schmidt data is kept in integers and updated in place
+    (Cohen, *A Course in Computational Algebraic Number Theory*, alg.
+    2.6.7): d[i] is the Gram determinant of the first i rows, so
+    |b*_i|^2 = d[i + 1] / d[i], and lam[i][j] = d[j + 1] mu_ij.
+    """
     b = [r[:] for r in rows]
     n = len(b)
-
-    def gram_schmidt():
-        star: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                denom = sum(x * x for x in star[j])
-                mu[i][j] = sum(Fraction(b[i][k]) * star[j][k] for k in range(3)) / denom
-                v = [v[k] - mu[i][j] * star[j][k] for k in range(3)]
-            star.append(v)
-        return star, mu
-
-    star, mu = gram_schmidt()
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = _dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = _nearest(lam[k][j], d[j + 1])
             if q:
                 b[k] = [a - q * c for a, c in zip(b[k], b[j])]
-                star, mu = gram_schmidt()
-        lhs = sum(x * x for x in star[k])
-        rhs = (Fraction(3, 4) - mu[k][k - 1] ** 2) * sum(x * x for x in star[k - 1])
-        if lhs >= rhs:
+                lam[k][j] -= q * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * m * m:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            star, mu = gram_schmidt()
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
+        d[k] = new
+        k = max(k - 1, 1)
     return b
 
 
@@ -252,7 +269,8 @@ def _cyclic_order(
 
 
 def reference_voronoi_cell(lat):
-    """The Voronoi cell as the replaced kernel computed it, gates included."""
+    """The Voronoi cell as the replaced kernel computed it, with its
+    minimal-distance gate."""
     if lat.rank != 3:
         raise ValueError(f"Voronoi cell needs a rank-3 lattice, got rank {lat.rank}")
     reduced = _lll([list(r) for r in lat.rows])
@@ -308,55 +326,43 @@ def reference_voronoi_cell(lat):
         if len(tight) >= 3:
             faces.append((_cyclic_order(tight, vertices, a), a, n))
     faces.sort(key=lambda face: sorted(face[0]))
-    poly = lg.Polytope(
+    return lg.Polytope(
         tuple(vertices),
         tuple(cycle for cycle, _, _ in faces),
         tuple(tuple(common * x for x in a) for _, a, _ in faces),
         common * lat.den,
     )
 
-    # Gate 2: the cell tiles, so its volume is exactly the covolume.
-    if fraction_volume(poly) != fraction_covolume(lat):
-        raise RuntimeError("volume gate failed; computed cell does not tile")
-    return poly
 
+def reference_classify(poly):
+    """The classification payload of a cell, measured by code of its own
+    on the integer vertex numerators: each squared length is den^2 times
+    the true one, which changes no equality and no ratio.  The edges are
+    counted as distinct vertex pairs."""
+    def dist_sq(i, j):
+        return sum((x - y) ** 2 for x, y in zip(poly.vertices[i], poly.vertices[j]))
 
-def fraction_volume(poly):
-    """Exact volume via origin-apex pyramids over each face, in Fractions."""
-    pts = points(poly)
-    total = Fraction(0)
-    for cycle in poly.faces:
-        v0 = pts[cycle[0]]
-        signed = Fraction(0)
-        for a, b in zip(cycle[1:], cycle[2:]):
-            signed += dot(v0, cross(pts[a], pts[b]))
-        total += abs(signed)
-    return total / 6
-
-
-def fraction_classify(poly):
-    """The classification payload of a cell, measured on its rational points."""
-    all_pts = points(poly)
     ratios = []
     rhombi = 0
+    edges = set()
     for cycle in poly.faces:
-        pts = [all_pts[i] for i in cycle]
-        edges = {dot(sub(b, a), sub(b, a)) for a, b in zip(pts, pts[1:] + pts[:1])}
-        if 0 in edges:
+        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        sides = {dist_sq(a, b) for a, b in pairs}
+        if 0 in sides:
             raise ValueError("degenerate face with a zero-length edge")
-        rhombi += len(cycle) == 4 and len(edges) == 1
+        edges |= {(min(pair), max(pair)) for pair in pairs}
+        rhombi += len(cycle) == 4 and len(sides) == 1
         ratio = None
         if len(cycle) == 4:
-            d1 = dot(sub(pts[2], pts[0]), sub(pts[2], pts[0]))
-            d2 = dot(sub(pts[3], pts[1]), sub(pts[3], pts[1]))
-            ratio = max(d1, d2) / min(d1, d2)
+            d1, d2 = dist_sq(cycle[2], cycle[0]), dist_sq(cycle[3], cycle[1])
+            ratio = Fraction(max(d1, d2), min(d1, d2))
         ratios.append(ratio)
-    fv = poly.f_vector()
+    fv = [len(poly.vertices), len(edges), len(poly.faces)]
     all_rhombi = rhombi == len(poly.faces)
-    is_rd = fv == (14, 24, 12) and all_rhombi and all(r == 2 for r in ratios)
-    is_cube = fv == (8, 12, 6) and all_rhombi and all(r == 1 for r in ratios)
+    is_rd = fv == [14, 24, 12] and all_rhombi and all(r == 2 for r in ratios)
+    is_cube = fv == [8, 12, 6] and all_rhombi and all(r == 1 for r in ratios)
     return {
-        "f_vector": list(fv),
+        "f_vector": fv,
         "is_rhombic_dodecahedron": is_rd,
         "is_cube": is_cube,
         "diag_ratios_sq": [None if r is None else str(r) for r in ratios],
@@ -364,16 +370,18 @@ def fraction_classify(poly):
     }
 
 
-
-
 F_VECTORS = {(24, 36, 14), (18, 28, 12), (14, 24, 12), (12, 18, 8), (8, 12, 6)}
 
 
 def random_lattice(rng):
-    """A seeded rank-3 lattice from three integer generators of a random
-    size, sometimes with a fourth generator that is redundant or not,
-    and in a third of the cases rotated by a rational quaternion and
-    scaled by a rational factor."""
+    return lg.lattice_from(random_generators(rng))
+
+
+def random_generators(rng):
+    """Generators of a seeded rank-3 lattice: three integer vectors of a
+    random size, sometimes with a fourth that is redundant or not, and
+    in a third of the cases rotated by a rational quaternion and scaled
+    by a rational factor."""
     while True:
         bound = rng.choice((1, 2, 3, 5, 30))
         gens = [vec3(*(rng.randint(-bound, bound) for _ in range(3)))
@@ -390,7 +398,7 @@ def random_lattice(rng):
         rot = random_rotation(rng)
         factor = Fraction(rng.randint(1, 7), rng.randint(1, 7))
         gens = [scale(apply_matrix(rot, g), factor) for g in gens]
-    return lg.lattice_from(gens)
+    return gens
 
 
 def skewed_lattice(z, rng):
@@ -622,16 +630,19 @@ class TestAgainstReference:
     def test_random_lattices(self, rng):
         seen = set()
         for _ in range(2000):
-            lat = random_lattice(rng)
+            gens = random_generators(rng)
+            lat = lg.lattice_from(gens)
             b = basis(lat)
             assert lat.den == lcm(*(c.denominator for v in b for c in v.coords()))
-            assert lg.covolume(lat) == fraction_covolume(lat)
+            covolume = minors_covolume(gens)
+            assert lg.covolume(lat) == covolume
             quad = (*b, neg(add(add(b[0], b[1]), b[2])))
             assert octo_result(lg.octo_check(*quad)) == fraction_octo_check(*quad)
             cell = lg.voronoi_cell(lat)
             assert cell == reference_voronoi_cell(lat)
-            assert lg.polytope_volume(cell) == fraction_volume(cell)
-            assert lg.classify(cell) == fraction_classify(cell)
+            # The cell tiles: its volume is the covolume.
+            assert lg.polytope_volume(cell) == covolume
+            assert lg.classify(cell) == reference_classify(cell)
             seen.add(cell.f_vector())
         assert seen == F_VECTORS
 
@@ -645,7 +656,7 @@ class TestAgainstReference:
                        for i, j in itertools.combinations(range(4), 2))
             assert abs(lg._dot(v[1], lg._cross(v[2], v[3]))) == z
             cell = lg.voronoi_cell(lat)
-            assert lg.polytope_volume(cell) == z == fraction_covolume(lat)
+            assert lg.polytope_volume(cell) == z == lg.covolume(lat)
             assert cell == reference_voronoi_cell(lat)
 
 

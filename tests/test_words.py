@@ -1,6 +1,5 @@
 import random
 from itertools import groupby
-from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -328,95 +327,30 @@ def test_thousand_random_cases(rng):
 
 
 # ---------------------------------------------------------------------------
-# The letter-by-letter kernel that the signed-int kernel replaced, kept as
-# the reference for it: a letter is an (index, sign) pair, and every letter
-# of every operand goes through one push that cancels it against the top
-# of the stack.
+# The group operations by their definitions: each is the free reduction of
+# a concatenation, done by one stack pass that cancels every letter of the
+# concatenation against the top of the stack.
 # ---------------------------------------------------------------------------
 
 
-class RefLetter(NamedTuple):
-    index: int
-    sign: int
-
-    def inverse(self):
-        return RefLetter(self.index, -self.sign)
-
-
-def ref_letters(syms):
-    return tuple(RefLetter(abs(x), 1 if x > 0 else -1) for x in syms)
-
-
-def ref_syms(lets):
-    return tuple(let.index * let.sign for let in lets)
-
-
-def _ref_push(stack, let):
-    if stack and stack[-1].index == let.index and stack[-1].sign == -let.sign:
-        stack.pop()
-    else:
-        stack.append(let)
-
-
-def ref_reduce(rank, raw):
+def stack_reduce(letters):
     stack = []
-    for let in raw:
-        if let.sign not in (1, -1) or not 1 <= let.index <= rank:
-            raise ValueError(f"bad letter {let}")
-        _ref_push(stack, let)
-    return tuple(stack)
-
-
-def ref_mul(u, v):
-    stack = list(u)
-    for let in v:
-        _ref_push(stack, let)
-    return tuple(stack)
-
-
-def ref_power(w, k):
-    base = w if k >= 0 else tuple(let.inverse() for let in reversed(w))
-    stack = []
-    for _ in range(abs(k)):
-        for let in base:
-            _ref_push(stack, let)
-    return tuple(stack)
-
-
-def ref_substitute(w, images):
-    stack = []
-    for let in w:
-        img = images[let.index - 1]
-        if let.sign == 1:
-            for x in img:
-                _ref_push(stack, x)
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
         else:
-            for x in reversed(img):
-                _ref_push(stack, x.inverse())
+            stack.append(x)
     return tuple(stack)
 
 
-def ref_cyclic_reduce(w):
-    i, j = 0, len(w) - 1
-    while i < j and w[i] == w[j].inverse():
-        i += 1
-        j -= 1
-    return w[i : j + 1], w[:i]
+def inverse(w):
+    return tuple(-x for x in reversed(w))
 
 
-def ref_format_word(w):
-    if not w:
-        return "1"
-    parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j + 1 < len(w) and w[j + 1] == w[i]:
-            j += 1
-        count = (j - i + 1) * w[i].sign
-        parts.append(f"a{w[i].index}" if count == 1 else f"a{w[i].index}^{count}")
-        i = j + 1
-    return " ".join(parts)
+def defined_substitute(w, images):
+    """The reduction of the images of w's letters laid end to end."""
+    return stack_reduce(
+        y for x in w for y in (images[x - 1] if x > 0 else inverse(images[-x - 1])))
 
 
 def _random_image(rng, target):
@@ -441,7 +375,7 @@ def _partner(rng, u, rank):
     return random_word(rng, rank, 16)
 
 
-class TestAgainstLetterKernel:
+class TestAgainstDefinitions:
     def test_random_cases(self):
         rng = random.Random(6021)
         seen = {"empty": 0, "total": 0, "empty-image": 0, "one-letter-image": 0}
@@ -449,21 +383,20 @@ class TestAgainstLetterKernel:
             rank = 1 + case % 6
             raw = random_raw(rng, rank, rng.choice((0, rng.randint(0, 30))))
             w = fw.reduce(rank, raw)
-            lets = ref_reduce(rank, ref_letters(raw))
-            assert w == ref_syms(lets), raw
+            assert w == naive_reduce(raw), raw
             assert is_reduced(w)
             seen["empty"] += not w
 
             v = _partner(rng, w, rank)
             prod = fw.mul(w, v)
-            assert prod == ref_syms(ref_mul(lets, ref_letters(v)))
+            assert prod == stack_reduce(w + v)
             assert is_reduced(v) and is_reduced(prod)
-            assert is_reduced(fw.conj(w, v))
+            assert fw.conj(w, v) == stack_reduce(v + w + inverse(v))
             seen["total"] += bool(w) and not prod
 
             k = rng.randint(-4, 4)
             w_k = fw.power(w, k)
-            assert w_k == ref_syms(ref_power(lets, k)), (w, k)
+            assert w_k == stack_reduce(w * k if k >= 0 else inverse(w) * -k), (w, k)
             assert is_reduced(w_k)
 
             target = rng.randint(1, 6)
@@ -472,17 +405,18 @@ class TestAgainstLetterKernel:
                 # a_2 -> image(a_1)^-1, so a1 a2 cancels wholly.
                 images[1] = fw.inv(images[0])
             got = fw.substitute(w, images)
-            expected = ref_substitute(lets, [ref_letters(im) for im in images])
-            assert got == ref_syms(expected)
+            assert got == defined_substitute(w, images)
             assert is_reduced(got)
             seen["empty-image"] += any(not im for im in images)
             seen["one-letter-image"] += any(len(im) == 1 for im in images)
 
+            # prod = u core u^-1 as written, with no letter cancelled, and
+            # the core cyclically reduced: that split is unique.
             core, u = fw.cyclic_reduce(prod)
-            ref_core, ref_u = ref_cyclic_reduce(ref_letters(prod))
-            assert (core, u) == (ref_syms(ref_core), ref_syms(ref_u))
+            assert u + core + inverse(u) == prod
+            assert not core or core[0] != -core[-1]
             assert is_reduced(core) and is_reduced(u)
-            assert fw.format_word(prod) == ref_format_word(ref_letters(prod))
+            assert fw.format_word(prod) == groupby_format(prod)
         assert min(seen.values()) >= 50, seen
 
     def test_long_substitution(self):
@@ -490,13 +424,12 @@ class TestAgainstLetterKernel:
         # maps to a1 a2^-1 a2 a1^-1 a2 = a2, cancelling two letters at
         # the seam.
         images = [fw.parse_word(t, 3) for t in ("a1 a2^-1", "a2 a1^-1 a2", "a3 a1")]
-        ref_images = [ref_letters(im) for im in images]
         w = fw.parse_word("a1 a2 a3^-1 a2^-1 a1", 3)
-        lets = ref_letters(w)
+        expected = w
         for _ in range(8):
             w = fw.substitute(w, images)
-            lets = ref_substitute(lets, ref_images)
-            assert w == ref_syms(lets)
+            expected = defined_substitute(expected, images)
+            assert w == expected
         assert len(w) == 6156
 
     def test_letter_without_image_is_refused(self):
