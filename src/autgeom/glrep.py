@@ -17,6 +17,7 @@ determinant +-1.  Everything here is a pure function of its input.
 from __future__ import annotations
 
 import functools
+import operator
 from itertools import combinations
 
 from .automorphisms import Endo, apply, inner
@@ -147,7 +148,8 @@ def mat_power(m: IntMat, k: int) -> IntMat:
 
 def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    # operator.mul, since mul here is the word product.
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def sigma_star() -> IntMat:

@@ -23,12 +23,15 @@ whose input is raw, scans letter by letter.  :func:`parse_word` parses
 each distinct token once, and ``automorphisms.compose`` calls
 ``substitute`` only on images that hold a letter the outer map moves.
 
-:func:`format_word` renders a word of 64 letters or more with no
-Python-level step per run: the run starts, letters and lengths come from
-``compress`` and ``map``, each run becomes one integer key, and a token
-is built once per distinct run (most runs of a long image are single
-letters) before one ``" ".join``.  A shorter word has too few runs to
-share tokens, and one loop over its runs is faster.
+:func:`format_word` renders a word of 64 letters or more whose letters
+all fit in a signed byte other than -128 with no Python-level step per
+letter: it packs one byte per letter, finds the run starts with one XOR
+of the word's bytes as an integer against themselves shifted by one
+byte, writes the delimiter byte 0x80 (that of -128) before each run and
+splits there once.  Equal runs share a token, so a token is built once
+per distinct run (most runs of a long image are single letters) before
+one ``" ".join``.  A shorter word, or one with a wider letter, goes
+through one loop over its runs.
 
 Words are immutable and every operation is a pure function, so the whole
 module is safe for unrestricted concurrent use.
@@ -36,11 +39,10 @@ module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import Counter
-from itertools import compress, repeat
-from operator import add, ne, neg, sub
+from itertools import compress
+from operator import ne, neg
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -250,10 +252,16 @@ def parse_word(text: str, rank: int) -> Word:
     return reduce(rank, raw)
 
 
-# A word shorter than this has too few runs to share tokens, and one
-# loop over its runs renders it faster than format_word's tables (about
-# twice as fast under 16 letters, the words most reports render).
-_TABLE_FROM = 64
+# The shortest word format_word encodes as bytes.  Timed against the
+# run loop (CPython 3.11, one 2-CPU machine), the byte path wins from
+# about 32 letters on random reduced words over 3 generators, where most
+# runs are single letters, and runs 0.8 times as long as the loop at 64;
+# over 50 generators, and on three-run words a1^i a2 a1^-i, it wins only
+# from about 192.  The benchmark's algebra words of 16 to 600 letters
+# render within 2 % of the best at any threshold from 48 to 128.
+_BYTES_FROM = 64
+# Maps a nonzero byte to the run delimiter 0x80, the byte of letter -128.
+_RUN_MARK = bytes(1) + b"\x80" * 255
 
 
 def format_word(w: Word) -> str:
@@ -262,25 +270,44 @@ def format_word(w: Word) -> str:
     Maximal runs of one letter are compressed to ``a1^3`` style tokens;
     the empty word renders as ``1``.
     """
-    n = len(w)
-    # A run starts where a letter differs from the one before (or from 0).
-    first = list(map(ne, w, (0, *w)))
-    starts = list(compress(range(n), first))
-    if n < _TABLE_FROM:
+    runs = _byte_runs(w) if len(w) >= _BYTES_FROM else None
+    if runs is None:
+        n = len(w)
+        # A run starts where a letter differs from the one before (or from 0).
+        starts = list(compress(range(n), map(ne, w, (0, *w))))
         parts = []
         for start, end in zip(starts, [*starts[1:], n]):
             x, k = w[start], end - start
             count = k if x > 0 else -k
             parts.append(f"a{x}" if count == 1 else f"a{abs(x)}^{count}")
         return " ".join(parts) or "1"
-    # Run x^k has the key x * stride + k, with stride above every k.
-    stride = n + 1
-    keys = list(map(add, map(operator.mul, compress(w, first), repeat(stride)),
-                    map(sub, [*starts[1:], n], starts)))
     # Equal runs share one token, so tokens are built per distinct run.
     tokens = {}
-    for key in set(keys):
-        x, k = divmod(key, stride)
+    for run in set(runs):
+        x, k = (run[0] ^ 128) - 128, len(run)  # the byte's signed value
         count = k if x > 0 else -k
-        tokens[key] = f"a{x}" if count == 1 else f"a{abs(x)}^{count}"
-    return " ".join(map(tokens.__getitem__, keys))
+        tokens[run] = f"a{x}" if count == 1 else f"a{abs(x)}^{count}"
+    return " ".join(map(tokens.__getitem__, runs))
+
+
+def _byte_runs(w: Word) -> list[bytes] | None:
+    """The maximal runs of w, one signed byte per letter, or None if a
+    letter lies outside -127..127."""
+    import struct
+
+    try:
+        data = struct.pack(f"{len(w)}b", *w)
+    except struct.error:
+        return None
+    if b"\x80" in data:  # letter -128: its byte is the delimiter
+        return None
+    # Byte i of d ^ (d >> 8) is nonzero where letter i differs from the
+    # one before (or from 0): each run starts there.
+    d = int.from_bytes(data, "big")
+    marks = (d ^ (d >> 8)).to_bytes(len(data), "big").translate(_RUN_MARK)
+    # Put each mark before its letter and drop the zero fillers, so the
+    # delimiter precedes every run, the first one included.
+    marked = bytearray(2 * len(data))
+    marked[::2] = marks
+    marked[1::2] = data
+    return bytes(marked.translate(None, b"\0")).split(b"\x80")[1:]

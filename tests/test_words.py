@@ -288,10 +288,11 @@ def groupby_format(w):
 class TestFormatWord:
     def test_against_groupby_renderer(self):
         rng = random.Random(1102)
-        # Words on both sides of the length where tokens are shared.
-        seen = {"single": 0, "long run": 0, "empty": 0, "short": 0, "tabled": 0}
+        # Words on both sides of the byte path's threshold, with letters
+        # inside and outside one signed byte.
+        seen = {"single": 0, "long run": 0, "empty": 0, "short": 0, "bytes": 0, "wide": 0}
         for _ in range(2000):
-            rank = rng.choice((1, 3, 50, MAX_GPQ_N))
+            rank = rng.choice((1, 3, 50, 127, 128, MAX_GPQ_N))
             raw = []
             for _ in range(rng.randint(0, 24)):
                 x = rng.randint(1, rank) * rng.choice((1, -1))
@@ -301,20 +302,42 @@ class TestFormatWord:
             assert text == groupby_format(w)
             assert fw.parse_word(text, rank) == w
             seen["single"] += any(len(list(g)) == 1 for _, g in groupby(w))
-            seen["long run"] += any(len(list(g)) > 100 for _, g in groupby(w))
+            seen["long run"] += any(len(list(g)) > 255 for _, g in groupby(w))
             seen["empty"] += not w
-            seen["short" if len(w) < fw._TABLE_FROM else "tabled"] += 1
+            if len(w) < fw._BYTES_FROM:
+                seen["short"] += 1
+            else:
+                seen["wide" if fw._byte_runs(w) is None else "bytes"] += 1
         assert min(seen.values()) >= 20, seen
 
+    @pytest.mark.parametrize("x", [1, 127, -127, -128, 128, -129, 255, 256])
+    def test_letters_at_the_edges_of_a_byte(self, x):
+        # -128 fits in a signed byte, but its byte 0x80 is the delimiter,
+        # so it takes the loop like the letters that do not fit.
+        y = 2
+        rank = max(abs(x), y)
+        wide = not -127 <= x <= 127
+        for n in (fw._BYTES_FROM - 2, fw._BYTES_FROM - 1, fw._BYTES_FROM, 300):
+            half = n // 2
+            for w in ((x,) * n, (x, y) * half, (y,) * half + (x,) * (n - half),
+                      (x,) * half + (-y,) + (x,) * (n - half - 1)):
+                text = fw.format_word(w)
+                assert text == groupby_format(w)
+                assert fw.parse_word(text, rank) == w
+                if len(w) >= fw._BYTES_FROM:
+                    assert (fw._byte_runs(w) is None) == wide
+
     def test_power_ten_images(self):
-        # The largest gl-rep images of the benchmark, mostly runs of one.
-        x = aut.expr_power(aut.parse_autexpr("P12 L21 R12 P12"), 10)
-        images = aut.endo_of(x).images
-        assert [len(w) for w in images] == [10_946, 17_711, 1]
-        for w in images:
-            text = fw.format_word(w)
-            assert text == groupby_format(w)
-            assert fw.parse_word(text, 3) == w
+        # The largest gl-rep images of the benchmark, mostly runs of one,
+        # and those of power 11, the largest power under the letter cap.
+        for p, lengths in ((10, [10_946, 17_711, 1]), (11, [28_657, 46_368, 1])):
+            x = aut.expr_power(aut.parse_autexpr("P12 L21 R12 P12"), p)
+            images = aut.endo_of(x).images
+            assert [len(w) for w in images] == lengths
+            for w in images:
+                text = fw.format_word(w)
+                assert text == groupby_format(w)
+                assert fw.parse_word(text, 3) == w
 
 
 def test_thousand_random_cases(rng):
