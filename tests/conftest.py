@@ -93,16 +93,17 @@ def mat2_mul(a, b):
     ]
 
 
-def fraction_equidistant_check(tau, p, q, a):
-    """Whether |tau + p a| = |tau + q a| = |tau|, evaluated in Fractions."""
+def constraint(tau, m, a):
+    """The equidistance constraint |tau + m a|^2 - |tau|^2, in Fractions."""
     tv, av = [Fraction(x) for x in tau], [Fraction(x) for x in a]
     if len(tv) != len(av):
         raise ValueError("tau and a have different dimensions")
+    return sum((t + m * x) ** 2 for t, x in zip(tv, av)) - sum(t * t for t in tv)
 
-    def norm_sq(m):
-        return sum((t + m * x) ** 2 for t, x in zip(tv, av))
 
-    return norm_sq(p) == norm_sq(0) and norm_sq(q) == norm_sq(0)
+def fraction_equidistant_check(tau, p, q, a):
+    """Whether |tau + p a| = |tau + q a| = |tau|: both constraints are 0."""
+    return constraint(tau, p, a) == 0 == constraint(tau, q, a)
 
 
 OCTO_CHECKS = ("equal-nonzero-norms", "sum-condition", "pair-orthogonality",

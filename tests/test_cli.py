@@ -15,6 +15,7 @@ from autgeom import cli, flats, latgeom, linalg
 from autgeom.cli import INTERNAL_ERROR, USAGE_ERROR
 from autgeom import reports
 from autgeom.reports import MAX_LITERAL_SIZE, fraction_str, parse_fraction, ratio_str
+from autgeom.words import parse_word
 
 from conftest import run_cli
 
@@ -68,13 +69,18 @@ class TestExitCodes:
         assert any(c.name == "injected-fault" and not c.passed for c in report.checks)
 
     def test_octo_failure_is_one(self):
-        code, report = run_cli(
-            ["check-octo", "--u1", "1,0,0", "--u2", "0,1,0",
-             "--v1", "1,0,0", "--v2", "0,1,0"]
-        )
-        assert code == 1
-        failed = [c.name for c in report.checks if not c.passed]
-        assert failed == ["difference-orthogonality"]
+        # A repeated pair fails difference orthogonality; four equal
+        # vectors fail pair orthogonality, and their lattice has rank 1.
+        for argv, failing, rank in (
+            (["check-octo", "--u1", "1,0,0", "--u2", "0,1,0",
+              "--v1", "1,0,0", "--v2", "0,1,0"], "difference-orthogonality", 2),
+            (["check-octo", "--u1=1,1,0", "--u2=1,1,0", "--v1=1,1,0", "--v2=1,1,0"],
+             "pair-orthogonality", 1),
+        ):
+            code, report = run_cli(argv)
+            assert code == 1
+            assert [c.name for c in report.checks if not c.passed] == [failing]
+            assert report.checks[0].witness["lattice_rank"] == rank
 
     @pytest.mark.parametrize(
         "argv",
@@ -101,6 +107,7 @@ class TestExitCodes:
             ["sanov", "--max-len", "-5"],
             ["sanov", "--max-len", "0"],
             ["lk-basis", "--k", "300000"],
+            ["lk-basis", "--k", "1000000"],
         ],
     )
     def test_precondition_violations_are_two(self, argv, tmp_path):
@@ -188,6 +195,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run_cli(["frobnicate"])
         assert err.value.code == 2
+
+    def test_leftover_arguments_get_the_top_level_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["check-octo", "--u1=0,2,2", "--u2=0,-2,2", "--v1=2,0,2", "--v2=-2,0,2",
+                     "--bogus", "1"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
 
 
 class TestInputCaps:
@@ -334,14 +348,15 @@ class TestPayloads:
         assert report.payload["volume"] == "2"
 
     def test_nielsen_flat_writes_off(self, tmp_path):
-        out = str(tmp_path / "cell.off")
-        code, report = run_cli(["nielsen-flat", "--scale", "1", "--out", out])
-        assert code == 0
-        assert report.payload["off_path"] == out
-        header = open(out).read().splitlines()
-        assert header[0] == "OFF" and header[1] == "14 12 24"
-        sidecar = json.loads(open(report.payload["sidecar_path"]).read())
-        assert len(sidecar["vertices"]) == 14
+        for scale in ("1", "2"):
+            out = str(tmp_path / f"cell{scale}.off")
+            code, report = run_cli(["nielsen-flat", "--scale", scale, "--out", out])
+            assert code == 0
+            assert report.payload["off_path"] == out
+            header = open(out).read().splitlines()
+            assert header[0] == "OFF" and header[1] == "14 12 24"
+            sidecar = json.loads(open(report.payload["sidecar_path"]).read())
+            assert len(sidecar["vertices"]) == 14
 
     @pytest.mark.parametrize("argv", [
         SMOKE_ARGS["voronoi"],
@@ -385,7 +400,11 @@ class TestPayloads:
         assert len(report.payload["min_point"]) == 200
 
     def test_induce_at_the_coset_cap(self):
-        code, report = run_cli(["induce", "--d", "100000", "--ell=7/3"])
+        # The cycles are walked in integers; a return to seconds fails.
+        start = time.perf_counter()
+        code, report = run_cli(["induce", "--d", "100000", "--ell", "7/3"])
+        json.dumps(report.to_dict(), indent=1)
+        assert time.perf_counter() - start < 5
         assert code == 0
         assert report.payload["length_sq"] == "49/900000"
         assert len(report.payload["min_point"]) == 100_000
@@ -413,6 +432,8 @@ class TestPayloads:
         code, report = run_cli(["verify-relations", "--mode", "out"])
         assert code == 0
         assert any("mod-inner" in c.name for c in report.checks)
+        names = [c.name for c in report.checks]
+        assert len(set(names)) == len(names)
 
 
 # SHA-256 of the report, rendered as JSON with indent 1, for one request
@@ -571,6 +592,9 @@ PINNED_GEOMETRY = [
      "838e976f689dada8a039b357da6a4135068d55495bc7e0381aa37ad8ddd7273d"),
     (["lemma-pq", "--tau=1/2,-3,0", "--p", "-4", "--q", "7"], 0,
      "b8a44ed61ada2f7575484f6d7a81ba74adb487b9bcdaf416b66a2f79f3de4082"),
+    # fcc from three generators, with its OFF file and sidecar.
+    (["voronoi", "--gens", "1,1,0;1,-1,0;1,0,1", "--out", "cell.off"], 0,
+     "67cce0d5b80636e5e90ad0d4d0df76cab68d3325050e80bfb3c87d5f7eb71d1e"),
 ]
 
 
@@ -663,6 +687,8 @@ ECHO_REQUESTS = [(argv, 0) for argv in SMOKE_ARGS.values()] + [
     (["sanov", "--power", "1", "--max-len", "6"], 1),
     (["verify-relations", "--inject-fault"], 1),
     (["voronoi", "--gens", "1,2", "--precision", "3", "--pretty"], USAGE_ERROR),
+    (["voronoi", "--gens", "1,1,0;1,-1,0;1,0,1", "--precision", "3"], 0),
+    (["lemma-pq", "--tau=1/2,-3/4,5", "--p", "3", "--q", "-2"], 0),
 ]
 
 
@@ -679,20 +705,27 @@ def test_report_names_subcommand_and_echoes_parsed_arguments(argv, code):
 class TestEndToEnd:
     def test_import_loads_no_dataclasses_machinery(self):
         # Every check is one fresh process, so each module that
-        # ``import autgeom.cli`` pulls in is paid for on every request.
+        # ``import autgeom.cli`` and a request pull in is paid for on
+        # every request.
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
         code = ("import sys; before = set(sys.modules); import autgeom.cli; "
-                "autgeom.cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+                "code = autgeom.cli.main(['check-octo', '--u1=0,2,2', '--u2=0,-2,2', "
+                "'--v1=2,0,2', '--v2=-2,0,2']); "
+                "print(*sorted(set(sys.modules) - before)); sys.exit(code)")
         proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            check=True,
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
         )
-        added = set(proc.stdout.split())
+        added = set(proc.stdout.splitlines()[-1].split())
         assert "autgeom.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+        # Integers in the inner loops: the word kernel and the (O - I)
+        # solver load no Fraction.
+        code = "import sys, autgeom.linalg, autgeom.words; print('fractions' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == "False\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -704,7 +737,7 @@ class TestEndToEnd:
         data = json.loads(proc.stdout)
         assert data["passed"] is True
 
-    def test_pretty_output(self):
+    def test_pretty_output(self, capsys):
         proc = subprocess.run(
             [sys.executable, "-m", "autgeom", "inner-gpq", "--p", "1", "--q", "2",
              "--pretty"],
@@ -714,6 +747,9 @@ class TestEndToEnd:
         assert proc.returncode == 0
         assert "overall: PASS" in proc.stdout
         assert "[PASS]" in proc.stdout
+        # The README's example.
+        assert cli.main(["nielsen-flat", "--scale", "1", "--pretty"]) == 0
+        assert capsys.readouterr().out.endswith("\noverall: PASS\n")
 
     def test_error_goes_to_stderr(self):
         proc = subprocess.run(
@@ -837,6 +873,56 @@ def test_request_at_the_cap_renders(argv):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def _image_lengths(report):
+    images = {c.name: c for c in report.checks}["stabilizes"].witness["images"]
+    return [len(parse_word(images[k], 3)) for k in ("a1", "a2", "a3")]
+
+
+# Large requests that pass within a bound on the seconds they take to
+# run and render, and what their reports show beyond passing:
+# argv, seconds, a reading of the report and its expected value.
+TIMED_REQUESTS = {
+    # A skewed lattice with 38- and 39-digit entries gets its exact,
+    # gated cell, a truncated octahedron.
+    "skewed-voronoi": (
+        ["voronoi", "--gens", "1,0,12345678901234567890123456789012345678;"
+         "0,1,31415926535897932384626433832795028841;"
+         "0,0,100000000000000000000000000000000000007"],
+        5, lambda report: report.payload["classification"]["f_vector"], [24, 36, 14]),
+    # 4,000 L21 factors write 8,014,000 letters, under the work cap.
+    "gl-rep-4000-factors": (["gl-rep", "L21 " * 4000], 20, None, None),
+    # Powers are built by squaring: 80,000 factors with images of
+    # 40,001 letters.
+    "gl-rep-power-40000": (["gl-rep", "L21 R31", "--power", "40000"], 20, None, None),
+    # The images of power 11, the largest under the letter cap, render
+    # through bytes and parse back to 28,657, 46,368 and 1 letters.
+    "gl-rep-power-11": (["gl-rep", "P12 L21 R12 P12", "--power", "11"],
+                        10, _image_lengths, [28_657, 46_368, 1]),
+    "sanov-power-99999": (["sanov", "--power", "99999", "--max-len", "4"], 20, None, None),
+    # gpq pays for the letters that move: a 40,000-letter word of two
+    # repeated tokens, and 10,001 images of which each relation moves one.
+    "gpq-long-word": (["gpq", "--n", "4", "--p", "2", "--q", "-2", "--w", "a1 a2 " * 20_000],
+                      20, None, None),
+    "gpq-n-10000": (["gpq", "--n", "10000", "--p", "1", "--q", "1", "--w", "a1"],
+                    20, None, None),
+    # Letters wider than one byte take the renderer's run loop.
+    "gpq-wide-letters": (["gpq", "--n", "300", "--p", "2", "--q", "1",
+                          "--w", " ".join(f"a{i}" for i in range(1, 299))], 10, None, None),
+}
+
+
+@pytest.mark.parametrize("name", TIMED_REQUESTS)
+def test_large_request_passes_in_time(name):
+    argv, seconds, reading, expected = TIMED_REQUESTS[name]
+    start = time.perf_counter()
+    code, report = run_cli(argv)
+    json.dumps(report.to_dict(), indent=1)
+    assert time.perf_counter() - start < seconds
+    assert (code, report.passed) == (0, True)
+    if reading is not None:
+        assert reading(report) == expected
 
 
 def _count_calls(monkeypatch, names):

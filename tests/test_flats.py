@@ -1,13 +1,12 @@
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 import pytest
 
 from autgeom import flats, latgeom as lg, linalg
 from autgeom.flats import AffineIsometry
 
-from conftest import fraction_equidistant_check, octo_flags
+from conftest import constraint, fraction_equidistant_check, octo_flags
 
 
 def isometry(block_dim, source, signs, vector):
@@ -451,26 +450,10 @@ class TestInducedAction:
             flats.induced_action((0, 1), [a, b])
 
 
-# The Fraction evaluation of the equidistance constraints that the
-# integer one replaced, kept verbatim as the slow-path reference.
-
-
-def _fracs(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
-
-
-def fraction_elimination_combination(tau: Sequence, p: int, q: int,
-                                     a: Sequence) -> Fraction:
-    tv, av = _fracs(tau), _fracs(a)
-    ta = _dot(tv, av)
-    asq = _dot(av, av)
-    first = 2 * p * ta + p * p * asq
-    second = 2 * q * ta + q * q * asq
-    return q * first - p * second
+def fraction_elimination_combination(tau, p, q, a):
+    """q times the p-constraint minus p times the q-constraint, which
+    eliminates the terms linear in a."""
+    return q * constraint(tau, p, a) - p * constraint(tau, q, a)
 
 
 def random_rational_vector(rng, k):

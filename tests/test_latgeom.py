@@ -95,16 +95,30 @@ def minors_covolume(gens):
 
 
 # The Fraction four-vector check that the integer version replaced, kept
-# as its reference.
+# as its reference, with the rank taken by Gaussian elimination.
+
+
+def fraction_rank(vectors):
+    """The rank of rational 3-vectors, by Gaussian elimination over Fraction."""
+    rows = [list(v.coords()) for v in vectors]
+    rank = 0
+    for col in range(3):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def fraction_octo_check(u1, u2, v1, v2):
     """The four verdicts and the shared witness of the four-vector check."""
     norms = tuple(dot(v, v) for v in (u1, u2, v1, v2))
     equal_norms = len(set(norms)) == 1 and norms[0] != 0
-    rank = 0
-    if any(not is_zero(v) for v in (u1, u2, v1, v2)):
-        rank = lg.lattice_from((u1, u2, v1, v2)).rank
+    rank = fraction_rank((u1, u2, v1, v2))
     flags = (
         equal_norms,
         add(u1, u2) == add(v1, v2),
