@@ -12,6 +12,10 @@ The package is organized around immutable values and pure functions:
   and polytope classification.
 * :mod:`autgeom.flats` -- affine isometries, induced actions, and
   the canonical flat model.
+* :mod:`autgeom.linalg` -- the kernel of O - I and exact solves of
+  (O - I) x = b for a signed block permutation O.
+* :mod:`autgeom.reports` -- the check reports shared by the library
+  and the CLI, and the exact parsing and rendering of fractions.
 * :mod:`autgeom.cli` -- the ``autgeom`` command-line tool.
 
 The modules are the API: import them, e.g.

@@ -13,10 +13,10 @@ cell volume equals the covolume of the lattice (the tiling condition).
 The first is checked for half of the vertices over half of the box,
 one of each pair +-y and +-a, after an exact check that the vertex set
 is centrally symmetric.  The vertices are read off the Gram matrix of
-the superbase over one denominator, and lattice_from checks each
-generator against the echelon basis by back-substitution.
-Two more check that the faces lie on their bisector planes and satisfy
-Euler's formula.
+the superbase over one denominator.  Two more gates check that the
+faces lie on their bisector planes and satisfy Euler's formula.
+lattice_from checks that its echelon basis spans the generators by the
+rank and the gcd of maximal minors of both and of the two together.
 
 Generators come in as Vec3 named tuples of Fractions and are scaled
 once to integer rows over their least common denominator; a Lattice
@@ -38,7 +38,7 @@ import itertools
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lt, mul
+from operator import lt
 from typing import NamedTuple, Sequence
 
 from .reports import Check, ratio_str
@@ -116,29 +116,31 @@ def _dist_sq(u: Sequence[int], v: Sequence[int]) -> int:
     return (u[0] - v[0]) ** 2 + (u[1] - v[1]) ** 2 + (u[2] - v[2]) ** 2
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    """The rank of integer rows in 3-space, read off their minors: 3 if
-    some triple has a nonzero determinant, 2 if some pair has a nonzero
-    cross product, 1 if some row is nonzero, 0 otherwise."""
-    if any(_dot(r, _cross(s, t)) for r, s, t in itertools.combinations(rows, 3)):
-        return 3
-    if any(any(_cross(r, s)) for r, s in itertools.combinations(rows, 2)):
-        return 2
-    return int(any(map(any, rows)))
+def _divisors(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(rank, d) for integer rows in 3-space: their rank r and the gcd d
+    of their r x r minors, which are the triple products for r = 3, the
+    cross-product components for r = 2 and the entries for r = 1; (0, 0)
+    for zero rows.  Neither changes under a unimodular change of rows."""
+    d = gcd(*(_dot(r, _cross(s, t)) for r, s, t in itertools.combinations(rows, 3)))
+    if d:
+        return 3, d
+    pairs = itertools.combinations(rows, 2)
+    d = gcd(*itertools.chain.from_iterable(_cross(r, s) for r, s in pairs))
+    if d:
+        return 2, d
+    d = gcd(*itertools.chain.from_iterable(rows))
+    return (1, d) if d else (0, 0)
 
 
-def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Hermite-style row echelon form over Z with transform tracking.
+def _hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Hermite-style row echelon form over Z, without its zero tail.
 
-    Returns (echelon rows without the zero tail, transform rows U) with
-    echelon[i] == sum_j U[i][j] * rows[j].  Pivots are positive and the
-    entries above each pivot are reduced into [0, pivot), so the form is
-    canonical: a row lies in the module of echelon rows E exactly when
-    the echelon form of E plus that row is E again.
+    Pivots are positive and the entries above each pivot are reduced
+    into [0, pivot), so the form is canonical: two lists of rows span
+    the same module exactly when their echelon forms are equal.
     """
     m = [r[:] for r in rows]
     n = len(m)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     h = 0
     for col in range(3):
         while True:
@@ -147,13 +149,11 @@ def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
                 break
             r0 = min(live, key=lambda r: abs(m[r][col]))
             m[h], m[r0] = m[r0], m[h]
-            u[h], u[r0] = u[r0], u[h]
             done = True
             for r in range(h + 1, n):
                 if m[r][col] != 0:
                     q = m[r][col] // m[h][col]
                     m[r] = [a - q * b for a, b in zip(m[r], m[h])]
-                    u[r] = [a - q * b for a, b in zip(u[r], u[h])]
                     if m[r][col] != 0:
                         done = False
             if done:
@@ -161,33 +161,26 @@ def _hnf(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
         if h < n and m[h][col] != 0:
             if m[h][col] < 0:
                 m[h] = [-a for a in m[h]]
-                u[h] = [-a for a in u[h]]
             for r in range(h):
                 q = m[r][col] // m[h][col]
                 if q:
                     m[r] = [a - q * b for a, b in zip(m[r], m[h])]
-                    u[r] = [a - q * b for a, b in zip(u[r], u[h])]
             h += 1
-    return m[:h], u[:h]
-
-
-def _in_module(echelon: Sequence[Sequence[int]], row: Sequence[int]) -> bool:
-    """Whether an integer row is an integer combination of echelon rows,
-    by back-substitution: taking the quotient at each pivot in turn
-    leaves a remainder of zero exactly then."""
-    for b in echelon:
-        k = next(k for k in range(3) if b[k])
-        q = row[k] // b[k]
-        row = [x - q * y for x, y in zip(row, b)]
-    return not any(row)
+    return m[:h]
 
 
 def lattice_from(gens: Sequence[Vec3]) -> Lattice:
     """Build a lattice from 1..4 rational generators.
 
-    The basis is the Hermite-style echelon reduction of the generators;
-    both inclusions between the generator module and the basis module
-    are verified exactly before returning.
+    The basis is the Hermite-style echelon reduction of the generators,
+    verified exactly before returning: the generator rows, the basis
+    rows and the two together must have the same rank r and the same
+    gcd of r x r minors, or RuntimeError is raised.  That suffices.  By
+    Cauchy-Binet, the r x r minors of a rank-r submodule N of a module M
+    are those of a basis of M times the determinant of the integer
+    matrix that expresses a basis of N in it, so N = M exactly when the
+    two gcds are equal.  The generators and the basis both lie in the
+    module that they span together, so each is all of it.
     """
     gens = tuple(gens)
     if not 1 <= len(gens) <= 4:
@@ -195,16 +188,9 @@ def lattice_from(gens: Sequence[Vec3]) -> Lattice:
     rows, den = _int_rows(gens)
     if not any(map(any, rows)):
         raise ValueError("all generators are zero")
-    basis_rows, transform = _hnf(rows)
-    # Two-way membership: each basis row is the tracked integer
-    # combination of the generator rows, and each generator row is an
-    # integer combination of the basis rows.
-    columns = list(zip(*rows))
-    for coeffs, target in zip(transform, basis_rows):
-        if [sum(map(mul, coeffs, col)) for col in columns] != target:
-            raise RuntimeError("echelon transform failed verification")
-    if not all(_in_module(basis_rows, row) for row in rows):
-        raise RuntimeError("generator not contained in echelon basis module")
+    basis_rows = _hnf(rows)
+    if not _divisors(rows) == _divisors(basis_rows) == _divisors(rows + basis_rows):
+        raise RuntimeError("echelon basis does not span the generator module")
     # The least common denominator of the basis entries divides den.
     g = gcd(den, *itertools.chain.from_iterable(basis_rows))
     return Lattice(tuple(tuple(x // g for x in r) for r in basis_rows), den // g)
@@ -541,10 +527,9 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> list[Check]:
     The four checks share one witness: the squared norms, the common
     one (None unless they agree and are nonzero) and the rank of the
     generated lattice, which is 3 whenever every condition holds.  The
-    rank is read off the minors of the four vectors scaled to integers:
-    3 if three of them have a nonzero determinant, 2 if two have a
-    nonzero cross product, 1 if one is nonzero, else 0.  No lattice is
-    built.
+    rank is read off the minors of the four vectors scaled to integers,
+    as lattice_from reads it: the size of the largest square minor that
+    is not zero.  No lattice is built.
     """
     vectors = (u1, u2, v1, v2)
     (a1, a2, b1, b2), den = _int_rows(vectors)
@@ -555,7 +540,7 @@ def octo_check(u1: Vec3, u2: Vec3, v1: Vec3, v2: Vec3) -> list[Check]:
     witness = {
         "norms_sq": norms,
         "common_norm_sq": norms[0] if equal_norms else None,
-        "lattice_rank": _rank((a1, a2, b1, b2)),
+        "lattice_rank": _divisors((a1, a2, b1, b2))[0],
     }
     return [
         Check(

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -700,6 +701,25 @@ def test_report_names_subcommand_and_echoes_parsed_arguments(argv, code):
     assert got == code
     assert report.command == argv[0]
     assert list(report.args.items()) == list(echoed.items())
+
+
+def test_src_modules_use_every_import():
+    # An import left behind when the last code that used it goes.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "autgeom"
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
 
 
 class TestEndToEnd:

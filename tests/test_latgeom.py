@@ -15,6 +15,8 @@ from conftest import (
 )
 
 CUBE_GENS = (vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
+SCALED_X_GENS = (vec3(2, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
+ECHELON_FAULT = "echelon basis does not span the generator module"
 # Generators and expected f-vector of each lattice type the benchmark uses.
 LATTICE_TYPES = {
     "fcc": (FCC_GENS, (14, 24, 12)),
@@ -71,14 +73,25 @@ def basis(lat):
     return tuple(Vec3(*(Fraction(x, lat.den) for x in r)) for r in lat.rows)
 
 
-def in_lattice(lat, v):
-    """Exact membership of a rational point: adding it to the integer
-    basis rows leaves their canonical echelon form unchanged."""
-    scaled = [c * lat.den for c in v.coords()]
-    if any(c.denominator != 1 for c in scaled):
-        return False
-    rows = [list(r) for r in lat.rows]
-    return lg._hnf(rows + [[int(c) for c in scaled]])[0] == rows
+def in_lattice(vectors, v):
+    """Exact membership of a rational point in the module of linearly
+    independent rational vectors b_i, by Gauss-Jordan elimination over
+    Fraction: v = sum c_i b_i must have a solution with every c_i an
+    integer."""
+    n = len(vectors)
+    # One equation per coordinate in the unknowns c_i, then v.
+    eqs = [[*(b.coords()[k] for b in vectors), v.coords()[k]] for k in range(3)]
+    for col in range(n):
+        pivot = next(r for r in range(col, 3) if eqs[r][col])
+        eqs[col], eqs[pivot] = eqs[pivot], eqs[col]
+        eqs[col] = [x / eqs[col][col] for x in eqs[col]]
+        for r in range(3):
+            if r != col:
+                f = eqs[r][col]
+                eqs[r] = [x - f * y for x, y in zip(eqs[r], eqs[col])]
+    # Rows n.. read 0 = eqs[r][n]; rows ..n read c_r = eqs[r][n].
+    return (not any(eqs[r][n] for r in range(n, 3))
+            and all(eqs[r][n].denominator == 1 for r in range(n)))
 
 
 def minors_covolume(gens):
@@ -440,8 +453,8 @@ class TestLatticeFrom:
     def test_rational_generators(self):
         lat = lg.lattice_from((vec3("1/2", 0, 0), vec3(0, "1/3", 0)))
         assert lat.rank == 2
-        assert in_lattice(lat, vec3("1/2", "1/3", 0))
-        assert not in_lattice(lat, vec3("1/4", 0, 0))
+        assert in_lattice(basis(lat), vec3("1/2", "1/3", 0))
+        assert not in_lattice(basis(lat), vec3("1/4", 0, 0))
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -452,9 +465,11 @@ class TestLatticeFrom:
             gens = random_unimodular_gens(rng, FCC_GENS)
             lat = lg.lattice_from(gens)
             for g in gens:
-                assert in_lattice(lat, g)
+                assert in_lattice(basis(lat), g)
+            assert not in_lattice(basis(lat), vec3(1, 0, 0))
+            # The first three FCC generators are a basis of its module.
             for b in basis(lat):
-                assert in_lattice(lg.lattice_from(gens), b)
+                assert in_lattice(FCC_GENS[:3], b)
 
     def test_canonical_under_generator_change(self, rng):
         base = lg.lattice_from(FCC_GENS)
@@ -462,35 +477,46 @@ class TestLatticeFrom:
             other = lg.lattice_from(random_unimodular_gens(rng, FCC_GENS))
             assert other == base
 
-    def test_back_substitution_matches_echelon_membership(self, rng):
-        # Integer combinations of the basis rows, some moved off by a
-        # small vector, against the canonical-form test of in_lattice.
-        outcomes = set()
-        for rank in (1, 2, 3):
-            for _ in range(40):
-                lat = lg.lattice_from(random_quadruple_of_rank(rng, rank))
-                for _ in range(5):
-                    coeffs = [rng.randint(-3, 3) for _ in lat.rows]
-                    row = [sum(c * r[k] for c, r in zip(coeffs, lat.rows))
-                           + rng.choice((0, rng.randint(-2, 2))) for k in range(3)]
-                    member = in_lattice(lat, Vec3(*(Fraction(x, lat.den) for x in row)))
-                    assert lg._in_module(lat.rows, row) == member
-                    outcomes.add(member)
-        assert outcomes == {True, False}
+    def test_divisors_match_elimination_and_are_invariant(self, rng):
+        # The rank against Gaussian elimination over Fraction, the pair
+        # (rank, d) under a unimodular change of generators, and d under
+        # scaling one echelon row by m.
+        for rank in (0, 1, 2, 3):
+            for _ in range(30):
+                quad = random_quadruple_of_rank(rng, rank)
+                rows = lg._int_rows(quad)[0]
+                pair = lg._divisors(rows)
+                assert pair[0] == fraction_rank(quad) == rank
+                changed = random_unimodular_gens(rng, quad)
+                assert lg._divisors(lg._int_rows(changed)[0]) == pair
+                if rank:
+                    echelon = lg._hnf(rows)
+                    i = rng.randrange(rank)
+                    m = rng.choice([k for k in range(-5, 6) if k])
+                    echelon[i] = [m * x for x in echelon[i]]
+                    assert lg._divisors(echelon) == (rank, abs(m) * pair[1])
 
-    def test_generator_outside_the_basis_module_refused(self, monkeypatch):
-        # An echelon form with its first pivot row doubled, and its
-        # transform row with it, still passes the transform check, but
-        # it no longer spans the generators.
+    @pytest.mark.parametrize("gens,fault", [
+        (FCC_GENS, lambda m: [[2 * x for x in m[0]], *m[1:]]),
+        (SCALED_X_GENS, lambda m: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        # Of the same index as the generators' module, so only the
+        # divisors of the generators and the basis together differ.
+        (SCALED_X_GENS, lambda m: [[1, 0, 0], [0, 1, 0], [0, 0, 2]]),
+        (FCC_GENS, lambda m: m[:-1]),
+    ], ids=["first-pivot-doubled", "superlattice", "same-index-other-module",
+            "row-dropped"])
+    def test_faulty_echelon_basis_refused(self, monkeypatch, gens, fault):
+        from autgeom.cli import INTERNAL_ERROR
+
         original = lg._hnf
-
-        def doubled(rows):
-            m, u = original(rows)
-            return [[2 * x for x in m[0]], *m[1:]], [[2 * x for x in u[0]], *u[1:]]
-
-        monkeypatch.setattr(lg, "_hnf", doubled)
-        with pytest.raises(RuntimeError, match="generator not contained"):
-            lg.lattice_from(FCC_GENS)
+        monkeypatch.setattr(lg, "_hnf", lambda rows: fault(original(rows)))
+        with pytest.raises(RuntimeError, match=ECHELON_FAULT):
+            lg.lattice_from(gens)
+        text = ";".join(",".join(map(str, g.coords())) for g in gens)
+        code, report = run_cli(["voronoi", "--gens", text])
+        assert code == INTERNAL_ERROR
+        assert ECHELON_FAULT in report.payload["error"]
+        assert report.to_dict()["passed"] is False
 
 
 class TestOctoCheck:
@@ -546,7 +572,7 @@ class TestOctoCheck:
         # rank of the echelon basis that lattice_from builds.
         for _ in range(60):
             quad = random_quadruple_of_rank(rng, rank)
-            assert lg._rank(lg._int_rows(quad)[0]) == rank
+            assert lg._divisors(lg._int_rows(quad)[0])[0] == rank
             flags, witness = octo_result(lg.octo_check(*quad))
             assert witness["lattice_rank"] == rank
             assert (flags, witness) == fraction_octo_check(*quad)
