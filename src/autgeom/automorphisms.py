@@ -152,19 +152,18 @@ def identity_endo(rank: int) -> Endo:
     return Endo(tuple(gen(i) for i in range(1, rank + 1)))
 
 
-def _image_bounds(e1: Endo, e2: Endo) -> list[int]:
-    """Upper bounds on the image lengths of compose(e1, e2): each letter
-    of an image of e2 counts the length of its image under e1.  A bound
-    above MAX_WORD_LETTERS raises ValueError."""
+def _image_bounds(e1: Endo, e2: Endo) -> None:
+    """Raise ValueError if compose(e1, e2) would write an image of over
+    MAX_WORD_LETTERS letters before reducing it: each letter of an image
+    of e2 counts the length of its image under e1, which is what
+    substitute concatenates.  This bounds the reduced image's length."""
     lengths = [*map(len, e1.images)]
     # Letter x indexes [0, l1, l2, ..., l2, l1] at x, from the end for
     # x < 0: a lookup per letter in C, since endo_power's inner operand
     # is long.
     length_of = [0, *lengths, *reversed(lengths)].__getitem__
-    bounds = [sum(map(length_of, img)) for img in e2.images]
-    if max(bounds) > MAX_WORD_LETTERS:
+    if max(sum(map(length_of, img)) for img in e2.images) > MAX_WORD_LETTERS:
         raise ValueError(f"images would exceed {MAX_WORD_LETTERS} letters")
-    return bounds
 
 
 # endo_of writes each moved image anew, so n factors that each add a
@@ -232,10 +231,11 @@ def endo_power(e: Endo, k: int) -> Endo:
     Composition is associative and reduced images are unique, so the
     images are those of k copies of e composed one at a time, at the
     cost of O(log k) compositions.  Before each one _image_bounds
-    bounds the image lengths; a bound above MAX_WORD_LETTERS raises
-    ValueError.  The bound counts letters that cancel, so images that
-    cancel at their seams (as conjugates do) can be refused although
-    the power's images would fit.
+    counts the letters substitute would write for each image; a count
+    above MAX_WORD_LETTERS raises ValueError.  Images that cancel at
+    their seams (as conjugates do) can be refused although the power's
+    reduced images would fit: the square itself would write that many
+    letters, and composing the factors one at a time is then cheaper.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")

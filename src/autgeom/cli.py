@@ -80,9 +80,8 @@ def cmd_gl_rep(args: argparse.Namespace) -> tuple[list[Check], dict]:
     """The cover action ab5 and its eigenplane restriction mu of X^p.
 
     The unit U = X^(sign p) is built from its factors, and the images of
-    X^p by squaring U's images (a single-factor X^p is one factor, with
-    closed-form images).  Only where a square's length bound is over the
-    letter cap does endo_of apply the factors of X^p one at a time, in
+    X^p by squaring U's images.  Where a square would write over the
+    letter cap, endo_of applies the factors of X^p one at a time, in
     closed form, as it does for any expression.  When U stabilizes the
     subgroup, ab5(X^p) is taken as ab5(U)^|p| by squaring: only the
     short images of U are rewritten.  Otherwise (P13 does not stabilize,
@@ -94,17 +93,15 @@ def cmd_gl_rep(args: argparse.Namespace) -> tuple[list[Check], dict]:
     # expr_power refuses X^p of more than MAX_WORD_LETTERS factors.
     power = aut.expr_power(expr, args.power)
     unit_expr = aut.expr_power(expr, (args.power > 0) - (args.power < 0))
-    if len(expr) == 1:
+    try:
+        # X^p's factors begin with U's (or, for one factor, carry a larger
+        # exponent), so where U is refused endo_of(X^p) is refused with its
+        # own message, and U is bound after this block.  Where a square
+        # would write over the cap, one factor at a time is cheaper.
+        unit = aut.endo_of(unit_expr)
+        endo = aut.endo_power(unit, abs(args.power))
+    except ValueError:
         endo = aut.endo_of(power)
-        unit = aut.endo_of(unit_expr)
-    else:
-        unit = aut.endo_of(unit_expr)
-        try:
-            endo = aut.endo_power(unit, abs(args.power))
-        except ValueError:
-            # A square's length bound counts letters that cancel; the
-            # factors taken one at a time decide, under endo_of's caps.
-            endo = aut.endo_of(power)
     if glrep.stabilizes(unit):
         m5 = glrep.mat_power(glrep.ab5(unit), abs(args.power))
     else:

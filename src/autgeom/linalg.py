@@ -48,10 +48,7 @@ def kernel(g) -> list[tuple[list[int], tuple[int, ...]]]:
     block a and 0 elsewhere is fixed; these vectors have disjoint
     supports and together span the fixed space."""
     signs = g.signs
-    # A fixed block, the only cycle a pure translation has, skips the
-    # prefix product.
-    return [(cycle, (1,) if len(cycle) == 1 else tuple(
-                accumulate(map(signs.__getitem__, cycle[:-1]), mul, initial=1)))
+    return [(cycle, tuple(accumulate(map(signs.__getitem__, cycle[:-1]), mul, initial=1)))
             for cycle, product in _cycles(g.source, signs) if product == 1]
 
 
@@ -77,7 +74,7 @@ def solve(g, b: Sequence[int]) -> list[int] | None:
         return value
 
     for cycle, product in _cycles(g.source, signs):
-        back = cycle[::-1] if len(cycle) > 1 else cycle
+        back = cycle[::-1]
         for j in range(k):
             rows = back if k == 1 else [i * k + j for i in back]
             closing = walk(rows, back, 0)

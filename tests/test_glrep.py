@@ -236,8 +236,12 @@ class TestGlRepPowers:
         assert report[0] == 0
         assert report == word_path_report(text, p)
 
+    # The last two pin the order of refusals: U itself is refused, and
+    # the message names X^p's exponent, not U's.
     @pytest.mark.parametrize(
-        "text,p", [("P13", 3), ("L13 L31", 2), ("L13", 1), ("L21", 100_000)]
+        "text,p",
+        [("P13", 3), ("L13 L31", 2), ("L13", 1), ("L21", 100_000),
+         ("L12^100000", 2), ("R21^-100000", -3)],
     )
     def test_refusals(self, text, p):
         report = gl_rep_report(text, p)
