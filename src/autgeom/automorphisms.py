@@ -33,7 +33,6 @@ from .words import (
     MAX_WORD_LETTERS,
     Word,
     _LETTER_DIGITS,
-    conj,
     cyclic_reduce,
     empty,
     format_word,
@@ -276,7 +275,8 @@ def equal(e1: Endo, e2: Endo) -> bool:
 
 def inner(g: Word, rank: int) -> Endo:
     """The inner automorphism x -> g x g^-1 of the free group of this rank."""
-    return Endo(tuple(conj(gen(i), g) for i in range(1, rank + 1)))
+    g_inv = inv(g)
+    return Endo(tuple(mul(mul(g, gen(i)), g_inv) for i in range(1, rank + 1)))
 
 
 def _leading_a1_run(w: Word) -> int:

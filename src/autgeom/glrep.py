@@ -204,7 +204,7 @@ def restrict_to_eigenplane(m: IntMat) -> IntMat:
     f1, f2 = minus_eigenbasis()
     cols = []
     for f in (f1, f2):
-        g = [sum(m[i][j] * f[j] for j in range(COVER_RANK)) for i in range(COVER_RANK)]
+        g = [sum(map(operator.mul, row, f)) for row in m]
         if g[2] != 0 or g[0] != -g[3] or g[1] != -g[4]:
             raise ValueError("matrix does not preserve the (-1)-eigenplane")
         cols.append((g[0], g[1]))
@@ -268,7 +268,9 @@ def no_short_relation(m1: IntMat, m2: IntMat, max_len: int) -> bool:
     length ceil(max_len/2), as integer 4-tuples, and ``least`` maps each
     matrix to the least length of a word reaching it (the identity at
     length 0); a word of length k landing on a matrix stored at length a
-    is a relation when a + k <= max_len.  Time and memory are
+    is a relation when a + k <= max_len.  For odd max_len two words of
+    the last length make a word one letter too long, so that length is
+    looked up but not stored.  Time and memory are
     O(3^(max_len/2)), where a search over whole words takes 3^max_len:
     on CPython 3.11 (2-CPU x86-64) an exhaustive search takes about 20 ms
     at max_len 16, 0.17 s and 47 MB at the cap MAX_SEARCH_LEN = 20, and
@@ -295,12 +297,14 @@ def no_short_relation(m1: IntMat, m2: IntMat, max_len: int) -> bool:
         if k > (MAX_SEARCH_LEN + 1) // 2:
             raise ValueError(f"max_len {max_len} is over the cap {MAX_SEARCH_LEN}")
         words = []
+        store = 2 * k <= max_len
         for (p, q, r, s), last in frontier:
             for j, (a, b, c, d) in next_letters[last]:
                 key = (p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
                 seen = least.get(key)
                 if seen is None:
-                    least[key] = k
+                    if store:
+                        least[key] = k
                 elif seen + k <= max_len:
                     return False
                 words.append((key, j))

@@ -29,9 +29,6 @@ class Check(NamedTuple):
     passed: bool
     witness: Any = None
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class Report(NamedTuple):
     """Aggregate result of one command: echo, checks, and extra payload.
@@ -51,10 +48,13 @@ class Report(NamedTuple):
         return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        """The report as plain data; each check's keys follow
+        ``Check._fields``."""
         return {
             "command": self.command,
             "args": self.args,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [{"name": name, "claim": claim, "passed": passed, "witness": witness}
+                       for name, claim, passed, witness in self.checks],
             "passed": self.passed,
             "payload": self.payload,
         }

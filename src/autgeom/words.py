@@ -20,18 +20,20 @@ image in one slice; ``mul`` counts the cancelling letters and joins two
 slices; ``power`` splits w = u * core * u^-1 once, since every seam
 between copies of w cancels exactly u^-1 * u.  Only :func:`reduce`,
 whose input is raw, scans letter by letter.  :func:`parse_word` parses
-each distinct token once, and ``automorphisms.compose`` calls
-``substitute`` only on images that hold a letter the outer map moves.
+each distinct token once and works out a token's character position
+only for the message of a token it refuses, and
+``automorphisms.compose`` calls ``substitute`` only on images that hold
+a letter the outer map moves.
 
 :func:`format_word` renders a word of 64 letters or more whose letters
 all fit in a signed byte other than -128 with no Python-level step per
 letter: it packs one byte per letter, finds the run starts with one XOR
 of the word's bytes as an integer against themselves shifted by one
 byte, writes the delimiter byte 0x80 (that of -128) before each run and
-splits there once.  Equal runs share a token, so a token is built once
-per distinct run (most runs of a long image are single letters) before
-one ``" ".join``.  A shorter word, or one with a wider letter, goes
-through one loop over its runs.
+splits there once.  Equal runs share a token, built when the run first
+appears (most runs of a long image are single letters), and one
+``" ".join`` looks every run's token up.  A shorter word, or one with a
+wider letter, goes through one loop over its runs.
 
 Words are immutable and every operation is a pure function, so the whole
 module is safe for unrestricted concurrent use.
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import compress
+from itertools import compress, islice
 from operator import ne, neg
 from typing import Iterable, Sequence
 
@@ -52,7 +54,6 @@ __all__ = [
     "reduce",
     "mul",
     "inv",
-    "conj",
     "power",
     "ab_vector",
     "substitute",
@@ -126,11 +127,6 @@ def inv(w: Word) -> Word:
     return tuple(map(neg, reversed(w)))
 
 
-def conj(w: Word, g: Word) -> Word:
-    """Conjugate g * w * g^-1."""
-    return mul(mul(g, w), inv(g))
-
-
 def _cyclic_split(syms: tuple[int, ...]) -> int:
     """Length of the prefix u of a reduced word u * core * u^-1."""
     i, j = 0, len(syms) - 1
@@ -160,8 +156,8 @@ def power(w: Word, k: int) -> Word:
 
 def ab_vector(w: Word, rank: int) -> tuple[int, ...]:
     """Image in Z^rank: entry i is the exponent sum of a_{i+1}."""
-    counts = Counter(w)
-    return tuple(counts[i] - counts[-i] for i in range(1, rank + 1))
+    get = Counter(w).get
+    return tuple(get(i, 0) - get(-i, 0) for i in range(1, rank + 1))
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:
@@ -217,18 +213,20 @@ def parse_word(text: str, rank: int) -> Word:
     ValueError with the character position of the first bad token, or
     of the one that crosses the cap.  Each distinct token is parsed once,
     into its letter and run length; every occurrence counts to the cap.
+    Tokens are cut by ``str.split()``, which splits at the same code
+    points as the regular expression ``\\S+``; a position is worked out
+    only for a message.
     """
     raw: list[int] = []
     letters = 0
     index_digits = len(str(rank))
     parsed: dict[str, tuple[int, int]] = {"1": (1, 0)}  # (letter, run length)
-    for m in re.finditer(r"\S+", text):
-        tok = m.group(0)
+    for n, tok in enumerate(text.split()):
         run = parsed.get(tok)
         if run is None:
             mt = _TOKEN.match(tok)
             if mt is None:
-                raise ValueError(f"char {m.start()}: bad token {tok!r}")
+                raise ValueError(f"char {_token_start(text, n)}: bad token {tok!r}")
             # Leading zeros are dropped and a value is converted only if
             # it has no more digits than its cap, since CPython converts
             # at most 4,300; a longer one is over the cap, so the
@@ -236,9 +234,8 @@ def parse_word(text: str, rank: int) -> Word:
             index = mt.group(2).lstrip("0") or "0"
             idx = int(index) if len(index) <= index_digits else 0
             if not 1 <= idx <= rank:
-                raise ValueError(
-                    f"char {m.start()}: generator a{index} out of range for rank {rank}"
-                )
+                raise ValueError(f"char {_token_start(text, n)}: "
+                                 f"generator a{index} out of range for rank {rank}")
             exponent = (mt.group(3) or "1").lstrip("-").lstrip("0") or "0"
             k = int(exponent) if len(exponent) <= _LETTER_DIGITS else MAX_WORD_LETTERS + 1
             negative = (mt.group(1) == "A") != (mt.group(3) or "").startswith("-")
@@ -246,10 +243,15 @@ def parse_word(text: str, rank: int) -> Word:
         letters += run[1]
         if letters > MAX_WORD_LETTERS:
             raise ValueError(
-                f"char {m.start()}: word longer than {MAX_WORD_LETTERS} letters"
+                f"char {_token_start(text, n)}: word longer than {MAX_WORD_LETTERS} letters"
             )
         raw.extend([run[0]] * run[1])
     return reduce(rank, raw)
+
+
+def _token_start(text: str, n: int) -> int:
+    """Character position of token n (from 0) of ``text.split()``."""
+    return next(islice(re.finditer(r"\S+", text), n, None)).start()
 
 
 # The shortest word format_word encodes as bytes.  Timed against the
@@ -264,11 +266,25 @@ _BYTES_FROM = 64
 _RUN_MARK = bytes(1) + b"\x80" * 255
 
 
+class _RunTokens(dict):
+    """The token of each byte run, built when the run is first looked up,
+    so equal runs share one token."""
+
+    def __missing__(self, run: bytes) -> str:
+        x, k = (run[0] ^ 128) - 128, len(run)  # the byte's signed value
+        count = k if x > 0 else -k
+        token = self[run] = f"a{x}" if count == 1 else f"a{abs(x)}^{count}"
+        return token
+
+
 def format_word(w: Word) -> str:
     """Render a word in the text grammar; parse_word(format_word(w)) == w.
 
     Maximal runs of one letter are compressed to ``a1^3`` style tokens;
-    the empty word renders as ``1``.
+    the empty word renders as ``1``.  A word of _BYTES_FROM letters or
+    more whose letters fit in a signed byte other than -128 is split
+    into byte runs, and the token of a run is built the first time that
+    run appears.
     """
     runs = _byte_runs(w) if len(w) >= _BYTES_FROM else None
     if runs is None:
@@ -281,13 +297,7 @@ def format_word(w: Word) -> str:
             count = k if x > 0 else -k
             parts.append(f"a{x}" if count == 1 else f"a{abs(x)}^{count}")
         return " ".join(parts) or "1"
-    # Equal runs share one token, so tokens are built per distinct run.
-    tokens = {}
-    for run in set(runs):
-        x, k = (run[0] ^ 128) - 128, len(run)  # the byte's signed value
-        count = k if x > 0 else -k
-        tokens[run] = f"a{x}" if count == 1 else f"a{abs(x)}^{count}"
-    return " ".join(map(tokens.__getitem__, runs))
+    return " ".join(map(_RunTokens().__getitem__, runs))
 
 
 def _byte_runs(w: Word) -> list[bytes] | None:

@@ -221,7 +221,7 @@ class TestInputCaps:
     @pytest.mark.parametrize("ell", [
         "9" * (MAX_LITERAL_SIZE + 1), "1e38", "1e-38", "-1.5e37",
         "3/" + "7" * MAX_LITERAL_SIZE,
-        "1e" + "9" * 5000,
+        pytest.param("1e" + "9" * 5000, id="1e-5000-nines"),
     ])
     def test_literal_over_the_cap_is_two(self, ell):
         code, report = run_cli(["induce", "--d", "3", f"--ell={ell}"])
@@ -291,8 +291,9 @@ class TestInputCaps:
         (["gl-rep", "L12^999999"], "L12^999999 makes an image over 100000 letters"),
         (GPQ + ["--w", "a1^" + NINES], "char 0: word longer than 100000 letters"),
         (GPQ + ["--w", "a2 A3^-" + NINES], "char 3: word longer than 100000 letters"),
-        (GPQ + ["--w", "a" + NINES],
-         f"char 0: generator a{NINES} out of range for rank 3"),
+        pytest.param(GPQ + ["--w", "a" + NINES],
+                     f"char 0: generator a{NINES} out of range for rank 3",
+                     id="index-of-5000-nines"),
     ])
     def test_long_digit_strings_are_refused_before_int(self, argv, error):
         code, report = run_cli(argv)

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from itertools import groupby
 
 import pytest
@@ -92,8 +94,8 @@ class TestGroupOps:
         assert fw.format_word(fw.inv(w)) == "a2^-1 a1^-1"
 
     def test_conj_definition(self):
-        got = fw.conj(fw.gen(2), fw.gen(1))
-        assert fw.format_word(got) == "a1 a2 a1^-1"
+        got = aut.inner(fw.gen(1), 2).images
+        assert [fw.format_word(w) for w in got] == ["a1", "a1 a2 a1^-1"]
 
     def test_words_of_different_free_groups_multiply(self):
         # a1 a2 of F_2 times a2^-1 a5 of F_5 is a1 a5 in F_5.
@@ -260,6 +262,51 @@ class TestTextGrammar:
                 tok + rng.choice(spaces) for tok in tokens)
             assert fw.parse_word(text, rank) == split_parse(text, rank)
 
+    def test_split_cuts_where_non_space_runs_end(self):
+        # parse_word cuts tokens with str.split(); its messages locate
+        # them with \S+.  Both must split at the same code points.
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert chars.split() == re.findall(r"\S+", chars)
+
+    def test_error_positions_against_finditer(self, rng):
+        cap = fw.MAX_WORD_LETTERS
+        spaces = (" ", "\t", "\n", "\u2003", "\x1c", " \u2003\t", "\x1c\n ")
+        seen = {"bad": 0, "range": 0, "cap": 0}
+        for _ in range(400):
+            rank = rng.randint(1, 12)
+            pool = {"1": 0}  # token -> letters it spells
+            for _ in range(rng.randint(1, 6)):
+                k = rng.choice((0, 1, 2, 3, 7, 12))
+                exponent = "^" + rng.choice(("", "-", "-0", "00")) + str(k)
+                if k == 1 and rng.random() < 0.5:
+                    exponent = ""
+                pool[rng.choice("aA") + "0" * rng.randint(0, 1)
+                     + str(rng.randint(1, rank)) + exponent] = k
+            tokens = rng.choices(list(pool), k=rng.randint(0, 30))
+            n = rng.randint(0, len(tokens))
+            kind = rng.choice(list(seen))
+            if kind == "bad":
+                bad = rng.choice(("b2", "a1^", "a1x", "^2", "a-1", "a", "a1^-"))
+                error = f"bad token {bad!r}"
+            elif kind == "range":
+                index = rng.choice(("0", str(rank + rng.randint(1, 9))))
+                bad = rng.choice("aA") + "0" * rng.randint(0, 2) + index
+                bad += rng.choice(("", "^2", "^-1"))
+                error = f"generator a{index} out of range for rank {rank}"
+            else:
+                before = sum(pool[tok] for tok in tokens[:n])
+                bad = rng.choice("aA") + f"1^{cap - before + 1}"
+                error = f"word longer than {cap} letters"
+            tokens.insert(n, bad)
+            text = rng.choice(("", " ", "\u2003")) + "".join(
+                tok + rng.choice(spaces) for tok in tokens)
+            start = list(re.finditer(r"\S+", text))[n].start()
+            with pytest.raises(ValueError) as err:
+                fw.parse_word(text, rank)
+            assert str(err.value) == f"char {start}: {error}"
+            seen[kind] += 1
+        assert min(seen.values()) > 100
+
     def test_index_digits_are_bounded_by_the_rank(self):
         # An index is converted only if it has no more digits than the
         # rank, whatever MAX_WORD_LETTERS is.
@@ -414,7 +461,8 @@ class TestAgainstDefinitions:
             prod = fw.mul(w, v)
             assert prod == stack_reduce(w + v)
             assert is_reduced(v) and is_reduced(prod)
-            assert fw.conj(w, v) == stack_reduce(v + w + inverse(v))
+            assert aut.inner(v, rank).images == tuple(
+                stack_reduce(v + (i,) + inverse(v)) for i in range(1, rank + 1))
             seen["total"] += bool(w) and not prod
 
             k = rng.randint(-4, 4)
